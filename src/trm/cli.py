@@ -24,6 +24,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,21 +45,16 @@ from .gtr import (
     transition_probabilities_1d,
     transition_probabilities_nd,
 )
-from .hilbert import HilbertObservable, HilbertState, born_probabilities
-from .hilbert import collapse as hilbert_collapse
+from .hilbert import HilbertState, utr_correspondence
 from .shards import block_rng, run_sharded
-from .simplex import BarycentricVector, OutcomePartition, partition_objects
+from .simplex import BarycentricVector, OutcomePartition
 from .sphere import BlochVector, counterexample_bundle, kolmogorov_counterexample, sequential_joint
-from .universal import mc_batch, mc_combine, universal_probability_exact
-from .utr import collapse as utr_collapse
+from .universal import convergence_scan
 from .utr import outcome_probabilities, run_batch
 
 __all__ = ["main"]
 
 KINDS = ("utr", "gtr", "universal", "sphere", "classify", "oracle")
-
-# density-sample blocks are much heavier than trial blocks
-UNIVERSAL_BLOCK = 256
 
 
 def _require(params: Mapping[str, Any], field: str, kind: str) -> Any:
@@ -67,8 +63,16 @@ def _require(params: Mapping[str, Any], field: str, kind: str) -> Any:
     return params[field]
 
 
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, float) or _is_integer(value)
+
+
 def _positive_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise SchemaError(f"{where} must be an integer, got {value!r}")
     if value <= 0:
         raise SchemaError(f"{where} must be positive, got {value}")
@@ -77,7 +81,7 @@ def _positive_int(value: Any, where: str) -> int:
 
 def _state(params: Mapping[str, Any], kind: str) -> BarycentricVector:
     x = _require(params, "x", kind)
-    if not isinstance(x, list) or not all(isinstance(v, (int, float)) for v in x):
+    if not isinstance(x, list) or not all(_is_number(v) for v in x):
         raise SchemaError(f"{kind} params.x must be an array of numbers")
     return BarycentricVector(tuple(float(v) for v in x))
 
@@ -86,9 +90,11 @@ def _partition(params: Mapping[str, Any], n: int) -> OutcomePartition:
     blocks = params.get("blocks")
     if blocks is None:
         return OutcomePartition.singletons(n)
-    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
-        raise SchemaError("params.blocks must be an array of index arrays")
-    return OutcomePartition.of([[int(i) for i in b] for b in blocks])
+    if not isinstance(blocks, list) or not all(
+        isinstance(b, list) and all(_is_integer(i) for i in b) for b in blocks
+    ):
+        raise SchemaError("params.blocks must be an array of integer index arrays")
+    return OutcomePartition.of(blocks)
 
 
 def _run_utr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
@@ -202,36 +208,19 @@ def _run_universal(params: Mapping[str, Any], seed: int, workers: int) -> tuple[
         raise SchemaError("universal params.cell_counts must be a nonempty array")
     counts = [_positive_int(c, "universal cell count") for c in counts]
     method = params.get("method", "exact")
-    rows: list[dict] = []
-    xv = np.bincount(
-        partition.block_map(), weights=x.as_array(), minlength=partition.n_blocks
-    )
-    if method == "exact":
-        for n_c in counts:
-            probs = universal_probability_exact(x, n_c, partition)
-            errs = np.zeros(len(xv))
-            rows.extend(_scan_rows(n_c, probs, errs, xv))
-    elif method == "mc":
-        density_samples = _positive_int(
-            params.get("density_samples", 1000), "universal params.density_samples"
-        )
-        point_samples = _positive_int(
-            params.get("point_samples", 1000), "universal params.point_samples"
-        )
-        if density_samples < 2:
+    sizes = {}
+    if method == "mc":
+        sizes = {
+            field: _positive_int(params.get(field, 1000), f"universal params.{field}")
+            for field in ("density_samples", "point_samples")
+        }
+        if sizes["density_samples"] < 2:
             raise SchemaError("universal params.density_samples must be at least 2")
-        for j, n_c in enumerate(counts):
-            stats = run_sharded(
-                density_samples,
-                seed,
-                lambda rng, m, n_c=n_c: mc_batch(x, n_c, m, point_samples, rng, partition),
-                workers,
-                block_size=UNIVERSAL_BLOCK,
-            )
-            probs, errs = mc_combine(stats, density_samples)
-            rows.extend(_scan_rows(n_c, probs, errs, xv))
-    else:
+    elif method != "exact":
         raise SchemaError(f"universal params.method must be 'exact' or 'mc', got {method!r}")
+    rows = convergence_scan(
+        x, counts, seed, method, partition=partition, workers=workers, **sizes
+    )
     result = {
         "x": list(x.components),
         "blocks": [sorted(b) for b in partition.blocks],
@@ -240,19 +229,6 @@ def _run_universal(params: Mapping[str, Any], seed: int, workers: int) -> tuple[
         "max_abs_deviation": max(abs(r["deviation"]) for r in rows),
     }
     return result, rows
-
-
-def _scan_rows(n_c: int, probs: np.ndarray, errs: np.ndarray, xv: np.ndarray) -> list[dict]:
-    return [
-        {
-            "n_c": int(n_c),
-            "outcome_index": i + 1,
-            "probability": float(probs[i]),
-            "stderr": float(errs[i]),
-            "deviation": float(probs[i] - xv[i]),
-        }
-        for i in range(len(xv))
-    ]
 
 
 def _run_sphere(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
@@ -331,44 +307,21 @@ def _run_oracle(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
         raise SchemaError("oracle params.dims must be an array of integers in 2..5")
     states = _positive_int(params.get("states", 100), "oracle params.states")
     tolerance = params.get("tolerance", 1e-9)
-    if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        raise SchemaError("oracle params.tolerance must be a positive number")
+    if not _is_number(tolerance) or not 0 < tolerance < math.inf:
+        raise SchemaError("oracle params.tolerance must be a positive finite number")
     inject = bool(params.get("inject_fault", False))
     rows = []
     worst = 0.0
-    injected = inject
     for d_i, n in enumerate(dims):
         rng = block_rng(seed, d_i)
         dim_worst = 0.0
         for _ in range(states):
             raw = rng.normal(size=n) + 1j * rng.normal(size=n)
             state = HilbertState(tuple(raw / np.linalg.norm(raw)))
-            x = state.to_barycentric()
-            for partition in partition_objects(n):
-                obs = HilbertObservable.standard(n, partition)
-                born = born_probabilities(state, obs)
-                if injected:
-                    # test hook: push one Born probability off by 1e-3
-                    born = born.copy()
-                    born[0] += 1e-3
-                    injected = False
-                law = outcome_probabilities(x, partition)
-                dim_worst = max(dim_worst, float(np.max(np.abs(born - law))))
-                for k in range(1, partition.n_blocks + 1):
-                    if law[k - 1] < 1e-12:
-                        continue
-                    post = hilbert_collapse(state, obs, k)
-                    dim_worst = max(
-                        dim_worst,
-                        float(
-                            np.max(
-                                np.abs(
-                                    post.moduli_squared()
-                                    - utr_collapse(x, partition, k).as_array()
-                                )
-                            )
-                        ),
-                    )
+            dim_worst = max(dim_worst, utr_correspondence(state).max_deviation)
+        if inject and d_i == 0:
+            # test hook: the first dimension reports a 1e-3 Born deviation
+            dim_worst = max(dim_worst, 1e-3)
         rows.append({"dim": n, "states": states, "max_deviation": dim_worst})
         worst = max(worst, dim_worst)
     result = {
@@ -495,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
             sp.add_argument(
                 "--inject-fault",
                 action="store_true",
-                help="self-test hook: perturb one probability by 1e-3",
+                help="self-test hook: report a deviation of at least 1e-3",
             )
     args = parser.parse_args(argv)
 
@@ -508,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
 

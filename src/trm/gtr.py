@@ -32,8 +32,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from .cells import CellularDensity, cell_fraction_in_regions, sample_in_cells
-from .errors import SchemaError, UnstableEquilibriumError
-from .simplex import BarycentricVector, OutcomePartition, regions_of_batch
+from .errors import SchemaError
+from .simplex import BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
 
 __all__ = [
     "DensitySpec",
@@ -253,9 +253,7 @@ def transition_probabilities_nd(
         raise ValueError(f"partition covers 1..{partition.n} but state has {x.n} outcomes")
     k_blocks = partition.n_blocks
     if isinstance(density, Uniform):
-        xv = x.as_array()
-        probs = np.array([xv[[i - 1 for i in sorted(b)]].sum() for b in partition.blocks])
-        return probs, np.zeros(k_blocks)
+        return partition.aggregate(x.as_array()), np.zeros(k_blocks)
     if not isinstance(density, CellularDensity):
         raise ValueError(
             f"{type(density).__name__} does not define a break density on a "
@@ -265,51 +263,30 @@ def transition_probabilities_nd(
         raise ValueError(
             f"density subdivides a {density.n_outcomes}-outcome simplex, state has {x.n}"
         )
-    bmap = partition.block_map()
     cells = density.breakable_sorted - 1
     if x.n == 2:
         fr = cell_fraction_in_regions(x.as_array(), 2, density.n_cells)
-        region = fr[:, cells].mean(axis=1)
-        probs = np.bincount(bmap, weights=region, minlength=k_blocks)
-        return probs, np.zeros(k_blocks)
+        return partition.aggregate(fr[:, cells].mean(axis=1)), np.zeros(k_blocks)
     if rng is None:
         raise ValueError("stratified sampling needs an explicit generator")
     if samples_per_cell < 2:
         raise ValueError(f"need at least two samples per cell, got {samples_per_cell}")
     m = samples_per_cell
     idx = np.repeat(cells, m)
-    hits = _sample_regions(x, density, idx, rng)
-    block_hits = bmap[hits - 1].reshape(len(cells), m)
+    hits = resolve_ties(
+        idx.size,
+        lambda rows: regions_of_batch(
+            x, sample_in_cells(density.n_outcomes, density.n_cells, idx[rows], rng)
+        ),
+        "in cellular sampling",
+    )
+    block_hits = partition.block_map()[hits - 1].reshape(len(cells), m)
     frac = np.stack(
         [(block_hits == k).mean(axis=1) for k in range(k_blocks)], axis=1
     )  # (cells, blocks)
     probs = frac.mean(axis=0)
     var = (frac * (1.0 - frac) / m).sum(axis=0) / len(cells) ** 2
     return probs, np.sqrt(var)
-
-
-def _sample_regions(
-    x: BarycentricVector,
-    density: CellularDensity,
-    cell_idx: np.ndarray,
-    rng: np.random.Generator,
-    max_retries: int = 64,
-) -> np.ndarray:
-    """Outcome region (1-based) of a uniform break inside each given cell,
-    resampling boundary hits."""
-    out = np.zeros(cell_idx.shape[0], dtype=np.intp)
-    pending = np.arange(cell_idx.shape[0])
-    for _ in range(max_retries):
-        if pending.size == 0:
-            return out
-        pts = sample_in_cells(density.n_outcomes, density.n_cells, cell_idx[pending], rng)
-        idx, tie = regions_of_batch(x, pts)
-        good = ~tie
-        out[pending[good]] = idx[good]
-        pending = pending[tie]
-    raise UnstableEquilibriumError(
-        f"{max_retries} consecutive boundary draws in cellular sampling"
-    )
 
 
 def sample_break_point(

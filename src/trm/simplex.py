@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import UnstableEquilibriumError
 
 __all__ = [
     "BarycentricVector",
+    "MAX_BOUNDARY_RETRIES",
     "OutcomePartition",
     "SUM_TOL",
     "TIE_RTOL",
@@ -40,6 +41,7 @@ __all__ = [
     "region_measure",
     "region_of",
     "regions_of_batch",
+    "resolve_ties",
     "sample_uniform",
     "sample_uniform_batch",
     "simplex_measure",
@@ -52,14 +54,17 @@ SUM_TOL = 1e-9
 # treated as a tie, i.e. a break on a region boundary.
 TIE_RTOL = 1e-12
 
+# Consecutive boundary (tie) draws tolerated before giving up on a row.
+MAX_BOUNDARY_RETRIES = 64
+
 
 @dataclass(frozen=True)
 class BarycentricVector:
     """A point of the outcome simplex: nonnegative components summing to 1.
 
-    Construction rejects negative components and sums further than SUM_TOL
-    from 1, then renormalizes exactly so downstream arithmetic can rely on
-    sum(components) == 1 up to float rounding.
+    Construction rejects non-finite or negative components and sums further
+    than SUM_TOL from 1, then renormalizes exactly so downstream arithmetic
+    can rely on sum(components) == 1 up to float rounding.
     """
 
     components: tuple[float, ...]
@@ -68,6 +73,8 @@ class BarycentricVector:
         comps = tuple(float(c) for c in self.components)
         if len(comps) < 2:
             raise ValueError("a state needs at least two outcome components")
+        if not all(math.isfinite(c) for c in comps):
+            raise ValueError(f"non-finite component in {comps}")
         if any(c < 0.0 for c in comps):
             raise ValueError(f"negative component in {comps}")
         total = math.fsum(comps)
@@ -141,6 +148,10 @@ class OutcomePartition:
             for i in b:
                 out[i - 1] = k
         return out
+
+    def aggregate(self, v: np.ndarray) -> np.ndarray:
+        """Block sums of a per-outcome vector given in outcome order."""
+        return np.bincount(self.block_map(), weights=v, minlength=self.n_blocks)
 
 
 def simplex_measure(n: int) -> float:
@@ -244,6 +255,34 @@ def regions_of_batch(
             np.zeros(pts.shape[0], dtype=bool),
         )
     return _ratio_regions(pts, xv[None, :])
+
+
+def resolve_ties(
+    size: int,
+    draw: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    what: str,
+) -> np.ndarray:
+    """Outcome regions of `size` rows, redrawing the rows whose break ties.
+
+    draw(rows) draws fresh break points for the given row indices and
+    returns (indices, ties) for them, as regions_of_batch does.  Only tied
+    rows are drawn again, in row order.  Raises UnstableEquilibriumError
+    when rows still tie after MAX_BOUNDARY_RETRIES draws; `what` names the
+    sampling in that message.
+    """
+    out, tie = draw(np.arange(size))
+    pending = np.flatnonzero(tie)
+    for _ in range(MAX_BOUNDARY_RETRIES - 1):
+        if pending.size == 0:
+            break
+        idx, tie = draw(pending)
+        out[pending] = idx
+        pending = pending[tie]
+    if pending.size:
+        raise UnstableEquilibriumError(
+            f"{MAX_BOUNDARY_RETRIES} consecutive boundary draws {what}"
+        )
+    return out
 
 
 def sample_uniform(n: int, rng: np.random.Generator) -> BarycentricVector:

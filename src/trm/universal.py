@@ -24,7 +24,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .cells import CellularDensity, cell_fraction_in_regions, sample_in_cells
-from .simplex import BarycentricVector, OutcomePartition, regions_of_batch
+from .shards import run_sharded
+from .simplex import BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -36,6 +37,10 @@ __all__ = [
 
 # 2^24 - 1 subsets is the largest enumeration worth supporting.
 ENUMERATION_LIMIT = 24
+
+# Densities per shard block of convergence_scan's sampling route; a density
+# sample is much heavier than a utr trial.
+UNIVERSAL_BLOCK = 256
 
 _CHUNK = 1 << 18
 
@@ -106,7 +111,7 @@ def universal_probability_exact(
         return mean
     if partition.n != x.n:
         raise ValueError(f"partition covers 1..{partition.n} but state has {x.n} outcomes")
-    return np.bincount(partition.block_map(), weights=mean, minlength=partition.n_blocks)
+    return partition.aggregate(mean)
 
 
 def universal_probability_mc(
@@ -168,7 +173,11 @@ def mc_batch(
                 break
         cells = np.flatnonzero(bits)
         idx = cells[rng.integers(0, cells.size, point_samples)]
-        hits = _point_regions(xv, x.n, n_cells, idx, rng)
+        hits = resolve_ties(
+            point_samples,
+            lambda rows: regions_of_batch(xv, sample_in_cells(x.n, n_cells, idx[rows], rng)),
+            "while averaging",
+        )
         p_hat = np.bincount(bmap[hits - 1], minlength=n_blocks) / point_samples
         sums[0] += p_hat
         sums[1] += p_hat**2
@@ -183,35 +192,15 @@ def mc_combine(stats: np.ndarray, density_samples: int) -> tuple[np.ndarray, np.
     return mean, np.sqrt(var / d)
 
 
-def _point_regions(
-    xv: np.ndarray,
-    n_outcomes: int,
-    n_cells: int,
-    cell_idx: np.ndarray,
-    rng: np.random.Generator,
-    max_retries: int = 64,
-) -> np.ndarray:
-    out = np.zeros(cell_idx.shape[0], dtype=np.intp)
-    pending = np.arange(cell_idx.shape[0])
-    for _ in range(max_retries):
-        if pending.size == 0:
-            return out
-        pts = sample_in_cells(n_outcomes, n_cells, cell_idx[pending], rng)
-        idx, tie = regions_of_batch(xv, pts)
-        good = ~tie
-        out[pending[good]] = idx[good]
-        pending = pending[tie]
-    raise ValueError(f"{max_retries} consecutive boundary draws while averaging")
-
-
 def convergence_scan(
     x: BarycentricVector,
     cell_counts: Sequence[int],
-    rng: np.random.Generator | None = None,
+    seed: int | None = None,
     method: str = "exact",
     density_samples: int = 1000,
     point_samples: int = 1000,
     partition: OutcomePartition | None = None,
+    workers: int = 1,
 ) -> list[dict[str, float | int]]:
     """Average-vs-uniform-law deviation per cell count and outcome.
 
@@ -219,26 +208,33 @@ def convergence_scan(
     its standard error (zero for the exact route), and the signed deviation
     from the uniform law.  With a partition, rows are per block and the
     reference is the block sum of x.
+
+    The mc route shards mc_batch over blocks of UNIVERSAL_BLOCK densities,
+    running every cell count from `seed`, so the rows do not depend on
+    `workers`.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
+    if method == "mc":
+        if seed is None:
+            raise ValueError("the mc route needs a seed")
+        if density_samples < 2 or point_samples < 1:
+            raise ValueError("need at least two density samples and one point sample")
     rows: list[dict[str, float | int]] = []
-    if partition is None:
-        xv = x.as_array()
-    else:
-        xv = np.bincount(
-            partition.block_map(), weights=x.as_array(), minlength=partition.n_blocks
-        )
+    xv = x.as_array() if partition is None else partition.aggregate(x.as_array())
     for n_c in cell_counts:
         if method == "exact":
             probs = universal_probability_exact(x, n_c, partition)
             errs = np.zeros(len(xv))
         else:
-            if rng is None:
-                raise ValueError("the mc route needs an explicit generator")
-            probs, errs = universal_probability_mc(
-                x, n_c, density_samples, point_samples, rng, partition
+            stats = run_sharded(
+                density_samples,
+                seed,
+                lambda rng, m, n_c=n_c: mc_batch(x, n_c, m, point_samples, rng, partition),
+                workers,
+                block_size=UNIVERSAL_BLOCK,
             )
+            probs, errs = mc_combine(stats, density_samples)
         for i in range(len(xv)):
             rows.append(
                 {

@@ -19,19 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, UnstableEquilibriumError
+from .errors import ImpossibleOutcomeError
 from .simplex import (
     BarycentricVector,
     OutcomePartition,
     _ratio_regions,
-    region_of,
     regions_of_batch,
+    resolve_ties,
     sample_uniform,
     sample_uniform_batch,
 )
 
 __all__ = [
-    "MAX_BOUNDARY_RETRIES",
     "UtrOutcome",
     "collapse",
     "complementary_mc",
@@ -43,10 +42,6 @@ __all__ = [
     "run_once",
     "sequential_probability",
 ]
-
-# Consecutive boundary (tie) draws tolerated before giving up on a trial.
-MAX_BOUNDARY_RETRIES = 64
-
 
 @dataclass(frozen=True)
 class UtrOutcome:
@@ -62,8 +57,7 @@ def outcome_probabilities(x: BarycentricVector, partition: OutcomePartition) -> 
     """Block probabilities under the uniform break law: sums of x over blocks."""
     if partition.n != x.n:
         raise ValueError(f"partition covers 1..{partition.n} but state has {x.n} outcomes")
-    xv = x.as_array()
-    return np.array([xv[[i - 1 for i in sorted(b)]].sum() for b in partition.blocks])
+    return partition.aggregate(x.as_array())
 
 
 def collapse(
@@ -89,28 +83,23 @@ def collapse(
 
 
 def run_once(
-    x: BarycentricVector,
-    partition: OutcomePartition,
-    rng: np.random.Generator,
-    max_retries: int = MAX_BOUNDARY_RETRIES,
+    x: BarycentricVector, partition: OutcomePartition, rng: np.random.Generator
 ) -> UtrOutcome:
     """Sample one measurement event.
 
     Break points landing on a region boundary are resampled; after
-    max_retries consecutive boundary hits the trial is abandoned with
-    UnstableEquilibriumError.
+    MAX_BOUNDARY_RETRIES consecutive boundary hits the trial is abandoned
+    with UnstableEquilibriumError.
     """
-    for _ in range(max_retries):
-        lam = sample_uniform(x.n, rng)
-        try:
-            region = region_of(x, lam)
-        except UnstableEquilibriumError:
-            continue
-        block = partition.block_of(region)
-        return UtrOutcome(block, collapse(x, partition, block), lam)
-    raise UnstableEquilibriumError(
-        f"{max_retries} consecutive boundary draws for state {x.components}"
-    )
+    drawn: list[BarycentricVector] = []
+
+    def draw(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        drawn.append(sample_uniform(x.n, rng))
+        return regions_of_batch(x, drawn[-1].as_array())
+
+    region = int(resolve_ties(1, draw, f"for state {x.components}")[0])
+    block = partition.block_of(region)
+    return UtrOutcome(block, collapse(x, partition, block), drawn[-1])
 
 
 def run_batch(
@@ -125,24 +114,18 @@ def run_batch(
     if partition.n != x.n:
         raise ValueError(f"partition covers 1..{partition.n} but state has {x.n} outcomes")
     bmap = partition.block_map()
-    counts = np.zeros(partition.n_blocks, dtype=np.int64)
     support = x.support()
     if len(support) == 1:
+        counts = np.zeros(partition.n_blocks, dtype=np.int64)
         counts[bmap[support[0] - 1]] = trials
         return counts
     xv = x.as_array()
-    remaining = trials
-    for _ in range(MAX_BOUNDARY_RETRIES):
-        if remaining == 0:
-            return counts
-        lam = sample_uniform_batch(x.n, remaining, rng)
-        idx, tie = regions_of_batch(xv, lam)
-        good = idx[~tie] - 1
-        counts += np.bincount(bmap[good], minlength=partition.n_blocks)
-        remaining = int(tie.sum())
-    raise UnstableEquilibriumError(
-        f"{MAX_BOUNDARY_RETRIES} consecutive boundary draws for state {x.components}"
+    regions = resolve_ties(
+        trials,
+        lambda rows: regions_of_batch(xv, sample_uniform_batch(x.n, rows.size, rng)),
+        f"for state {x.components}",
     )
+    return np.bincount(bmap[regions - 1], minlength=partition.n_blocks)
 
 
 def sequential_probability(
@@ -208,18 +191,12 @@ def complementary_mc(
     if trials <= 0:
         raise ValueError(f"need a positive trial count, got {trials}")
     lv = lam.as_array()
-    counts = np.zeros(lam.n, dtype=np.int64)
-    remaining = trials
-    for _ in range(MAX_BOUNDARY_RETRIES):
-        if remaining == 0:
-            return counts / trials
-        xs = sample_uniform_batch(lam.n, remaining, rng)
-        idx, tie = _ratio_regions(lv, xs)
-        counts += np.bincount(idx[~tie] - 1, minlength=lam.n)
-        remaining = int(tie.sum())
-    raise UnstableEquilibriumError(
-        f"{MAX_BOUNDARY_RETRIES} consecutive boundary draws at break point {lam.components}"
+    regions = resolve_ties(
+        trials,
+        lambda rows: _ratio_regions(lv, sample_uniform_batch(lam.n, rows.size, rng)),
+        f"at break point {lam.components}",
     )
+    return np.bincount(regions - 1, minlength=lam.n) / trials
 
 
 def product_relation_residuals(x: Sequence[float]) -> tuple[float, float, float, float]:

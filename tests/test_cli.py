@@ -119,6 +119,28 @@ def test_domain_error_exit_code(tmp_path):
     assert "epsilon" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "kind, params, code",
+    [
+        ("utr", {"x": [float("nan"), 0.5], "trials": 10}, 3),
+        ("utr", {"x": [True, False], "trials": 10}, 2),
+        ("utr", {"x": [10**400, 1], "trials": 10}, 3),
+        ("utr", {"x": [0.5, 0.5], "blocks": [[1, None]], "trials": 10}, 2),
+        ("utr", {"x": [0.5, 0.5], "blocks": [[1], [True]], "trials": 10}, 2),
+        ("oracle", {"dims": [2], "states": 1, "tolerance": float("nan")}, 2),
+        ("oracle", {"dims": [2], "states": 1, "tolerance": float("inf")}, 2),
+        ("oracle", {"dims": [2], "states": 1, "tolerance": True}, 2),
+        ("oracle", {"dims": [2], "states": 1, "tolerance": 10**400}, 3),
+    ],
+)
+def test_malformed_values_are_rejected_without_output(tmp_path, kind, params, code):
+    cfg = write_config(tmp_path, "bad.json", {"kind": kind, "seed": 1, "params": params})
+    proc = run_cli("run", cfg)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 def test_gtr_one_dimensional_run(tmp_path):
     cfg = write_config(
         tmp_path,

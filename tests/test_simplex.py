@@ -21,7 +21,7 @@ from trm import (
     sample_uniform_batch,
     simplex_measure,
 )
-from trm.simplex import iter_partitions
+from trm.simplex import MAX_BOUNDARY_RETRIES, iter_partitions, resolve_ties
 
 from conftest import random_interior_state
 
@@ -131,6 +131,33 @@ def test_region_of_is_argmin_of_ratios(n, seed):
     assert ratios[i - 1] == ratios.min()
 
 
+def test_resolve_ties_redraws_only_tied_rows():
+    calls = []
+
+    def draw(rows):
+        calls.append(rows.tolist())
+        # rows 1 and 3 tie on their first draw only
+        tie = np.array([r in (1, 3) and len(calls) == 1 for r in rows])
+        return rows + 10 * len(calls), tie
+
+    out = resolve_ties(5, draw, "in a stub")
+    assert calls == [[0, 1, 2, 3, 4], [1, 3]]
+    assert out.tolist() == [10, 21, 12, 23, 14]
+
+
+def test_resolve_ties_gives_up_after_max_retries():
+    calls = []
+
+    def draw(rows):
+        calls.append(rows.tolist())
+        return rows + 1, np.ones(rows.size, dtype=bool)
+
+    with pytest.raises(UnstableEquilibriumError, match="in a stub"):
+        resolve_ties(3, draw, "in a stub")
+    assert len(calls) == MAX_BOUNDARY_RETRIES
+    assert all(rows == [0, 1, 2] for rows in calls)
+
+
 def test_barycentric_validation():
     with pytest.raises(ValueError):
         BarycentricVector((0.5,))
@@ -138,6 +165,8 @@ def test_barycentric_validation():
         BarycentricVector((0.5, -0.1, 0.6))
     with pytest.raises(ValueError):
         BarycentricVector((0.5, 0.6))  # sum 1.1 over tolerance
+    with pytest.raises(ValueError):
+        BarycentricVector((math.nan, 0.5))
     v = BarycentricVector((0.2999999999, 0.7000000001))
     assert abs(sum(v.components) - 1.0) < 1e-12
 
@@ -155,6 +184,7 @@ def test_partition_validation():
     assert p.block_of(1) == p.block_of(3)
     s = OutcomePartition.singletons(3)
     assert s.n_blocks == 3 and s.block_of(2) == 2
+    assert p.aggregate(np.array([0.1, 0.2, 0.3, 0.4])).tolist() == [0.2 + 0.4, 0.1 + 0.3]
 
 
 def test_partition_enumeration_counts():

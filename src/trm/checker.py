@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import SchemaError
+from .errors import SchemaError, number_field
 
 __all__ = [
     "JointTriple",
@@ -124,10 +124,7 @@ def _entry(doc: Any, fields: tuple[str, ...], where: str) -> tuple[float, ...]:
     missing = [f for f in fields if f not in doc]
     if missing:
         raise SchemaError(f"{where} is missing {missing}")
-    try:
-        return tuple(float(doc[f]) for f in fields)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where} fields {fields} must be numbers") from None
+    return tuple(number_field(doc[f], f"{where}.{f}") for f in fields)
 
 
 def classify(

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .checker import classify
-from .errors import SchemaError
+from .errors import SchemaError, integer_field, number_field
 from .gtr import (
     DensitySpec,
     Epsilon,
@@ -63,38 +63,28 @@ def _require(params: Mapping[str, Any], field: str, kind: str) -> Any:
     return params[field]
 
 
-def _is_integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, float) or _is_integer(value)
-
-
 def _positive_int(value: Any, where: str) -> int:
-    if not _is_integer(value):
-        raise SchemaError(f"{where} must be an integer, got {value!r}")
-    if value <= 0:
+    if integer_field(value, where) <= 0:
         raise SchemaError(f"{where} must be positive, got {value}")
     return value
 
 
 def _state(params: Mapping[str, Any], kind: str) -> BarycentricVector:
     x = _require(params, "x", kind)
-    if not isinstance(x, list) or not all(_is_number(v) for v in x):
+    if not isinstance(x, list):
         raise SchemaError(f"{kind} params.x must be an array of numbers")
-    return BarycentricVector(tuple(float(v) for v in x))
+    return BarycentricVector(tuple(number_field(v, f"{kind} params.x entry") for v in x))
 
 
 def _partition(params: Mapping[str, Any], n: int) -> OutcomePartition:
     blocks = params.get("blocks")
     if blocks is None:
         return OutcomePartition.singletons(n)
-    if not isinstance(blocks, list) or not all(
-        isinstance(b, list) and all(_is_integer(i) for i in b) for b in blocks
-    ):
+    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise SchemaError("params.blocks must be an array of integer index arrays")
-    return OutcomePartition.of(blocks)
+    return OutcomePartition.of(
+        [[integer_field(i, "params.blocks entry") for i in b] for b in blocks]
+    )
 
 
 def _run_utr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
@@ -134,25 +124,23 @@ def _run_gtr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, 
     mode = params.get("mode", "1d")
     density = density_from_json(_require(params, "density", "gtr"))
     if mode == "1d":
-        cos_theta = _require(params, "cos_theta", "gtr")
-        if not isinstance(cos_theta, (int, float)):
-            raise SchemaError("gtr params.cos_theta must be a number")
-        p_plus, p_minus = transition_probabilities_1d(float(cos_theta), density)
+        cos_theta = number_field(_require(params, "cos_theta", "gtr"), "gtr params.cos_theta")
+        p_plus, p_minus = transition_probabilities_1d(cos_theta, density)
         result: dict[str, Any] = {
             "mode": "1d",
-            "cos_theta": float(cos_theta),
+            "cos_theta": cos_theta,
             "density": params["density"],
             "p_plus": p_plus,
             "p_minus": p_minus,
         }
         if isinstance(density, Epsilon):
-            closed = epsilon_probability(float(cos_theta), density.epsilon)
+            closed = epsilon_probability(cos_theta, density.epsilon)
             result["closed_form_p_plus"] = closed[0]
             result["closed_form_deviation"] = abs(closed[0] - p_plus)
         trials = params.get("trials")
         if trials is not None:
             trials = _positive_int(trials, "gtr params.trials")
-            z_a = float(cos_theta) * Z_MAX
+            z_a = cos_theta * Z_MAX
 
             def block(rng: np.random.Generator, m: int) -> np.ndarray:
                 z = np.atleast_1d(sample_break_point(density, rng, size=m))
@@ -234,11 +222,9 @@ def _run_universal(params: Mapping[str, Any], seed: int, workers: int) -> tuple[
 def _run_sphere(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
     mode = params.get("mode", "counterexample")
     if mode == "counterexample":
-        eps = _require(params, "epsilon", "sphere")
-        if not isinstance(eps, (int, float)):
-            raise SchemaError("sphere params.epsilon must be a number")
-        rep = kolmogorov_counterexample(float(eps))
-        bundle = counterexample_bundle(float(eps))
+        eps = number_field(_require(params, "epsilon", "sphere"), "sphere params.epsilon")
+        rep = kolmogorov_counterexample(eps)
+        bundle = counterexample_bundle(eps)
         verdicts = classify(bundle)
         result = {
             "mode": "counterexample",
@@ -268,10 +254,10 @@ def _run_sphere(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
         for i, step in enumerate(steps_doc):
             if not isinstance(step, Mapping) or "direction" not in step or "sign" not in step:
                 raise SchemaError(f"sphere params.steps[{i}] needs direction and sign")
-            sign = step["sign"]
+            sign = integer_field(step["sign"], f"sphere params.steps[{i}].sign")
             if sign not in (1, -1):
                 raise SchemaError(f"sphere params.steps[{i}].sign must be 1 or -1")
-            steps.append((_bloch(step["direction"], f"params.steps[{i}].direction"), int(sign)))
+            steps.append((_bloch(step["direction"], f"params.steps[{i}].direction"), sign))
         record = sequential_joint(start, steps, density)
         result = {
             "mode": "sequential",
@@ -287,7 +273,7 @@ def _run_sphere(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
 def _bloch(doc: Any, where: str) -> BlochVector:
     if not isinstance(doc, list) or len(doc) != 3:
         raise SchemaError(f"{where} must be an array of three numbers")
-    return BlochVector(tuple(float(v) for v in doc))
+    return BlochVector(tuple(number_field(v, f"{where} entry") for v in doc))
 
 
 def _run_classify(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
@@ -306,8 +292,8 @@ def _run_oracle(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
     if not isinstance(dims, list) or not all(isinstance(d, int) and 2 <= d <= 5 for d in dims):
         raise SchemaError("oracle params.dims must be an array of integers in 2..5")
     states = _positive_int(params.get("states", 100), "oracle params.states")
-    tolerance = params.get("tolerance", 1e-9)
-    if not _is_number(tolerance) or not 0 < tolerance < math.inf:
+    tolerance = number_field(params.get("tolerance", 1e-9), "oracle params.tolerance")
+    if not 0 < tolerance < math.inf:
         raise SchemaError("oracle params.tolerance must be a positive finite number")
     inject = bool(params.get("inject_fault", False))
     rows = []
@@ -327,10 +313,10 @@ def _run_oracle(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
     result = {
         "dims": dims,
         "states_per_dim": states,
-        "tolerance": float(tolerance),
+        "tolerance": tolerance,
         "fault_injected": inject,
         "max_deviation": worst,
-        "ok": worst <= float(tolerance),
+        "ok": worst <= tolerance,
     }
     return result, rows
 

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .cells import CellularDensity, cell_fraction_in_regions, sample_in_cells
-from .errors import SchemaError
+from .errors import SchemaError, integer_field, number_field
 from .simplex import BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
 
 __all__ = [
@@ -370,26 +370,31 @@ def density_from_json(doc: Mapping[str, Any]) -> DensitySpec:
     if tag not in _TAGS:
         raise SchemaError(f"unknown density type {tag!r}; expected one of {sorted(_TAGS)}")
     fields = {k: v for k, v in doc.items() if k != "type"}
+
+    def field(name: str, check: Callable[[Any, str], Any] = number_field) -> Any:
+        return check(fields.pop(name), f"density {tag!r} field {name!r}")
+
+    def array(name: str, check: Callable[[Any, str], Any] = number_field) -> tuple:
+        values = fields.pop(name)
+        if not isinstance(values, (list, tuple)):
+            raise SchemaError(f"density {tag!r} field {name!r} must be an array")
+        return tuple(check(v, f"density {tag!r} field {name!r}") for v in values)
+
     try:
         if tag == "uniform":
             return Uniform()
         if tag == "epsilon":
-            return Epsilon(float(fields.pop("epsilon")))
+            return Epsilon(field("epsilon"))
         if tag == "point":
-            return PointBreak(float(fields.pop("z0")))
+            return PointBreak(field("z0"))
         if tag == "double_point":
-            return DoublePoint(float(fields.pop("a")), float(fields.pop("b")))
+            return DoublePoint(field("a"), field("b"))
         if tag == "piecewise":
-            return PiecewiseConstant1D(
-                tuple(float(z) for z in fields.pop("breakpoints")),
-                tuple(float(v) for v in fields.pop("masses")),
-            )
+            return PiecewiseConstant1D(array("breakpoints"), array("masses"))
         return CellularDensity(
-            int(fields.pop("n_outcomes")),
-            int(fields.pop("n_cells")),
-            frozenset(int(c) for c in fields.pop("breakable")),
+            field("n_outcomes", integer_field),
+            field("n_cells", integer_field),
+            frozenset(array("breakable", integer_field)),
         )
     except KeyError as exc:
         raise SchemaError(f"density {tag!r} is missing field {exc}") from None
-    except TypeError as exc:
-        raise SchemaError(f"malformed density {tag!r}: {exc}") from None

@@ -9,11 +9,18 @@ every finite n_c: the block mass of region A_i is linear in the cell
 indicators and every cell has the same expected weight 1/|B| conditional on
 being breakable, so the subset average is just m(A_i)/m(simplex) = x_i.
 
-universal_probability_exact enumerates subsets and computes each term in
+universal_probability_exact computes each cell's outcome fractions in
 closed form (interval overlap for two outcomes, convex polygon clipping for
-three).  universal_probability_mc samples subsets and break points instead
-and works up to five outcomes.  convergence_scan tabulates either route
-against the uniform law over a range of cell counts.
+three) and averages them over the subsets without enumerating any: each
+cell lies in C(n_c-1, k-1) of the C(n_c, k) subsets of size k, so the
+subset average of mean_{c in B} f[:, c] is the plain cell mean of f.
+universal_probability_mc samples subsets and break points instead and works
+up to five outcomes.  Its kernel, mc_batch, draws a chunk of densities at
+once: an (m, n_c) subset bitmask with the empty rows redrawn, each row's
+point cells picked among its set bits, one tie-resolved break-point draw for
+all of the chunk's rows, and one bincount for the per-density estimates.
+convergence_scan tabulates either route against the uniform law over a
+range of cell counts.
 """
 
 from __future__ import annotations
@@ -35,14 +42,18 @@ __all__ = [
     "universal_probability_mc",
 ]
 
-# 2^24 - 1 subsets is the largest enumeration worth supporting.
+# Largest cell count of enumerate_cellular (2^24 - 1 subsets) and of the
+# exact two-outcome average.
 ENUMERATION_LIMIT = 24
 
 # Densities per shard block of convergence_scan's sampling route; a density
 # sample is much heavier than a utr trial.
 UNIVERSAL_BLOCK = 256
 
-_CHUNK = 1 << 18
+# Break points (densities x point_samples) that mc_batch draws per chunk; it
+# bounds the chunk's scratch arrays to a few hundred kB.  A density with more
+# points than this draws them in chunks of this size.
+MC_CHUNK_ROWS = 2048
 
 
 def enumerate_cellular(n_outcomes: int, n_cells: int) -> Iterator[CellularDensity]:
@@ -57,27 +68,6 @@ def enumerate_cellular(n_outcomes: int, n_cells: int) -> Iterator[CellularDensit
     for mask in range(1, 1 << n_cells):
         cells = frozenset(c + 1 for c in range(n_cells) if mask >> c & 1)
         yield CellularDensity(n_outcomes, n_cells, cells)
-
-
-def _subset_average(fractions: np.ndarray, n_cells: int) -> np.ndarray:
-    """Mean outcome probabilities over all nonempty cell subsets.
-
-    fractions[i, c] is the conditional probability of outcome i given a
-    break in cell c; a subset B contributes mean_{c in B} fractions[:, c].
-    Enumerates in chunks to bound memory.
-    """
-    total = np.zeros(fractions.shape[0])
-    n_masks = (1 << n_cells) - 1
-    shifts = np.arange(n_cells, dtype=np.uint32)
-    start = 1
-    while start <= n_masks:
-        stop = min(start + _CHUNK, n_masks + 1)
-        masks = np.arange(start, stop, dtype=np.uint32)
-        bits = (masks[:, None] >> shifts[None, :]) & 1
-        sizes = bits.sum(axis=1, dtype=float)
-        total += (bits @ fractions.T / sizes[:, None]).sum(axis=0)
-        start = stop
-    return total / n_masks
 
 
 def universal_probability_exact(
@@ -106,7 +96,8 @@ def universal_probability_exact(
     else:
         raise ValueError(f"exact averaging implemented for 2 or 3 outcomes, not {x.n}")
     fractions = cell_fraction_in_regions(x.as_array(), x.n, n_cells)
-    mean = _subset_average(fractions, n_cells)
+    # the subset average of mean_{c in B} fractions[:, c] is the cell mean
+    mean = fractions.mean(axis=1)
     if partition is None:
         return mean
     if partition.n != x.n:
@@ -166,22 +157,61 @@ def mc_batch(
         bmap = partition.block_map()
         n_blocks = partition.n_blocks
     sums = np.zeros((2, n_blocks))
-    for _ in range(density_samples):
-        while True:
-            bits = rng.random(n_cells) < 0.5
-            if bits.any():
-                break
-        cells = np.flatnonzero(bits)
-        idx = cells[rng.integers(0, cells.size, point_samples)]
-        hits = resolve_ties(
-            point_samples,
-            lambda rows: regions_of_batch(xv, sample_in_cells(x.n, n_cells, idx[rows], rng)),
-            "while averaging",
-        )
-        p_hat = np.bincount(bmap[hits - 1], minlength=n_blocks) / point_samples
-        sums[0] += p_hat
-        sums[1] += p_hat**2
+    per_chunk = max(1, MC_CHUNK_ROWS // point_samples)
+    for start in range(0, density_samples, per_chunk):
+        m = min(per_chunk, density_samples - start)
+        order, k = _draw_subsets(m, n_cells, rng)
+        counts = np.zeros((m, n_blocks))
+        # a density with more points than a chunk holds draws them in parts
+        for done in range(0, point_samples, MC_CHUNK_ROWS):
+            p = min(MC_CHUNK_ROWS, point_samples - done)
+            counts += _block_counts(xv, n_cells, order, k, p, bmap, n_blocks, rng)
+        p_hat = counts / point_samples
+        sums[0] += p_hat.sum(axis=0)
+        sums[1] += (p_hat**2).sum(axis=0)
     return sums
+
+
+def _draw_subsets(
+    m: int, n_cells: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """m breakable subsets, uniform among the nonempty ones, as (order, k):
+    row r's k[r] breakable cells (0-based) are order[r, :k[r]], in cell order.
+
+    Only the empty rows of the bitmask are drawn again.
+    """
+    bits = rng.random((m, n_cells)) < 0.5
+    empty = np.flatnonzero(~bits.any(axis=1))
+    while empty.size:
+        bits[empty] = rng.random((empty.size, n_cells)) < 0.5
+        empty = empty[~bits[empty].any(axis=1)]
+    return np.argsort(~bits, axis=1, kind="stable"), bits.sum(axis=1)
+
+
+def _block_counts(
+    xv: np.ndarray,
+    n_cells: int,
+    order: np.ndarray,
+    k: np.ndarray,
+    points: int,
+    bmap: np.ndarray,
+    n_blocks: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """(m, n_blocks) outcome-block counts of `points` break points drawn from
+    each of the m subsets (order, k), each point in a uniformly picked
+    breakable cell of its row."""
+    m = k.size
+    pick = rng.integers(0, k[:, None], (m, points))
+    idx = np.take_along_axis(order, pick, axis=1).ravel()
+    hits = resolve_ties(
+        idx.size,
+        lambda rows: regions_of_batch(xv, sample_in_cells(xv.size, n_cells, idx[rows], rng)),
+        "while averaging",
+    )
+    density = np.arange(idx.size) // points
+    counts = np.bincount(density * n_blocks + bmap[hits - 1], minlength=m * n_blocks)
+    return counts.reshape(m, n_blocks)
 
 
 def mc_combine(stats: np.ndarray, density_samples: int) -> tuple[np.ndarray, np.ndarray]:

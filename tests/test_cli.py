@@ -119,6 +119,15 @@ def test_domain_error_exit_code(tmp_path):
     assert "epsilon" in proc.stderr
 
 
+def _gtr_1d(density=None, cos_theta=0.3):
+    density = density or {"type": "uniform"}
+    return {"mode": "1d", "cos_theta": cos_theta, "density": density}
+
+
+def _gtr_nd(cellular):
+    return {"mode": "nd", "x": [0.25] * 4, "density": {"type": "cellular", **cellular}}
+
+
 @pytest.mark.parametrize(
     "kind, params, code",
     [
@@ -131,6 +140,28 @@ def test_domain_error_exit_code(tmp_path):
         ("oracle", {"dims": [2], "states": 1, "tolerance": float("inf")}, 2),
         ("oracle", {"dims": [2], "states": 1, "tolerance": True}, 2),
         ("oracle", {"dims": [2], "states": 1, "tolerance": 10**400}, 3),
+        ("gtr", _gtr_1d(cos_theta=True), 2),
+        ("gtr", _gtr_1d({"type": "epsilon", "epsilon": True}), 2),
+        ("gtr", _gtr_1d({"type": "point", "z0": True}), 2),
+        ("gtr", _gtr_1d({"type": "double_point", "a": 0.2, "b": False}), 2),
+        ("gtr", _gtr_1d({"type": "piecewise", "breakpoints": [-0.7, True, 0.7],
+                         "masses": [0.5, 0.5]}), 2),
+        ("gtr", _gtr_1d({"type": "piecewise", "breakpoints": [-0.7, 0.0, 0.7],
+                         "masses": [0.5, True]}), 2),
+        ("gtr", _gtr_nd({"n_outcomes": 4, "n_cells": 4.7, "breakable": [1]}), 2),
+        ("gtr", _gtr_nd({"n_outcomes": 4.0, "n_cells": 4, "breakable": [1]}), 2),
+        ("gtr", _gtr_nd({"n_outcomes": 4, "n_cells": 4, "breakable": [1, True]}), 2),
+        ("gtr", _gtr_nd({"n_outcomes": 4, "n_cells": 4, "breakable": [1, 2.5]}), 2),
+        ("sphere", {"mode": "counterexample", "epsilon": True}, 2),
+        ("sphere", {"mode": "sequential", "density": {"type": "uniform"},
+                    "initial": [True, 0, 0], "steps": [{"direction": [0, 0, 1], "sign": 1}]}, 2),
+        ("sphere", {"mode": "sequential", "density": {"type": "uniform"},
+                    "initial": [0, 0, 0.5**0.5],
+                    "steps": [{"direction": [0, False, 0.5**0.5], "sign": 1}]}, 2),
+        ("sphere", {"mode": "sequential", "density": {"type": "uniform"},
+                    "initial": [0, 0, 0.5**0.5],
+                    "steps": [{"direction": [0, 0, 0.5**0.5], "sign": True}]}, 2),
+        ("classify", {"bundle": {"joints": [{"p_vw": True, "p_uw": 0.5, "p_ucv": 0.5}]}}, 2),
     ],
 )
 def test_malformed_values_are_rejected_without_output(tmp_path, kind, params, code):
@@ -138,6 +169,7 @@ def test_malformed_values_are_rejected_without_output(tmp_path, kind, params, co
     proc = run_cli("run", cfg)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -17,6 +17,9 @@ two outcomes, x = (3/10, 7/10), three cells:
     average = 2.1/7 = 0.3 = x_1
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,7 +32,8 @@ from trm import (
     universal_probability_exact,
     universal_probability_mc,
 )
-from trm.universal import ENUMERATION_LIMIT, mc_batch, mc_combine
+from trm.cells import cell_fraction_in_regions
+from trm.universal import ENUMERATION_LIMIT, MC_CHUNK_ROWS, mc_batch, mc_combine
 from conftest import random_interior_state
 
 HALF = BarycentricVector((0.5, 0.5))
@@ -120,14 +124,77 @@ def test_mc_combine_is_mean_and_stderr():
     )
 
 
-def test_mc_batch_additivity(rng):
-    # two half-batches reduce exactly like one full batch with the same draws
-    x = BarycentricVector((0.4, 0.6))
-    r1 = np.random.default_rng(5)
-    full = mc_batch(x, 4, 40, 50, r1)
-    r2 = np.random.default_rng(5)
-    split = mc_batch(x, 4, 20, 50, r2) + mc_batch(x, 4, 20, 50, r2)
-    np.testing.assert_allclose(full, split, atol=1e-12)
+@pytest.mark.parametrize(
+    "p_pts,m", [(8, 4000), (2 * MC_CHUNK_ROWS, 500)], ids=["small", "split-density"]
+)
+def test_mc_batch_draws_within_each_subset(p_pts, m):
+    # x = (1/2, 1/2) on two cells: the subsets {1}, {2} and {1, 2} give the
+    # per-density laws (1, 0), (0, 1) and Bin(P, 1/2)/P, so E[p_1^2] is
+    # (1 + 1/4 + 1/(4P))/3; cells picked outside the subset would give
+    # about 1/4.  With more points than a chunk, each density's points are
+    # drawn in parts that must share the density's subset.
+    binom = [math.comb(p_pts, j) / 2**p_pts for j in range(p_pts + 1)]
+    moment = [(1 + sum(w * (j / p_pts) ** k for j, w in enumerate(binom))) / 3 for k in (2, 4)]
+    sigma = math.sqrt((moment[1] - moment[0] ** 2) / m)
+    assert abs(moment[0] - 0.25) > 8 * sigma
+    sums = mc_batch(HALF, 2, m, p_pts, np.random.default_rng(11))
+    assert abs(sums[0, 0] / m - 0.5) <= 4 * math.sqrt((moment[0] - 0.25) / m)
+    assert abs(sums[1, 0] / m - moment[0]) <= 4 * sigma
+
+
+def test_mc_batch_redraws_empty_subsets():
+    # one cell: half of the first subset draws are empty and must be redrawn
+    x = BarycentricVector((0.3, 0.7))
+    m = 2000
+    probs, errs = mc_combine(mc_batch(x, 1, m, 16, np.random.default_rng(12)), m)
+    assert (errs > 0).all()
+    assert (np.abs(probs - x.as_array()) <= 4 * errs).all()
+
+
+def test_mc_batch_is_deterministic_across_chunks():
+    x = BarycentricVector((0.2, 0.3, 0.5))
+    m, p_pts = 300, 64
+    assert m * p_pts > 4 * MC_CHUNK_ROWS
+    first = mc_batch(x, 9, m, p_pts, np.random.default_rng(13))
+    again = mc_batch(x, 9, m, p_pts, np.random.default_rng(13))
+    np.testing.assert_array_equal(first, again)
+
+
+@pytest.mark.parametrize("m,p_pts", [(400, 1000), (3, 50_000)])
+def test_mc_batch_memory_is_bounded_by_the_chunk(m, p_pts):
+    x = BarycentricVector((0.2, 0.3, 0.5))
+    rng = np.random.default_rng(14)
+    tracemalloc.start()
+    try:
+        mc_batch(x, 9, m, p_pts, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def _enumerated_subset_average(fractions, n_cells):
+    # independent oracle: mean of mean_{c in B} fractions[:, c] over all
+    # 2^n_c - 1 nonempty subsets B, enumerated as bitmasks
+    masks = np.arange(1, 1 << n_cells)
+    bits = (masks[:, None] >> np.arange(n_cells)) & 1
+    per_subset = bits @ fractions.T / bits.sum(axis=1)[:, None]
+    return per_subset.mean(axis=0)
+
+
+@pytest.mark.parametrize(
+    "n,cell_counts", [(2, range(1, 13)), (3, (1, 4, 9))], ids=["two", "three"]
+)
+def test_exact_average_matches_subset_enumeration(rng, n, cell_counts):
+    for n_c in cell_counts:
+        x = BarycentricVector(tuple(random_interior_state(rng, n)))
+        fractions = cell_fraction_in_regions(x.as_array(), n, n_c)
+        np.testing.assert_allclose(
+            universal_probability_exact(x, n_c),
+            _enumerated_subset_average(fractions, n_c),
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 def test_symmetric_state_average_is_uniform():

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import SchemaError, number_field
+from .errors import REQUIRED, Check, array_field, number_field, object_field
 
 __all__ = [
     "JointTriple",
@@ -118,13 +118,16 @@ def qubit_embeddable(
     return QubitVerdict(worst <= tol, max(worst, 0.0), (t_ab, t_bc, t_ac))
 
 
-def _entry(doc: Any, fields: tuple[str, ...], where: str) -> tuple[float, ...]:
-    if not isinstance(doc, Mapping):
-        raise SchemaError(f"{where} must be an object, got {type(doc).__name__}")
-    missing = [f for f in fields if f not in doc]
-    if missing:
-        raise SchemaError(f"{where} is missing {missing}")
-    return tuple(number_field(doc[f], f"{where}.{f}") for f in fields)
+def _triple(*fields: str) -> Check:
+    spec = {f: (number_field, REQUIRED) for f in fields}
+    return array_field(lambda doc, where: object_field(doc, where, spec))
+
+
+# A bundle document {"joints": [...], "transitions": [...]}; both default to [].
+_BUNDLE = {
+    "joints": (_triple("p_vw", "p_uw", "p_ucv"), []),
+    "transitions": (_triple("p_ab", "p_bc", "p_ac"), []),
+}
 
 
 def classify(
@@ -137,37 +140,17 @@ def classify(
     kind pass; an empty bundle is vacuously consistent and flagged with a
     warning.
     """
-    if not isinstance(bundle, Mapping):
-        raise SchemaError(f"bundle must be an object, got {type(bundle).__name__}")
-    joints_doc = bundle.get("joints", [])
-    transitions_doc = bundle.get("transitions", [])
-    if not isinstance(joints_doc, (list, tuple)) or not isinstance(
-        transitions_doc, (list, tuple)
-    ):
-        raise SchemaError("bundle joints/transitions must be arrays")
-
+    doc = object_field(bundle, "bundle", _BUNDLE)
     joints = []
-    for i, doc in enumerate(joints_doc):
-        vals = _entry(doc, ("p_vw", "p_uw", "p_ucv"), f"joints[{i}]")
-        verdict = kolmogorov_check(JointTriple(*vals), kol_tol)
-        joints.append(
-            {
-                "p_vw": vals[0],
-                "p_uw": vals[1],
-                "p_ucv": vals[2],
-                "satisfied": verdict.satisfied,
-                "margin": verdict.margin,
-            }
-        )
+    for entry in doc["joints"]:
+        verdict = kolmogorov_check(JointTriple(**entry), kol_tol)
+        joints.append({**entry, "satisfied": verdict.satisfied, "margin": verdict.margin})
     transitions = []
-    for i, doc in enumerate(transitions_doc):
-        vals = _entry(doc, ("p_ab", "p_bc", "p_ac"), f"transitions[{i}]")
-        verdict = qubit_embeddable(PairwiseTransitions(*vals), qubit_tol)
+    for entry in doc["transitions"]:
+        verdict = qubit_embeddable(PairwiseTransitions(**entry), qubit_tol)
         transitions.append(
             {
-                "p_ab": vals[0],
-                "p_bc": vals[1],
-                "p_ac": vals[2],
+                **entry,
                 "embeddable": verdict.embeddable,
                 "deficit": verdict.deficit,
                 "angles": list(verdict.angles),

@@ -11,7 +11,8 @@ and run with `trm run config.json`.  The kind-specific subcommands
 the kind pinned.  The TRM_SEED environment variable overrides the config
 seed.  Monte Carlo work is sharded into fixed-size blocks with one RNG
 substream per block, so output bytes depend only on the config and seed,
-never on --workers.
+never on --workers.  _PARAMS lists the params each kind and mode reads; any
+other field, at any level of the document, is a schema error.
 
 Exit codes: 0 success, 1 oracle comparison failure, 2 malformed config,
 3 well-formed config with out-of-range values.
@@ -34,7 +35,16 @@ import numpy as np
 
 from . import __version__
 from .checker import classify
-from .errors import SchemaError, integer_field, number_field
+from .errors import (
+    REQUIRED,
+    Check,
+    SchemaError,
+    array_field,
+    integer_field,
+    integer_in,
+    number_field,
+    object_field,
+)
 from .gtr import (
     DensitySpec,
     Epsilon,
@@ -57,40 +67,91 @@ __all__ = ["main"]
 KINDS = ("utr", "gtr", "universal", "sphere", "classify", "oracle")
 
 
-def _require(params: Mapping[str, Any], field: str, kind: str) -> Any:
-    if field not in params:
-        raise SchemaError(f"{kind} config is missing params.{field}")
-    return params[field]
-
-
-def _positive_int(value: Any, where: str) -> int:
-    if integer_field(value, where) <= 0:
-        raise SchemaError(f"{where} must be positive, got {value}")
+def _document(value: Any, where: str) -> Any:
+    """A field passed on unchecked, to a check of its own further on."""
     return value
 
 
-def _state(params: Mapping[str, Any], kind: str) -> BarycentricVector:
-    x = _require(params, "x", kind)
-    if not isinstance(x, list):
-        raise SchemaError(f"{kind} params.x must be an array of numbers")
-    return BarycentricVector(tuple(number_field(v, f"{kind} params.x entry") for v in x))
+def _state(value: Any, where: str) -> BarycentricVector:
+    return BarycentricVector(tuple(array_field(number_field)(value, where)))
 
 
-def _partition(params: Mapping[str, Any], n: int) -> OutcomePartition:
-    blocks = params.get("blocks")
-    if blocks is None:
-        return OutcomePartition.singletons(n)
-    if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
-        raise SchemaError("params.blocks must be an array of integer index arrays")
-    return OutcomePartition.of(
-        [[integer_field(i, "params.blocks entry") for i in b] for b in blocks]
-    )
+def _partition(value: Any, where: str) -> OutcomePartition:
+    return OutcomePartition.of(array_field(array_field(integer_field))(value, where))
+
+
+def _bloch(value: Any, where: str) -> BlochVector:
+    return BlochVector(tuple(array_field(number_field, 3, 3)(value, where)))
+
+
+def _sign(value: Any, where: str) -> int:
+    if integer_field(value, where) not in (1, -1):
+        raise SchemaError(f"{where} must be 1 or -1, got {value}")
+    return int(value)
+
+
+def _tolerance(value: Any, where: str) -> float:
+    tolerance = number_field(value, where)
+    if not 0 < tolerance < math.inf:
+        raise SchemaError(f"{where} must be a positive finite number, got {tolerance}")
+    return tolerance
+
+
+def _echoed_density(value: Any, where: str) -> tuple[DensitySpec, Any]:
+    """The parsed density and its document, which the result echoes."""
+    return density_from_json(value, where), value
+
+
+def _blocks(params: Mapping[str, Any]) -> OutcomePartition:
+    return params["blocks"] or OutcomePartition.singletons(params["x"].n)
+
+
+_POSITIVE = integer_in(1)
+_STATE = {"x": (_state, REQUIRED), "blocks": (_partition, None)}
+_CELLS = {"cell_counts": (array_field(_POSITIVE, min_len=1), None), "n_cells": (_POSITIVE, None)}
+_STEP = {"sign": (_sign, REQUIRED), "direction": (_bloch, REQUIRED)}
+
+# Field that selects the mode of a kind, and its default.
+_MODES = {"gtr": ("mode", "1d"), "universal": ("method", "exact"), "sphere": ("mode", "counterexample")}
+
+# The params each (kind, mode) reads, {field: (check, default)}; a field
+# another mode reads is unknown here.
+_PARAMS: dict[tuple[str, str | None], dict[str, tuple[Check, Any]]] = {
+    ("utr", None): {**_STATE, "trials": (_POSITIVE, REQUIRED)},
+    ("gtr", "1d"): {
+        "density": (_echoed_density, REQUIRED),
+        "cos_theta": (number_field, REQUIRED),
+        "trials": (_POSITIVE, None),
+    },
+    ("gtr", "nd"): {
+        "density": (_echoed_density, REQUIRED),
+        **_STATE,
+        "samples_per_cell": (_POSITIVE, 4096),
+    },
+    ("universal", "exact"): {**_STATE, **_CELLS},
+    ("universal", "mc"): {
+        **_STATE,
+        **_CELLS,
+        "density_samples": (integer_in(2), 1000),
+        "point_samples": (_POSITIVE, 1000),
+    },
+    ("sphere", "counterexample"): {"epsilon": (number_field, REQUIRED)},
+    ("sphere", "sequential"): {
+        "density": (density_from_json, REQUIRED),
+        "initial": (_bloch, REQUIRED),
+        "steps": (array_field(lambda doc, where: object_field(doc, where, _STEP), 1), REQUIRED),
+    },
+    ("classify", None): {"bundle": (_document, REQUIRED)},
+    ("oracle", None): {
+        "dims": (array_field(integer_in(2, 5), min_len=1), [2, 3, 4, 5]),
+        "states": (_POSITIVE, 100),
+        "tolerance": (_tolerance, 1e-9),
+    },
+}
 
 
 def _run_utr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
-    x = _state(params, "utr")
-    partition = _partition(params, x.n)
-    trials = _positive_int(_require(params, "trials", "utr"), "utr params.trials")
+    x, partition, trials = params["x"], _blocks(params), params["trials"]
     counts = run_sharded(
         trials, seed, lambda rng, m: run_batch(x, partition, m, rng), workers
     )
@@ -121,15 +182,14 @@ def _run_utr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, 
 
 
 def _run_gtr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
-    mode = params.get("mode", "1d")
-    density = density_from_json(_require(params, "density", "gtr"))
-    if mode == "1d":
-        cos_theta = number_field(_require(params, "cos_theta", "gtr"), "gtr params.cos_theta")
+    density, density_doc = params["density"]
+    if params["mode"] == "1d":
+        cos_theta = params["cos_theta"]
         p_plus, p_minus = transition_probabilities_1d(cos_theta, density)
         result: dict[str, Any] = {
             "mode": "1d",
             "cos_theta": cos_theta,
-            "density": params["density"],
+            "density": density_doc,
             "p_plus": p_plus,
             "p_minus": p_minus,
         }
@@ -137,9 +197,8 @@ def _run_gtr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, 
             closed = epsilon_probability(cos_theta, density.epsilon)
             result["closed_form_p_plus"] = closed[0]
             result["closed_form_deviation"] = abs(closed[0] - p_plus)
-        trials = params.get("trials")
+        trials = params["trials"]
         if trials is not None:
-            trials = _positive_int(trials, "gtr params.trials")
             z_a = cos_theta * Z_MAX
 
             def block(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -158,54 +217,35 @@ def _run_gtr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, 
             {"outcome": "-1", "probability": p_minus},
         ]
         return result, rows
-    if mode == "nd":
-        x = _state(params, "gtr")
-        partition = _partition(params, x.n)
-        samples = params.get("samples_per_cell", 4096)
-        samples = _positive_int(samples, "gtr params.samples_per_cell")
-        probs, errs = transition_probabilities_nd(
-            x, partition, density, block_rng(seed, 0), samples_per_cell=samples
-        )
-        rows = [
-            {
-                "block_index": k + 1,
-                "probability": float(probs[k]),
-                "stderr": float(errs[k]),
-            }
-            for k in range(partition.n_blocks)
-        ]
-        result = {
-            "mode": "nd",
-            "x": list(x.components),
-            "blocks": [sorted(b) for b in partition.blocks],
-            "density": params["density"],
-            "probabilities": [float(p) for p in probs],
-            "standard_errors": [float(e) for e in errs],
+    x, partition = params["x"], _blocks(params)
+    probs, errs = transition_probabilities_nd(
+        x, partition, density, block_rng(seed, 0), samples_per_cell=params["samples_per_cell"]
+    )
+    rows = [
+        {
+            "block_index": k + 1,
+            "probability": float(probs[k]),
+            "stderr": float(errs[k]),
         }
-        return result, rows
-    raise SchemaError(f"gtr params.mode must be '1d' or 'nd', got {mode!r}")
+        for k in range(partition.n_blocks)
+    ]
+    result = {
+        "mode": "nd",
+        "x": list(x.components),
+        "blocks": [sorted(b) for b in partition.blocks],
+        "density": density_doc,
+        "probabilities": [float(p) for p in probs],
+        "standard_errors": [float(e) for e in errs],
+    }
+    return result, rows
 
 
 def _run_universal(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
-    x = _state(params, "universal")
-    partition = _partition(params, x.n)
-    counts = params.get("cell_counts")
-    if counts is None:
-        counts = [_require(params, "n_cells", "universal")]
-    if not isinstance(counts, list) or not counts:
-        raise SchemaError("universal params.cell_counts must be a nonempty array")
-    counts = [_positive_int(c, "universal cell count") for c in counts]
-    method = params.get("method", "exact")
-    sizes = {}
-    if method == "mc":
-        sizes = {
-            field: _positive_int(params.get(field, 1000), f"universal params.{field}")
-            for field in ("density_samples", "point_samples")
-        }
-        if sizes["density_samples"] < 2:
-            raise SchemaError("universal params.density_samples must be at least 2")
-    elif method != "exact":
-        raise SchemaError(f"universal params.method must be 'exact' or 'mc', got {method!r}")
+    x, partition, method = params["x"], _blocks(params), params["method"]
+    if (params["cell_counts"] is None) == (params["n_cells"] is None):
+        raise SchemaError("universal params needs exactly one of cell_counts and n_cells")
+    counts = params["cell_counts"] or [params["n_cells"]]
+    sizes = {k: params[k] for k in ("density_samples", "point_samples") if k in params}
     rows = convergence_scan(
         x, counts, seed, method, partition=partition, workers=workers, **sizes
     )
@@ -220,9 +260,8 @@ def _run_universal(params: Mapping[str, Any], seed: int, workers: int) -> tuple[
 
 
 def _run_sphere(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
-    mode = params.get("mode", "counterexample")
-    if mode == "counterexample":
-        eps = number_field(_require(params, "epsilon", "sphere"), "sphere params.epsilon")
+    if params["mode"] == "counterexample":
+        eps = params["epsilon"]
         rep = kolmogorov_counterexample(eps)
         bundle = counterexample_bundle(eps)
         verdicts = classify(bundle)
@@ -244,41 +283,20 @@ def _run_sphere(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
             {"quantity": "classical_violation", "value": float(rep.violated)},
         ]
         return result, rows
-    if mode == "sequential":
-        density = density_from_json(_require(params, "density", "sphere"))
-        start = _bloch(_require(params, "initial", "sphere"), "params.initial")
-        steps_doc = _require(params, "steps", "sphere")
-        if not isinstance(steps_doc, list) or not steps_doc:
-            raise SchemaError("sphere params.steps must be a nonempty array")
-        steps = []
-        for i, step in enumerate(steps_doc):
-            if not isinstance(step, Mapping) or "direction" not in step or "sign" not in step:
-                raise SchemaError(f"sphere params.steps[{i}] needs direction and sign")
-            sign = integer_field(step["sign"], f"sphere params.steps[{i}].sign")
-            if sign not in (1, -1):
-                raise SchemaError(f"sphere params.steps[{i}].sign must be 1 or -1")
-            steps.append((_bloch(step["direction"], f"params.steps[{i}].direction"), sign))
-        record = sequential_joint(start, steps, density)
-        result = {
-            "mode": "sequential",
-            "probability": record.probability,
-            "steps": [
-                {"direction": list(d.coords), "sign": s} for d, s in record.steps
-            ],
-        }
-        return result, [{"quantity": "probability", "value": record.probability}]
-    raise SchemaError(f"sphere params.mode must be 'counterexample' or 'sequential', got {mode!r}")
-
-
-def _bloch(doc: Any, where: str) -> BlochVector:
-    if not isinstance(doc, list) or len(doc) != 3:
-        raise SchemaError(f"{where} must be an array of three numbers")
-    return BlochVector(tuple(number_field(v, f"{where} entry") for v in doc))
+    steps = [(step["direction"], step["sign"]) for step in params["steps"]]
+    record = sequential_joint(params["initial"], steps, params["density"])
+    result = {
+        "mode": "sequential",
+        "probability": record.probability,
+        "steps": [
+            {"direction": list(d.coords), "sign": s} for d, s in record.steps
+        ],
+    }
+    return result, [{"quantity": "probability", "value": record.probability}]
 
 
 def _run_classify(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
-    bundle = _require(params, "bundle", "classify")
-    report = classify(bundle)
+    report = classify(params["bundle"])
     rows = []
     for i, j in enumerate(report["joints"]):
         rows.append({"entry": f"joint[{i}]", "ok": j["satisfied"], "metric": j["margin"]})
@@ -288,14 +306,7 @@ def _run_classify(params: Mapping[str, Any], seed: int, workers: int) -> tuple[d
 
 
 def _run_oracle(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
-    dims = params.get("dims", [2, 3, 4, 5])
-    if not isinstance(dims, list) or not all(isinstance(d, int) and 2 <= d <= 5 for d in dims):
-        raise SchemaError("oracle params.dims must be an array of integers in 2..5")
-    states = _positive_int(params.get("states", 100), "oracle params.states")
-    tolerance = number_field(params.get("tolerance", 1e-9), "oracle params.tolerance")
-    if not 0 < tolerance < math.inf:
-        raise SchemaError("oracle params.tolerance must be a positive finite number")
-    inject = bool(params.get("inject_fault", False))
+    dims, states, inject = params["dims"], params["states"], params["inject_fault"]
     rows = []
     worst = 0.0
     for d_i, n in enumerate(dims):
@@ -313,10 +324,10 @@ def _run_oracle(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
     result = {
         "dims": dims,
         "states_per_dim": states,
-        "tolerance": tolerance,
+        "tolerance": params["tolerance"],
         "fault_injected": inject,
         "max_deviation": worst,
-        "ok": worst <= tolerance,
+        "ok": worst <= params["tolerance"],
     }
     return result, rows
 
@@ -331,38 +342,47 @@ _RUNNERS: dict[str, Callable[[Mapping[str, Any], int, int], tuple[dict, list[dic
 }
 
 
-def _load_config(path: Path, forced_kind: str | None) -> tuple[dict, str, int]:
+def _refuse_constant(token: str) -> Any:
+    raise SchemaError(f"config holds {token}, which is not a JSON number")
+
+
+def _load_config(path: Path, forced_kind: str | None) -> tuple[dict, str, int, dict]:
     try:
         text = path.read_text()
     except OSError as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from None
     try:
-        config = json.loads(text)
+        config = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise SchemaError("config must be a JSON object")
-    kind = config.get("kind", forced_kind)
+    spec = {"kind": (_document, forced_kind), "seed": (_document, None), "params": (_document, {})}
+    top = object_field(config, "config", spec)
+    kind = top["kind"]
     if forced_kind is not None and kind != forced_kind:
         raise SchemaError(f"config kind {kind!r} does not match subcommand {forced_kind!r}")
     if kind not in KINDS:
         raise SchemaError(f"config kind {kind!r} must be one of {list(KINDS)}")
-    env_seed = os.environ.get("TRM_SEED")
+    seed, env_seed = top["seed"], os.environ.get("TRM_SEED")
     if env_seed is not None:
         try:
             seed = int(env_seed)
         except ValueError:
             raise SchemaError(f"TRM_SEED={env_seed!r} is not an integer") from None
-    else:
-        if "seed" not in config:
-            raise SchemaError("config is missing the mandatory seed")
-        seed = config["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise SchemaError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    params = config.get("params", {})
-    if not isinstance(params, dict):
+    elif seed is None:
+        raise SchemaError("config is missing the mandatory seed")
+    seed = integer_in(0, 2**64 - 1)(seed, "seed")
+    params = top["params"]
+    if not isinstance(params, Mapping):
         raise SchemaError("config params must be an object")
-    return config, kind, seed
+    field, default = _MODES.get(kind, (None, None))
+    mode = params.get(field, default) if field else None
+    modes = [m for k, m in _PARAMS if k == kind]
+    if mode not in modes:
+        raise SchemaError(f"{kind} params.{field} must be one of {modes}, got {mode!r}")
+    spec = _PARAMS[kind, mode]
+    if field:
+        spec = {field: (_document, mode), **spec}
+    return config, kind, seed, object_field(params, f"{kind} params", spec)
 
 
 def _jsonable(value: Any) -> Any:
@@ -439,10 +459,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config, kind, seed = _load_config(args.config, forced[args.command])
-        params = dict(config.get("params", {}))
-        if getattr(args, "inject_fault", False):
-            params["inject_fault"] = True
+        config, kind, seed, params = _load_config(args.config, forced[args.command])
+        if kind == "oracle":
+            params["inject_fault"] = getattr(args, "inject_fault", False)
         result, rows = _RUNNERS[kind](params, seed, max(1, args.workers))
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)

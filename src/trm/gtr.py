@@ -27,12 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from .cells import CellularDensity, cell_fraction_in_regions, sample_in_cells
-from .errors import SchemaError, integer_field, number_field
+from .errors import (
+    REQUIRED,
+    Check,
+    SchemaError,
+    array_field,
+    integer_field,
+    number_field,
+    object_field,
+)
 from .simplex import BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
 
 __all__ = [
@@ -326,75 +334,50 @@ def sample_break_point(
     return float(z[0]) if size is None else z
 
 
-_TAGS = {
-    "uniform": Uniform,
-    "epsilon": Epsilon,
-    "point": PointBreak,
-    "double_point": DoublePoint,
-    "piecewise": PiecewiseConstant1D,
-    "cellular": CellularDensity,
+# Canonical JSON form of each variant: {tag: (variant, {field: check})}.
+_FORMS: dict[str, tuple[type, dict[str, Check]]] = {
+    "uniform": (Uniform, {}),
+    "epsilon": (Epsilon, {"epsilon": number_field}),
+    "point": (PointBreak, {"z0": number_field}),
+    "double_point": (DoublePoint, {"a": number_field, "b": number_field}),
+    "piecewise": (
+        PiecewiseConstant1D,
+        {"breakpoints": array_field(number_field), "masses": array_field(number_field)},
+    ),
+    "cellular": (
+        CellularDensity,
+        {"n_outcomes": integer_field, "n_cells": integer_field,
+         "breakable": array_field(integer_field)},
+    ),
 }
 
 
 def density_to_json(density: DensitySpec) -> dict[str, Any]:
-    if isinstance(density, Uniform):
-        return {"type": "uniform"}
-    if isinstance(density, Epsilon):
-        return {"type": "epsilon", "epsilon": density.epsilon}
-    if isinstance(density, PointBreak):
-        return {"type": "point", "z0": density.z0}
-    if isinstance(density, DoublePoint):
-        return {"type": "double_point", "a": density.a, "b": density.b}
-    if isinstance(density, PiecewiseConstant1D):
-        return {
-            "type": "piecewise",
-            "breakpoints": list(density.breakpoints),
-            "masses": list(density.masses),
-        }
-    if isinstance(density, CellularDensity):
-        return {
-            "type": "cellular",
-            "n_outcomes": density.n_outcomes,
-            "n_cells": density.n_cells,
-            "breakable": sorted(density.breakable),
-        }
+    for tag, (variant, fields) in _FORMS.items():
+        if type(density) is variant:
+            doc: dict[str, Any] = {"type": tag}
+            for name in fields:
+                v = getattr(density, name)
+                doc[name] = sorted(v) if isinstance(v, frozenset) else (
+                    list(v) if isinstance(v, tuple) else v
+                )
+            return doc
     raise ValueError(f"unknown density {type(density).__name__}")
 
 
-def density_from_json(doc: Mapping[str, Any]) -> DensitySpec:
-    """Parse the canonical JSON form; structural problems raise SchemaError,
-    out-of-range parameter values raise the variant's own ValueError."""
-    if not isinstance(doc, Mapping):
-        raise SchemaError(f"density must be an object, got {type(doc).__name__}")
-    tag = doc.get("type")
-    if tag not in _TAGS:
-        raise SchemaError(f"unknown density type {tag!r}; expected one of {sorted(_TAGS)}")
-    fields = {k: v for k, v in doc.items() if k != "type"}
-
-    def field(name: str, check: Callable[[Any, str], Any] = number_field) -> Any:
-        return check(fields.pop(name), f"density {tag!r} field {name!r}")
-
-    def array(name: str, check: Callable[[Any, str], Any] = number_field) -> tuple:
-        values = fields.pop(name)
-        if not isinstance(values, (list, tuple)):
-            raise SchemaError(f"density {tag!r} field {name!r} must be an array")
-        return tuple(check(v, f"density {tag!r} field {name!r}") for v in values)
-
-    try:
-        if tag == "uniform":
-            return Uniform()
-        if tag == "epsilon":
-            return Epsilon(field("epsilon"))
-        if tag == "point":
-            return PointBreak(field("z0"))
-        if tag == "double_point":
-            return DoublePoint(field("a"), field("b"))
-        if tag == "piecewise":
-            return PiecewiseConstant1D(array("breakpoints"), array("masses"))
-        return CellularDensity(
-            field("n_outcomes", integer_field),
-            field("n_cells", integer_field),
-            frozenset(array("breakable", integer_field)),
+def density_from_json(doc: Any, where: str = "density") -> DensitySpec:
+    """Parse the canonical JSON form; structural problems (unknown fields
+    included) raise SchemaError naming `where`, out-of-range parameter values
+    raise the variant's own ValueError."""
+    tag = doc.get("type") if isinstance(doc, Mapping) else None
+    if not isinstance(tag, str) or tag not in _FORMS:
+        raise SchemaError(
+            f"{where} must be an object with a type in {list(_FORMS)}, got type {tag!r}"
         )
-    except KeyError as exc:
-        raise SchemaError(f"density {tag!r} is missing field {exc}") from None
+    variant, fields = _FORMS[tag]
+    values = object_field(
+        {k: v for k, v in doc.items() if k != "type"},
+        f"{where} {tag!r}",
+        {name: (check, REQUIRED) for name, check in fields.items()},
+    )
+    return variant(**values)

@@ -37,7 +37,6 @@ __all__ = [
     "facet_measure",
     "height",
     "iter_partitions",
-    "partition_objects",
     "region_measure",
     "region_of",
     "regions_of_batch",
@@ -324,9 +323,3 @@ def iter_partitions(n: int) -> Iterator[tuple[frozenset[int], ...]]:
         blocks.pop()
 
     return rec(1, [])
-
-
-def partition_objects(n: int) -> Iterator[OutcomePartition]:
-    """iter_partitions wrapped into OutcomePartition objects."""
-    for blocks in iter_partitions(n):
-        yield OutcomePartition(blocks)

@@ -184,3 +184,7 @@ def test_classify_schema_errors():
         classify({"joints": "nope"})
     with pytest.raises(SchemaError):
         classify({"transitions": [{"p_ab": "x", "p_bc": 0.1, "p_ac": 0.2}]})
+    with pytest.raises(SchemaError):
+        classify({"joint": [{"p_vw": 0.5, "p_uw": 0.5, "p_ucv": 0.5}]})  # unknown field
+    with pytest.raises(SchemaError):
+        classify({"transitions": [{"p_ab": 0.5, "p_bc": 0.1, "p_ac": 0.2, "p_ad": 0.3}]})

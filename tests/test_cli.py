@@ -131,7 +131,7 @@ def _gtr_nd(cellular):
 @pytest.mark.parametrize(
     "kind, params, code",
     [
-        ("utr", {"x": [float("nan"), 0.5], "trials": 10}, 3),
+        ("utr", {"x": [float("nan"), 0.5], "trials": 10}, 2),
         ("utr", {"x": [True, False], "trials": 10}, 2),
         ("utr", {"x": [10**400, 1], "trials": 10}, 3),
         ("utr", {"x": [0.5, 0.5], "blocks": [[1, None]], "trials": 10}, 2),
@@ -162,11 +162,39 @@ def _gtr_nd(cellular):
                     "initial": [0, 0, 0.5**0.5],
                     "steps": [{"direction": [0, 0, 0.5**0.5], "sign": True}]}, 2),
         ("classify", {"bundle": {"joints": [{"p_vw": True, "p_uw": 0.5, "p_ucv": 0.5}]}}, 2),
+        # unknown fields, at every level of the document
+        ("universal", {"x": [0.5, 0.5], "cell_counts": [4], "method": "mc",
+                       "density_sample": 10, "point_samples": 10}, 2),
+        ("gtr", _gtr_1d({"type": "uniform", "epsilon": 0.3}), 2),
+        ("classify", {"bundle": {"joint": [{"p_vw": 0.5, "p_uw": 0.5, "p_ucv": 0.5}]}}, 2),
+        ("sphere", {"mode": "sequential", "density": {"type": "uniform"},
+                    "initial": [0, 0, 0.5**0.5],
+                    "steps": [{"direction": [0, 0, 0.5**0.5], "sign": 1, "weight": 2}]}, 2),
+        ("oracle", {"dims": [2], "states": 1, "inject_fault": "no"}, 2),
+        ("gtr", {**_gtr_1d(), "samples_per_cell": 16}, 2),
+        ("universal", {"x": [0.5, 0.5], "cell_counts": [4], "method": "exact",
+                       "density_samples": 10}, 2),
+        ("universal", {"x": [0.5, 0.5], "cell_counts": [4], "n_cells": 5}, 2),
+        ("universal", {"x": [0.5, 0.5]}, 2),
+        # NaN and Infinity are not JSON numbers
+        ("gtr", _gtr_1d({"type": "double_point", "a": float("nan"), "b": 0.5}), 2),
+        ("gtr", _gtr_1d({"type": "piecewise", "breakpoints": [-0.7, 0.7],
+                         "masses": [float("nan")]}), 2),
+        ("gtr", _gtr_1d(cos_theta=float("inf")), 2),
+        ("oracle", {"dims": [], "states": 1}, 2),
     ],
 )
 def test_malformed_values_are_rejected_without_output(tmp_path, kind, params, code):
     cfg = write_config(tmp_path, "bad.json", {"kind": kind, "seed": 1, "params": params})
-    proc = run_cli("run", cfg)
+    assert_rejected(run_cli("run", cfg), code)
+
+
+def test_unknown_top_level_field_is_rejected_without_output(tmp_path):
+    doc = {"kind": "oracle", "seed": 1, "params": {"dims": [2], "states": 1}, "note": "x"}
+    assert_rejected(run_cli("run", write_config(tmp_path, "bad.json", doc)), 2)
+
+
+def assert_rejected(proc, code):
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -204,6 +204,12 @@ def test_json_structural_errors():
         density_from_json({"type": "no_such_density"})
     with pytest.raises(SchemaError):
         density_from_json({"type": "epsilon"})  # missing parameter
+    with pytest.raises(SchemaError):
+        density_from_json({"type": "uniform", "epsilon": 0.3})  # unknown field
+    with pytest.raises(SchemaError):
+        density_from_json({"type": "epsilon", "epsilon": 0.5, "width": 1.0})
+    with pytest.raises(SchemaError):
+        density_from_json({"type": ["epsilon"], "epsilon": 0.5})
     # well-formed structure, out-of-range value: domain error, not schema
     with pytest.raises(ValueError) as exc_info:
         density_from_json({"type": "epsilon", "epsilon": 7.0})

@@ -9,13 +9,14 @@ Experiments are described by a JSON config::
 and run with `trm run config.json`.  The kind-specific subcommands
 (universal-scan, sphere, classify, oracle-compare) are the same runner with
 the kind pinned.  The TRM_SEED environment variable overrides the config
-seed.  Monte Carlo work is sharded into fixed-size blocks with one RNG
-substream per block, so output bytes depend only on the config and seed,
-never on --workers.  _PARAMS lists the params each kind and mode reads; any
-other field, at any level of the document, is a schema error.
+seed; a seed the config gives is still checked.  Monte Carlo work is
+sharded into fixed-size blocks with one RNG substream per block, so output
+bytes depend only on the config and seed, never on --workers.  _PARAMS
+lists the params each kind and mode reads; any other field, at any level of
+the document, is a schema error.
 
 Exit codes: 0 success, 1 oracle comparison failure, 2 malformed config,
-3 well-formed config with out-of-range values.
+3 well-formed config with out-of-range values or a non-finite result.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .gtr import (
     transition_probabilities_1d,
     transition_probabilities_nd,
 )
-from .hilbert import HilbertState, utr_correspondence
+from .hilbert import correspondence_batch
 from .shards import block_rng, run_sharded
 from .simplex import BarycentricVector, OutcomePartition
 from .sphere import BlochVector, counterexample_bundle, kolmogorov_counterexample, sequential_joint
@@ -65,6 +66,12 @@ from .utr import outcome_probabilities, run_batch
 __all__ = ["main"]
 
 KINDS = ("utr", "gtr", "universal", "sphere", "classify", "oracle")
+
+# States the oracle draws and checks per correspondence_batch call.  The
+# batch holds about two complex (states, partition blocks, n) arrays at a
+# time, 24 kB per state at five outcomes, so this bounds its scratch memory
+# to about 1 MB for any `states`.
+ORACLE_CHUNK = 32
 
 
 def _document(value: Any, where: str) -> Any:
@@ -107,6 +114,7 @@ def _blocks(params: Mapping[str, Any]) -> OutcomePartition:
 
 
 _POSITIVE = integer_in(1)
+_SEED = integer_in(0, 2**64 - 1)
 _STATE = {"x": (_state, REQUIRED), "blocks": (_partition, None)}
 _CELLS = {"cell_counts": (array_field(_POSITIVE, min_len=1), None), "n_cells": (_POSITIVE, None)}
 _STEP = {"sign": (_sign, REQUIRED), "direction": (_bloch, REQUIRED)}
@@ -312,10 +320,12 @@ def _run_oracle(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
     for d_i, n in enumerate(dims):
         rng = block_rng(seed, d_i)
         dim_worst = 0.0
-        for _ in range(states):
-            raw = rng.normal(size=n) + 1j * rng.normal(size=n)
-            state = HilbertState(tuple(raw / np.linalg.norm(raw)))
-            dim_worst = max(dim_worst, utr_correspondence(state).max_deviation)
+        for start in range(0, states, ORACLE_CHUNK):
+            # one state is n real parts, then n imaginary parts
+            raw = rng.normal(size=(min(ORACLE_CHUNK, states - start), 2, n))
+            amps = raw[:, 0] + 1j * raw[:, 1]
+            amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+            dim_worst = max(dim_worst, float(correspondence_batch(amps).max_deviation.max()))
         if inject and d_i == 0:
             # test hook: the first dimension reports a 1e-3 Born deviation
             dim_worst = max(dim_worst, 1e-3)
@@ -355,7 +365,7 @@ def _load_config(path: Path, forced_kind: str | None) -> tuple[dict, str, int, d
         config = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config {path} is not valid JSON: {exc}") from None
-    spec = {"kind": (_document, forced_kind), "seed": (_document, None), "params": (_document, {})}
+    spec = {"kind": (_document, forced_kind), "seed": (_SEED, None), "params": (_document, {})}
     top = object_field(config, "config", spec)
     kind = top["kind"]
     if forced_kind is not None and kind != forced_kind:
@@ -365,12 +375,12 @@ def _load_config(path: Path, forced_kind: str | None) -> tuple[dict, str, int, d
     seed, env_seed = top["seed"], os.environ.get("TRM_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            env_value = int(env_seed)
         except ValueError:
             raise SchemaError(f"TRM_SEED={env_seed!r} is not an integer") from None
+        seed = _SEED(env_value, "TRM_SEED")
     elif seed is None:
         raise SchemaError("config is missing the mandatory seed")
-    seed = integer_in(0, 2**64 - 1)(seed, "seed")
     params = top["params"]
     if not isinstance(params, Mapping):
         raise SchemaError("config params must be an object")
@@ -402,8 +412,9 @@ def _jsonable(value: Any) -> Any:
 
 
 def _render(payload: dict, rows: list[dict], fmt: str) -> str:
+    """The output text; a non-finite number anywhere is a ValueError."""
     if fmt == "json":
-        return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+        return json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     buf.write(
         f"# trm={payload['version']} seed={payload['seed']} "
@@ -422,6 +433,8 @@ def _cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value} in a CSV row")
         return repr(value)
     return str(value)
 
@@ -463,6 +476,15 @@ def main(argv: list[str] | None = None) -> int:
         if kind == "oracle":
             params["inject_fault"] = getattr(args, "inject_fault", False)
         result, rows = _RUNNERS[kind](params, seed, max(1, args.workers))
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+        payload = {
+            "kind": kind,
+            "seed": seed,
+            "config_sha256": hashlib.sha256(canonical).hexdigest(),
+            "version": __version__,
+            "result": result,
+        }
+        text = _render(payload, rows, args.format)
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -470,15 +492,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
 
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    payload = {
-        "kind": kind,
-        "seed": seed,
-        "config_sha256": hashlib.sha256(canonical).hexdigest(),
-        "version": __version__,
-        "result": result,
-    }
-    text = _render(payload, rows, args.format)
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -4,9 +4,17 @@ Finite-dimensional pure states and projective measurements with possibly
 degenerate eigenvalues.  The squared moduli of a state's coordinates in a
 measurement eigenbasis form a barycentric vector, and under that mapping the
 Born rule, degenerate block probabilities, and projective collapse agree
-with the uniform simplex law component by component.  This module is kept
-deliberately independent of the simplex code paths so the two can be
-compared as separate routes to the same numbers.
+with the uniform simplex law component by component.
+
+correspondence_batch checks that agreement for many states and every
+grouping of the basis indices at once, along two routes that stay
+independent.  The Hilbert route works on amplitudes only: eigenbasis
+coordinates, squared moduli summed by a block-indicator matrix, and
+projection, renormalization and re-measurement for each collapse.  The
+simplex route is the library's own code, OutcomePartition.aggregate for the
+block probabilities and utr.restrict for the collapses, applied to the
+squared moduli.  Only the outcome grouping, which both routes need, is
+shared.
 
 States serialize as JSON arrays of [re, im] pairs.
 """
@@ -14,6 +22,7 @@ States serialize as JSON arrays of [re, im] pairs.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,8 +31,7 @@ import numpy as np
 
 from .errors import ImpossibleOutcomeError
 from .simplex import BarycentricVector, OutcomePartition, iter_partitions
-from .utr import collapse as utr_collapse
-from .utr import outcome_probabilities, product_relation_residuals
+from .utr import product_relation_residuals, restrict
 
 __all__ = [
     "CorrespondenceReport",
@@ -32,6 +40,7 @@ __all__ = [
     "ProductCheck",
     "born_probabilities",
     "collapse",
+    "correspondence_batch",
     "is_product_state",
     "state_from_json",
     "state_to_json",
@@ -154,8 +163,7 @@ def collapse(state: HilbertState, obs: HilbertObservable, block_index: int) -> H
             f"block index {block_index} outside 1..{obs.partition.n_blocks}"
         )
     coords = obs.coordinates(state)
-    mask = np.zeros(obs.n, dtype=bool)
-    mask[[i - 1 for i in obs.partition.blocks[block_index - 1]]] = True
+    mask = obs.partition.block_masks()[block_index - 1]
     projected = np.where(mask, coords, 0.0 + 0.0j)
     norm = float(np.linalg.norm(projected))
     if norm == 0.0:
@@ -212,9 +220,96 @@ def product_state(
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    ok: bool
-    max_deviation: float
+    """Verdict of the Hilbert-vs-simplex comparison: ok says max_deviation
+    <= tol.  From utr_correspondence they are a bool and a float; from
+    correspondence_batch they are arrays with one entry per state."""
+
+    ok: bool | np.ndarray
+    max_deviation: float | np.ndarray
     partitions_checked: int
+
+
+@functools.lru_cache(maxsize=None)
+def _groupings(n: int) -> tuple[tuple[OutcomePartition, ...], np.ndarray]:
+    """Every partition of 1..n and the (pairs, n) block masks of all its
+    (partition, block) pairs, in partition then block order.
+
+    Built on first use per dimension and kept; the mask array is read-only
+    because every caller shares it.
+    """
+    partitions = tuple(OutcomePartition(blocks) for blocks in iter_partitions(n))
+    masks = np.concatenate([p.block_masks() for p in partitions])
+    masks.setflags(write=False)
+    return partitions, masks
+
+
+def correspondence_batch(
+    amplitudes: np.ndarray,
+    basis: np.ndarray | None = None,
+    tol: float = 1e-12,
+) -> CorrespondenceReport:
+    """Compare the Hilbert route against the simplex route for many states.
+
+    amplitudes is an (S, n) complex array, one state per row; each row's
+    norm must be 1 within NORM_TOL and is then renormalized.  basis (rows
+    are the eigenvectors, default the computational basis) must be
+    orthonormal within NORM_TOL.  A row's squared moduli in the eigenbasis
+    define a barycentric vector x.  For every partition of the basis
+    indices, the row's block Born probabilities must match the block sums
+    of x, and for every block of nonzero weight the squared moduli of the
+    collapsed state must match the renormalized restriction of x.  The
+    report holds each row's largest absolute difference over all of these
+    and its verdict against tol, as (S,) arrays, and the number of
+    partitions checked per row.
+    """
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] < 2:
+        raise ValueError(f"need an (S, n) array of amplitudes with n >= 2, got {amps.shape}")
+    n = amps.shape[1]
+    base = np.eye(n, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
+    if base.shape != (n, n):
+        raise ValueError(f"eigenbasis must be {n} x {n}, got shape {base.shape}")
+    if not np.max(np.abs(base.conj() @ base.T - np.eye(n))) <= NORM_TOL:
+        raise ValueError("eigenbasis is not orthonormal")
+    norms = np.linalg.norm(amps, axis=1)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
+    if off.size:
+        raise ValueError(f"state norm {norms[off[0]]} of row {off[0]} is not 1 within {NORM_TOL}")
+    partitions, masks = _groupings(n)
+
+    # Hilbert route: coordinates c = <a_i|psi> and Born block sums of |c|^2.
+    coords = (amps / norms[:, None]) @ base.conj().T
+    moduli = np.abs(coords) ** 2
+    born = moduli @ masks.T.astype(float)
+    collapse_gap = _collapsed_moduli(coords, masks, born, base)
+
+    # Simplex route on x: block sums and restrictions from the library.
+    x = moduli / moduli.sum(axis=1, keepdims=True)
+    law = np.concatenate([p.aggregate(x) for p in partitions], axis=1)
+    collapse_gap -= restrict(x[:, None, :], masks)[1]
+
+    np.abs(collapse_gap, out=collapse_gap)
+    # a block the simplex route gives zero weight cannot fire: no collapse
+    collapse_gap[law == 0.0] = 0.0
+    worst = np.maximum(np.abs(born - law).max(axis=1), collapse_gap.max(axis=(1, 2)))
+    return CorrespondenceReport(worst <= tol, worst, len(partitions))
+
+
+def _collapsed_moduli(
+    coords: np.ndarray, masks: np.ndarray, born: np.ndarray, base: np.ndarray
+) -> np.ndarray:
+    """(S, pairs, n) squared moduli, in the eigenbasis, of each state after
+    each (partition, block) pair fires: the coordinates projected onto the
+    block, renormalized, mapped back through the basis and measured again.
+
+    A block of zero Born weight projects to zero.  Each step replaces the
+    previous array, which keeps two (S, pairs, n) arrays alive at most.
+    """
+    post = np.where(masks, coords[:, None, :], 0.0)
+    post /= np.sqrt(np.where(born == 0.0, 1.0, born))[..., None]
+    post = post @ base
+    post = post @ base.conj().T
+    return np.abs(post) ** 2
 
 
 def utr_correspondence(
@@ -222,34 +317,12 @@ def utr_correspondence(
     basis: np.ndarray | None = None,
     tol: float = 1e-12,
 ) -> CorrespondenceReport:
-    """Compare the Hilbert route against the simplex route on every grouping.
-
-    The state's squared moduli in the eigenbasis define a barycentric vector
-    x.  For every partition of the basis indices, block Born probabilities
-    must match the block sums of x, and the squared moduli of the collapsed
-    state must match the renormalized restriction of x, all within tol.
-    """
-    n = state.n
-    base = np.eye(n, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
-    coords = base.conj() @ state.as_array()
-    x = BarycentricVector(tuple(np.abs(coords) ** 2))
-    worst = 0.0
-    checked = 0
-    for blocks in iter_partitions(n):
-        partition = OutcomePartition(blocks)
-        obs = HilbertObservable.standard(n, partition, base)
-        born = born_probabilities(state, obs)
-        law = outcome_probabilities(x, partition)
-        worst = max(worst, float(np.max(np.abs(born - law))))
-        for k in range(1, partition.n_blocks + 1):
-            if law[k - 1] == 0.0:
-                continue
-            post = collapse(state, obs, k)
-            post_coords = np.abs(base.conj() @ post.as_array()) ** 2
-            post_law = utr_collapse(x, partition, k).as_array()
-            worst = max(worst, float(np.max(np.abs(post_coords - post_law))))
-        checked += 1
-    return CorrespondenceReport(worst <= tol, worst, checked)
+    """Compare the Hilbert route against the simplex route on every grouping:
+    correspondence_batch for the one state."""
+    batch = correspondence_batch(state.as_array()[None, :], basis, tol)
+    return CorrespondenceReport(
+        bool(batch.ok[0]), float(batch.max_deviation[0]), batch.partitions_checked
+    )
 
 
 def state_to_json(state: HilbertState) -> list[list[float]]:

@@ -148,9 +148,25 @@ class OutcomePartition:
                 out[i - 1] = k
         return out
 
+    def block_masks(self) -> np.ndarray:
+        """(n_blocks, n) boolean array: row k marks the outcomes of block k+1."""
+        return self.block_map() == np.arange(self.n_blocks)[:, None]
+
     def aggregate(self, v: np.ndarray) -> np.ndarray:
-        """Block sums of a per-outcome vector given in outcome order."""
-        return np.bincount(self.block_map(), weights=v, minlength=self.n_blocks)
+        """Block sums over the last axis of a (..., n) array in outcome order.
+
+        Each row is summed in outcome order, so a row's sums do not depend
+        on how many rows come with it.
+        """
+        bmap = self.block_map()
+        n, k = bmap.size, self.n_blocks
+        v = np.asarray(v, dtype=float)
+        if v.ndim == 0 or v.shape[-1] != n:
+            raise ValueError(f"need (..., {n}) per-outcome values, got shape {v.shape}")
+        rows = v.reshape(-1, n)
+        bins = (np.arange(rows.shape[0])[:, None] * k + bmap).ravel()
+        sums = np.bincount(bins, weights=rows.ravel(), minlength=rows.shape[0] * k)
+        return sums.reshape(v.shape[:-1] + (k,))
 
 
 def simplex_measure(n: int) -> float:

@@ -14,8 +14,8 @@ closed form (interval overlap for two outcomes, convex polygon clipping for
 three) and averages them over the subsets without enumerating any: each
 cell lies in C(n_c-1, k-1) of the C(n_c, k) subsets of size k, so the
 subset average of mean_{c in B} f[:, c] is the plain cell mean of f.
-universal_probability_mc samples subsets and break points instead and works
-up to five outcomes.  Its kernel, mc_batch, draws a chunk of densities at
+universal_probability_mc samples subsets and break points instead, for any
+number of outcomes.  Its kernel, mc_batch, draws a chunk of densities at
 once: an (m, n_c) subset bitmask with the empty rows redrawn, each row's
 point cells picked among its set bits, one tie-resolved break-point draw for
 all of the chunk's rows, and one bincount for the per-density estimates.
@@ -113,7 +113,7 @@ def universal_probability_mc(
     rng: np.random.Generator,
     partition: OutcomePartition | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo subset average for up to five outcomes.
+    """Monte Carlo subset average.
 
     Draws breakable subsets uniformly among the nonempty ones (rejection on
     the empty draw), estimates each density's outcome law from point_samples
@@ -121,8 +121,6 @@ def universal_probability_mc(
     standard error is the spread of per-density estimates over
     sqrt(density_samples).
     """
-    if x.n > 5:
-        raise ValueError(f"subset-average sampling supports up to five outcomes, not {x.n}")
     if density_samples < 2 or point_samples < 1:
         raise ValueError("need at least two density samples and one point sample")
     stats = mc_batch(x, n_cells, density_samples, point_samples, rng, partition)

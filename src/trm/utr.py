@@ -38,6 +38,7 @@ __all__ = [
     "outcome_probabilities",
     "product_probability_check",
     "product_relation_residuals",
+    "restrict",
     "run_batch",
     "run_once",
     "sequential_probability",
@@ -71,15 +72,26 @@ def collapse(
         raise ValueError(f"block index {block_index} outside 1..{partition.n_blocks}")
     if partition.n != x.n:
         raise ValueError(f"partition covers 1..{partition.n} but state has {x.n} outcomes")
-    block = partition.blocks[block_index - 1]
-    xv = x.as_array()
-    mask = np.zeros(x.n, dtype=bool)
-    mask[[i - 1 for i in block]] = True
-    weight = float(xv[mask].sum())
+    weight, post = restrict(x.as_array(), partition.block_masks()[block_index - 1])
     if weight == 0.0:
-        raise ImpossibleOutcomeError(f"block {sorted(block)} has zero weight in {x.components}")
-    post = np.where(mask, xv / weight, 0.0)
+        block = sorted(partition.blocks[block_index - 1])
+        raise ImpossibleOutcomeError(f"block {block} has zero weight in {x.components}")
     return BarycentricVector(tuple(post))
+
+
+def restrict(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block weights and renormalized restrictions, the core of collapse.
+
+    x is a (..., n) array of barycentric rows and mask a (..., n) boolean
+    block indicator; the two broadcast against each other.  Returns the
+    weight of each row's block, shape (...), and the row restricted to its
+    block and divided by that weight, shape (..., n).  A zero-weight block
+    restricts to all zeros; whether that outcome is impossible is the
+    caller's call.
+    """
+    kept = np.where(mask, x, 0.0)
+    weight = kept.sum(axis=-1)
+    return weight, kept / np.where(weight == 0.0, 1.0, weight)[..., None]
 
 
 def run_once(

@@ -1,13 +1,20 @@
-"""End-to-end runs of the command line interface in subprocesses."""
+"""End-to-end runs of the command line interface: in subprocesses, and
+in-process where a test replaces one of its parts."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trm
+from trm import cli
+from trm.hilbert import correspondence_batch
+from trm.shards import block_rng
 
 FIXTURE = Path(__file__).parent / "data" / "kolmogorov_not_qubit.json"
 
@@ -79,6 +86,14 @@ def test_env_seed_overrides_config(utr_config):
     pa, pb = json.loads(a.stdout), json.loads(b.stdout)
     assert pa["seed"] == 123 and pb["seed"] == 999
     assert pa["result"]["counts"] != pb["result"]["counts"]
+
+
+def test_config_seed_is_checked_under_env_seed(tmp_path):
+    cfg = write_config(
+        tmp_path, "badseed.json",
+        {"kind": "oracle", "seed": "abc", "params": {"dims": [2], "states": 1}},
+    )
+    assert_rejected(run_cli("run", cfg, env_seed=5), 2)
 
 
 def test_missing_seed_is_a_schema_error(tmp_path):
@@ -359,3 +374,60 @@ def test_oracle_compare_passes_and_fault_injection_fails(tmp_path):
     result = json.loads(bad.stdout)["result"]
     assert result["ok"] is False
     assert result["max_deviation"] >= 1e-3 - 1e-9
+
+
+def run_main(*args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*map(str, args)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_result_is_a_one_line_domain_error(tmp_path, monkeypatch, fmt):
+    def nan_runner(params, seed, workers):
+        nan = float("nan")
+        return {"max_deviation": nan, "ok": False}, [{"dim": 2, "max_deviation": nan}]
+
+    monkeypatch.setitem(cli._RUNNERS, "oracle", nan_runner)
+    cfg = write_config(tmp_path, "o.json", {"kind": "oracle", "seed": 1, "params": {"dims": [2]}})
+    out = tmp_path / "out.txt"
+    code, stdout, stderr = run_main("run", cfg, "--format", fmt)
+    assert code == 3 and stdout == ""
+    assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr
+    assert run_main("run", cfg, "--format", fmt, "--out", out)[0] == 3
+    assert not out.exists()
+
+
+def test_oracle_chunks_draw_the_per_state_stream(tmp_path, monkeypatch):
+    """A states count spanning several chunks checks the same states, and
+    reports the same per-dim worst deviation, as drawing them one at a time
+    with two normal(size=n) calls each."""
+    seen = []
+
+    def recording(amps, *args):
+        seen.append(amps.copy())
+        return correspondence_batch(amps, *args)
+
+    monkeypatch.setattr(cli, "correspondence_batch", recording)
+    states, dims, seed = 2 * cli.ORACLE_CHUNK + 5, [2, 5], 17
+    doc = {"kind": "oracle", "seed": seed, "params": {"dims": dims, "states": states}}
+    cfg = write_config(tmp_path, "o.json", doc)
+    code, stdout, _ = run_main("run", cfg, "--format", "csv")
+    assert code == 0
+    rows = stdout.splitlines()[2:]
+    assert len(rows) == len(dims) and len(seen) == 3 * len(dims)
+    for d_i, n in enumerate(dims):
+        rng = block_rng(seed, d_i)
+        reference = []
+        for _ in range(states):
+            raw = rng.normal(size=n) + 1j * rng.normal(size=n)
+            reference.append(raw / np.linalg.norm(raw))
+        reference = np.array(reference)
+        np.testing.assert_allclose(np.concatenate(seen[3 * d_i:3 * d_i + 3]), reference,
+                                   rtol=0, atol=1e-15)
+        worst = max(float(correspondence_batch(state[None, :]).max_deviation[0])
+                    for state in reference)
+        dim, count, reported = rows[d_i].split(",")
+        assert (int(dim), int(count)) == (n, states)
+        assert abs(float(reported) - worst) <= 1e-15

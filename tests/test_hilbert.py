@@ -1,7 +1,9 @@
 """Hilbert-space route and its exact agreement with the simplex route."""
 
 import cmath
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trm import (
+    BarycentricVector,
     HilbertObservable,
     HilbertState,
     ImpossibleOutcomeError,
@@ -19,7 +22,17 @@ from trm import (
     tensor,
     utr_correspondence,
 )
-from trm.hilbert import collapse, state_from_json, state_to_json
+from trm import cli
+from trm.hilbert import (
+    NORM_TOL,
+    collapse,
+    correspondence_batch,
+    state_from_json,
+    state_to_json,
+)
+from trm.simplex import iter_partitions
+from trm.utr import collapse as utr_collapse
+from trm.utr import outcome_probabilities
 
 
 def random_state(rng, n):
@@ -31,6 +44,36 @@ def haar_basis(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_amplitudes(rng, size, n):
+    raw = rng.normal(size=(size, n)) + 1j * rng.normal(size=(size, n))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def loop_correspondence(state, basis=None):
+    """Reference: the state-by-state, partition-by-partition comparison
+    through HilbertObservable objects and the one-state collapse functions
+    of both routes.  Returns (worst deviation, partitions checked)."""
+    n = state.n
+    base = np.eye(n, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
+    coords = base.conj() @ state.as_array()
+    x = BarycentricVector(tuple(np.abs(coords) ** 2))
+    worst = 0.0
+    checked = 0
+    for blocks in iter_partitions(n):
+        partition = OutcomePartition(blocks)
+        obs = HilbertObservable.standard(n, partition, base)
+        law = outcome_probabilities(x, partition)
+        worst = max(worst, float(np.max(np.abs(born_probabilities(state, obs) - law))))
+        for k in range(1, partition.n_blocks + 1):
+            if law[k - 1] == 0.0:
+                continue
+            post = np.abs(base.conj() @ collapse(state, obs, k).as_array()) ** 2
+            post_law = utr_collapse(x, partition, k).as_array()
+            worst = max(worst, float(np.max(np.abs(post - post_law))))
+        checked += 1
+    return worst, checked
 
 
 def test_state_norm_validation():
@@ -144,3 +187,78 @@ def test_state_json_roundtrip(rng):
     doc = state_to_json(s)
     back = state_from_json(doc)
     np.testing.assert_allclose(back.as_array(), s.as_array(), atol=1e-15)
+
+
+def test_batch_agrees_with_one_row_calls_and_the_loop_reference(rng):
+    for n, bell in [(2, 2), (3, 5), (4, 15), (5, 52)]:
+        amps = random_amplitudes(rng, 30, n)
+        batch = correspondence_batch(amps)
+        assert batch.partitions_checked == bell
+        assert batch.ok.shape == batch.max_deviation.shape == (30,)
+        for s, row in enumerate(amps):
+            state = HilbertState(tuple(row))
+            one = utr_correspondence(state)
+            assert one.ok == batch.ok[s]
+            assert one.partitions_checked == bell
+            assert abs(one.max_deviation - batch.max_deviation[s]) <= 1e-15
+            worst, checked = loop_correspondence(state)
+            assert checked == bell
+            assert abs(worst - batch.max_deviation[s]) <= 1e-15
+        assert batch.ok.all() and batch.max_deviation.max() < 1e-12
+
+
+def test_batch_rows_with_zero_amplitudes_stay_finite():
+    rows = [np.eye(n, dtype=complex)[i] for n in (2, 3, 4, 5) for i in range(n)]
+    rows += [np.array([0.6, 0.0, 0.8j, 0.0]), np.array([0.0, 0.0, 0.6, 0.8j])]
+    for row in rows:
+        batch = correspondence_batch(row[None, :])
+        assert np.isfinite(batch.max_deviation).all()
+        assert batch.max_deviation[0] <= 1e-12 and batch.ok[0]
+        worst, _ = loop_correspondence(HilbertState(tuple(row)))
+        assert abs(worst - batch.max_deviation[0]) <= 1e-15
+    mixed = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8j], [0.6, 0.0, 0.8]])
+    assert correspondence_batch(mixed).max_deviation.max() <= 1e-12
+
+
+def test_batch_checks_basis_and_norms(rng):
+    for n in (2, 3, 4, 5):
+        basis = haar_basis(rng, n)
+        amps = random_amplitudes(rng, 20, n)
+        batch = correspondence_batch(amps, basis=basis)
+        assert batch.ok.all(), batch.max_deviation
+        state = HilbertState(tuple(amps[0]))
+        worst, _ = loop_correspondence(state, basis)
+        assert abs(worst - batch.max_deviation[0]) <= 1e-15
+        assert utr_correspondence(state, basis=basis).ok
+    amps = random_amplitudes(rng, 4, 3)
+    with pytest.raises(ValueError, match="orthonormal"):
+        correspondence_batch(amps, basis=np.array([[1, 0, 0], [1, 0, 0], [0, 0, 1]]))
+    with pytest.raises(ValueError, match="orthonormal"):
+        correspondence_batch(amps, basis=np.full((3, 3), np.nan))
+    with pytest.raises(ValueError):
+        correspondence_batch(amps, basis=np.eye(2))
+    for bad in (1.0 + 10 * NORM_TOL, np.nan):
+        off = amps.copy()
+        off[2] *= bad
+        with pytest.raises(ValueError, match="norm"):
+            correspondence_batch(off)
+    with pytest.raises(ValueError):
+        correspondence_batch(amps[0])
+
+
+def test_oracle_memory_is_bounded_by_its_chunk(tmp_path):
+    # unchunked, 3000 five-outcome states would hold (3000, 151, 5) complex
+    # arrays of 36 MB each
+    states = 3000
+    path = tmp_path / "oracle.json"
+    doc = {"kind": "oracle", "seed": 4, "params": {"dims": [5], "states": states}}
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", str(path), "--out", str(tmp_path / "out.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads((tmp_path / "out.json").read_text())["result"]["states_per_dim"] == states
+    assert peak < 4 * 2**20, peak

@@ -187,6 +187,22 @@ def test_partition_validation():
     assert p.aggregate(np.array([0.1, 0.2, 0.3, 0.4])).tolist() == [0.2 + 0.4, 0.1 + 0.3]
 
 
+def test_aggregate_batches_rows_exactly(rng):
+    p = OutcomePartition.of([[2, 4, 5], [1, 3]])
+    rows = rng.exponential(size=(2, 3, 5))
+    sums = p.aggregate(rows)
+    assert sums.shape == (2, 3, 2)
+    for i in range(2):
+        for j in range(3):
+            assert sums[i, j].tolist() == p.aggregate(rows[i, j]).tolist()
+    assert p.block_masks().tolist() == [
+        [False, True, False, True, True],
+        [True, False, True, False, False],
+    ]
+    with pytest.raises(ValueError):
+        p.aggregate(rows[..., :4])
+
+
 def test_partition_enumeration_counts():
     # Bell numbers
     for n, bell in [(2, 2), (3, 5), (4, 15), (5, 52)]:

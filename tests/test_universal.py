@@ -106,7 +106,7 @@ def test_exact_average_dimension_guard(rng):
 
 
 def test_mc_average_matches_state_within_bands(rng):
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         x = BarycentricVector(tuple(random_interior_state(rng, n)))
         n_c = 9 if n == 3 else 8
         probs, errs = universal_probability_mc(x, n_c, 400, 400, rng)

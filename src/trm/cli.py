@@ -11,7 +11,9 @@ and run with `trm run config.json`.  The kind-specific subcommands
 the kind pinned.  The TRM_SEED environment variable overrides the config
 seed; a seed the config gives is still checked.  Monte Carlo work is
 sharded into fixed-size blocks with one RNG substream per block, so output
-bytes depend only on the config and seed, never on --workers.  _PARAMS
+bytes depend only on the config and seed, never on --workers.  Each runner
+is a thin layer over library calls: the sampling itself, the gtr 1d
+trials included (gtr.frequency_plus_1d), lives in the library.  _PARAMS
 lists the params each kind and mode reads; any other field, at any level of
 the document, is a schema error.
 
@@ -49,10 +51,9 @@ from .errors import (
 from .gtr import (
     DensitySpec,
     Epsilon,
-    Z_MAX,
     density_from_json,
     epsilon_probability,
-    sample_break_point,
+    frequency_plus_1d,
     transition_probabilities_1d,
     transition_probabilities_nd,
 )
@@ -207,19 +208,10 @@ def _run_gtr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, 
             result["closed_form_deviation"] = abs(closed[0] - p_plus)
         trials = params["trials"]
         if trials is not None:
-            z_a = cos_theta * Z_MAX
-
-            def block(rng: np.random.Generator, m: int) -> np.ndarray:
-                z = np.atleast_1d(sample_break_point(density, rng, size=m))
-                plus = z < z_a
-                ties = z == z_a
-                if ties.any():
-                    plus = plus | (ties & (rng.random(m) < 0.5))
-                return np.array([int(plus.sum())])
-
-            hits = int(run_sharded(trials, seed, block, workers)[0])
             result["trials"] = trials
-            result["mc_frequency_plus"] = hits / trials
+            result["mc_frequency_plus"] = frequency_plus_1d(
+                cos_theta, density, trials, seed, workers
+            )
         rows = [
             {"outcome": "+1", "probability": p_plus},
             {"outcome": "-1", "probability": p_minus},

@@ -13,7 +13,10 @@ theta from the measured direction sits at z_a = cos(theta)/sqrt(2); the
 
 where an atom exactly at the particle splits evenly (a break at the
 particle's own position leaves no preferred side).  For a continuous
-density this is just the CDF at z_a.
+density this is just the CDF at z_a.  sample_outcomes_1d draws breaks and
+applies the same rule, with a fair coin for a break exactly at the
+particle; it is the only sampler of it, used by sphere.measure for one
+break and by frequency_plus_1d, the sharded Monte Carlo frequency, for many.
 
 Variants: Uniform (the full-interval uniform law), Epsilon(e) (uniform on
 the central fraction e of the interval), PointBreak (a single atom),
@@ -41,6 +44,7 @@ from .errors import (
     number_field,
     object_field,
 )
+from .shards import run_sharded
 from .simplex import BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
 
 __all__ = [
@@ -56,7 +60,9 @@ __all__ = [
     "density_from_json",
     "density_to_json",
     "epsilon_probability",
+    "frequency_plus_1d",
     "sample_break_point",
+    "sample_outcomes_1d",
     "transition_probabilities_1d",
     "transition_probabilities_nd",
 ]
@@ -204,19 +210,57 @@ def atom(density: DensitySpec, z: float) -> float:
     raise ValueError(f"{type(density).__name__} is not a one-dimensional density")
 
 
-def transition_probabilities_1d(
-    cos_theta: float, density: DensitySpec
-) -> tuple[float, float]:
-    """(p_plus, p_minus) for a state at angle theta from the measured
-    direction, under a one-dimensional break density."""
+def _landing(cos_theta: float, density: DensitySpec) -> float:
+    """The particle's on-axis coordinate z_a, once cos(theta) and the
+    density are known to fit a one-dimensional measurement."""
     c = float(cos_theta)
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"cos(theta) must lie in [-1, 1], got {c}")
     if not isinstance(density, _ONE_D):
         raise ValueError(f"{type(density).__name__} is not a one-dimensional density")
-    z_a = c * Z_MAX
+    return c * Z_MAX
+
+
+def transition_probabilities_1d(
+    cos_theta: float, density: DensitySpec
+) -> tuple[float, float]:
+    """(p_plus, p_minus) for a state at angle theta from the measured
+    direction, under a one-dimensional break density."""
+    z_a = _landing(cos_theta, density)
     p_plus = cdf(density, z_a) - atom(density, z_a) / 2.0
     return p_plus, 1.0 - p_plus
+
+
+def sample_outcomes_1d(
+    density: DensitySpec, cos_theta: float, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`size` break coordinates z of a one-dimensional density against a
+    particle at z_a = cos(theta)/sqrt(2), and whether each gives the plus
+    outcome.
+
+    A break below the particle gives plus; one exactly at it is settled by
+    a fair coin, drawn (`size` of them) only when some break ties.  A
+    density that is not one-dimensional is refused before anything is drawn.
+    """
+    z_a = _landing(cos_theta, density)
+    z = sample_break_point(density, rng, size=size)
+    plus = z < z_a
+    ties = z == z_a
+    if ties.any():
+        plus |= ties & (rng.random(size) < 0.5)
+    return z, plus
+
+
+def frequency_plus_1d(
+    cos_theta: float, density: DensitySpec, trials: int, seed: int, workers: int = 1
+) -> float:
+    """Monte Carlo frequency of the plus outcome over `trials` breaks,
+    sharded with run_sharded, so it does not depend on `workers`."""
+
+    def block(rng: np.random.Generator, m: int) -> np.ndarray:
+        return sample_outcomes_1d(density, cos_theta, rng, m)[1].sum(keepdims=True)
+
+    return int(run_sharded(trials, seed, block, workers)[0]) / trials
 
 
 def epsilon_probability(cos_theta: float, epsilon: float) -> tuple[float, float]:
@@ -257,11 +301,9 @@ def transition_probabilities_nd(
     arithmetic) and stratified Monte Carlo within the breakable cells
     otherwise, with per-cell binomial standard errors.
     """
-    if partition.n != x.n:
-        raise ValueError(f"partition covers 1..{partition.n} but state has {x.n} outcomes")
-    k_blocks = partition.n_blocks
+    partition.check_state(x.n)
     if isinstance(density, Uniform):
-        return partition.aggregate(x.as_array()), np.zeros(k_blocks)
+        return partition.aggregate(x.as_array()), np.zeros(partition.n_blocks)
     if not isinstance(density, CellularDensity):
         raise ValueError(
             f"{type(density).__name__} does not define a break density on a "
@@ -274,7 +316,7 @@ def transition_probabilities_nd(
     cells = density.breakable_sorted - 1
     if x.n == 2:
         fr = cell_fraction_in_regions(x.as_array(), 2, density.n_cells)
-        return partition.aggregate(fr[:, cells].mean(axis=1)), np.zeros(k_blocks)
+        return partition.aggregate(fr[:, cells].mean(axis=1)), np.zeros(partition.n_blocks)
     if rng is None:
         raise ValueError("stratified sampling needs an explicit generator")
     if samples_per_cell < 2:
@@ -288,10 +330,7 @@ def transition_probabilities_nd(
         ),
         "in cellular sampling",
     )
-    block_hits = partition.block_map()[hits - 1].reshape(len(cells), m)
-    frac = np.stack(
-        [(block_hits == k).mean(axis=1) for k in range(k_blocks)], axis=1
-    )  # (cells, blocks)
+    frac = partition.count(hits, len(cells)) / m  # (cells, blocks)
     probs = frac.mean(axis=0)
     var = (frac * (1.0 - frac) / m).sum(axis=0) / len(cells) ** 2
     return probs, np.sqrt(var)

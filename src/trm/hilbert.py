@@ -42,6 +42,7 @@ __all__ = [
     "collapse",
     "correspondence_batch",
     "is_product_state",
+    "product_state",
     "state_from_json",
     "state_to_json",
     "tensor",
@@ -63,7 +64,7 @@ class HilbertState:
         if len(amps) < 2:
             raise ValueError("a state needs at least two amplitudes")
         norm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {norm} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", tuple(a / norm for a in amps))
 
@@ -101,7 +102,7 @@ class HilbertObservable:
             raise ValueError(f"eigenbasis must be square, got shape {m.shape}")
         n = m.shape[0]
         gram = m.conj() @ m.T
-        if np.max(np.abs(gram - np.eye(n))) > NORM_TOL:
+        if not np.max(np.abs(gram - np.eye(n))) <= NORM_TOL:
             raise ValueError("eigenbasis is not orthonormal")
         if self.partition.n != n:
             raise ValueError(
@@ -126,7 +127,7 @@ class HilbertObservable:
     ) -> "HilbertObservable":
         """Observable on the computational basis (or a supplied one) with
         eigenvalues 1..k."""
-        p = partition if partition is not None else OutcomePartition.singletons(n)
+        p = partition or OutcomePartition.singletons(n)
         b = np.eye(n, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
         eigs = tuple(float(k) for k in range(1, p.n_blocks + 1))
         return cls(tuple(tuple(row) for row in b), p, eigs)

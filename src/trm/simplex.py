@@ -15,13 +15,19 @@ Closed forms used throughout (orthonormal-vertex embedding):
 
 so the uniform break law reproduces P(outcome i) = x_i exactly.
 
+OutcomePartition owns the grouping of outcomes into blocks.  It builds its
+outcome-to-block map once, checks that a state has the outcomes it covers
+(check_state), sums per-outcome values by block (aggregate) and tallies
+sampled regions by block (count); every sampled estimate in the package
+tallies its regions through count.
+
 Outcome indices are 1-based everywhere in the public API.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -98,10 +104,14 @@ class OutcomePartition:
     """Disjoint blocks of outcome indices covering {1..n}.
 
     Grouping outcomes into blocks turns the n-outcome measurement into a
-    coarser one: a block fires when any of its members does.
+    coarser one: a block fires when any of its members does.  The partition
+    owns the grouping: the map from outcome to block is built once, on
+    construction, and every block sum (aggregate) and every tally of
+    sampled regions (count) reads it.
     """
 
     blocks: tuple[frozenset[int], ...]
+    _map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         blocks = tuple(frozenset(int(i) for i in b) for b in self.blocks)
@@ -110,12 +120,14 @@ class OutcomePartition:
         if any(not b for b in blocks):
             raise ValueError("empty block in partition")
         n = sum(len(b) for b in blocks)
-        covered: set[int] = set()
-        for b in blocks:
-            covered |= b
-        if covered != set(range(1, n + 1)):
+        if set().union(*blocks) != set(range(1, n + 1)):
             raise ValueError(f"blocks {blocks} do not partition 1..{n}")
+        bmap = np.empty(n, dtype=np.intp)
+        for k, b in enumerate(blocks):
+            bmap[[i - 1 for i in b]] = k
+        bmap.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_map", bmap)
 
     @classmethod
     def singletons(cls, n: int) -> "OutcomePartition":
@@ -127,11 +139,16 @@ class OutcomePartition:
 
     @property
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return self._map.size
 
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+    def check_state(self, n: int) -> None:
+        """Refuse a state of n outcomes that this partition does not cover."""
+        if n != self.n:
+            raise ValueError(f"partition covers 1..{self.n} but state has {n} outcomes")
 
     def block_of(self, outcome: int) -> int:
         """1-based index of the block containing a 1-based outcome index."""
@@ -141,30 +158,38 @@ class OutcomePartition:
         raise ValueError(f"outcome {outcome} outside 1..{self.n}")
 
     def block_map(self) -> np.ndarray:
-        """Array mapping 0-based outcome index to 0-based block index."""
-        out = np.empty(self.n, dtype=np.intp)
-        for k, b in enumerate(self.blocks):
-            for i in b:
-                out[i - 1] = k
-        return out
+        """Read-only array mapping 0-based outcome index to 0-based block
+        index; the same array on every call."""
+        return self._map
 
     def block_masks(self) -> np.ndarray:
         """(n_blocks, n) boolean array: row k marks the outcomes of block k+1."""
-        return self.block_map() == np.arange(self.n_blocks)[:, None]
+        return self._map == np.arange(self.n_blocks)[:, None]
+
+    def count(self, regions: np.ndarray, groups: int = 1) -> np.ndarray:
+        """(groups, n_blocks) block tallies of 1-based outcome regions.
+
+        regions holds `groups` equal runs of consecutive entries, one run per
+        group (for example one sampled density or one cell each).
+        """
+        k = self.n_blocks
+        blocks = self._map[np.reshape(regions, (groups, -1)) - 1]
+        blocks += k * np.arange(groups)[:, None]
+        return np.bincount(blocks.ravel(), minlength=groups * k).reshape(groups, k)
 
     def aggregate(self, v: np.ndarray) -> np.ndarray:
         """Block sums over the last axis of a (..., n) array in outcome order.
 
         Each row is summed in outcome order, so a row's sums do not depend
-        on how many rows come with it.
+        on how many rows come with it.  On singletons each sum has one term,
+        so the values come back unchanged.
         """
-        bmap = self.block_map()
-        n, k = bmap.size, self.n_blocks
+        n, k = self.n, self.n_blocks
         v = np.asarray(v, dtype=float)
         if v.ndim == 0 or v.shape[-1] != n:
             raise ValueError(f"need (..., {n}) per-outcome values, got shape {v.shape}")
         rows = v.reshape(-1, n)
-        bins = (np.arange(rows.shape[0])[:, None] * k + bmap).ravel()
+        bins = (np.arange(rows.shape[0])[:, None] * k + self._map).ravel()
         sums = np.bincount(bins, weights=rows.ravel(), minlength=rows.shape[0] * k)
         return sums.reshape(v.shape[:-1] + (k,))
 

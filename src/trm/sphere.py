@@ -6,6 +6,7 @@ coordinate z_a = cos(theta)/sqrt(2) where theta is the angle between state
 and direction.  A one-dimensional break density on the diameter then decides
 the outcome: mass at or below the landing point contracts the state to +u,
 the rest to -u, with an atom exactly at the landing point splitting evenly.
+measure samples this rule through gtr.sample_outcomes_1d.
 
 With the Epsilon(e) density this gives the closed-form transition law of
 gtr.epsilon_probability; at e == 1 it is the squared-half-angle law.
@@ -30,8 +31,7 @@ import numpy as np
 from .gtr import (
     DensitySpec,
     Epsilon,
-    Z_MAX,
-    sample_break_point,
+    sample_outcomes_1d,
     transition_probabilities_1d,
 )
 
@@ -67,7 +67,7 @@ class BlochVector:
         if len(c) != 3:
             raise ValueError(f"need three coordinates, got {len(c)}")
         norm = math.sqrt(math.fsum(v * v for v in c))
-        if abs(norm - RADIUS) > NORM_TOL:
+        if not abs(norm - RADIUS) <= NORM_TOL:
             raise ValueError(f"norm {norm} is not {RADIUS} within {NORM_TOL}")
         object.__setattr__(self, "coords", tuple(v * (RADIUS / norm) for v in c))
 
@@ -119,17 +119,9 @@ def measure(
 ) -> MeasureResult:
     """Sample one measurement: draw a break coordinate and compare it with
     the landing point.  The post state is +-u."""
-    z_a = fall(w, u) * Z_MAX
-    z = sample_break_point(density, rng)
-    if not isinstance(z, float):
-        raise ValueError("sphere measurements need a one-dimensional density")
-    if z < z_a:
-        sign = 1
-    elif z > z_a:
-        sign = -1
-    else:
-        sign = 1 if rng.random() < 0.5 else -1
-    return MeasureResult(sign, u if sign == 1 else -u, z)
+    z, plus = sample_outcomes_1d(density, fall(w, u), rng, 1)
+    sign = 1 if plus[0] else -1
+    return MeasureResult(sign, u if sign == 1 else -u, float(z[0]))
 
 
 def sequential_joint(

@@ -18,7 +18,8 @@ universal_probability_mc samples subsets and break points instead, for any
 number of outcomes.  Its kernel, mc_batch, draws a chunk of densities at
 once: an (m, n_c) subset bitmask with the empty rows redrawn, each row's
 point cells picked among its set bits, one tie-resolved break-point draw for
-all of the chunk's rows, and one bincount for the per-density estimates.
+all of the chunk's rows, and one OutcomePartition.count for the
+per-density estimates.
 convergence_scan tabulates either route against the uniform law over a
 range of cell counts.
 """
@@ -97,12 +98,7 @@ def universal_probability_exact(
         raise ValueError(f"exact averaging implemented for 2 or 3 outcomes, not {x.n}")
     fractions = cell_fraction_in_regions(x.as_array(), x.n, n_cells)
     # the subset average of mean_{c in B} fractions[:, c] is the cell mean
-    mean = fractions.mean(axis=1)
-    if partition is None:
-        return mean
-    if partition.n != x.n:
-        raise ValueError(f"partition covers 1..{partition.n} but state has {x.n} outcomes")
-    return partition.aggregate(mean)
+    return _grouping(x, partition).aggregate(fractions.mean(axis=1))
 
 
 def universal_probability_mc(
@@ -144,26 +140,17 @@ def mc_batch(
     xv = x.as_array()
     # constructing one density validates the subdivision parameters
     CellularDensity(x.n, n_cells, frozenset(range(1, n_cells + 1)))
-    if partition is None:
-        bmap = np.arange(x.n)
-        n_blocks = x.n
-    else:
-        if partition.n != x.n:
-            raise ValueError(
-                f"partition covers 1..{partition.n} but state has {x.n} outcomes"
-            )
-        bmap = partition.block_map()
-        n_blocks = partition.n_blocks
-    sums = np.zeros((2, n_blocks))
+    partition = _grouping(x, partition)
+    sums = np.zeros((2, partition.n_blocks))
     per_chunk = max(1, MC_CHUNK_ROWS // point_samples)
     for start in range(0, density_samples, per_chunk):
         m = min(per_chunk, density_samples - start)
         order, k = _draw_subsets(m, n_cells, rng)
-        counts = np.zeros((m, n_blocks))
+        counts = np.zeros((m, partition.n_blocks))
         # a density with more points than a chunk holds draws them in parts
         for done in range(0, point_samples, MC_CHUNK_ROWS):
             p = min(MC_CHUNK_ROWS, point_samples - done)
-            counts += _block_counts(xv, n_cells, order, k, p, bmap, n_blocks, rng)
+            counts += _block_counts(xv, n_cells, order, k, p, partition, rng)
         p_hat = counts / point_samples
         sums[0] += p_hat.sum(axis=0)
         sums[1] += (p_hat**2).sum(axis=0)
@@ -192,8 +179,7 @@ def _block_counts(
     order: np.ndarray,
     k: np.ndarray,
     points: int,
-    bmap: np.ndarray,
-    n_blocks: int,
+    partition: OutcomePartition,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """(m, n_blocks) outcome-block counts of `points` break points drawn from
@@ -207,9 +193,14 @@ def _block_counts(
         lambda rows: regions_of_batch(xv, sample_in_cells(xv.size, n_cells, idx[rows], rng)),
         "while averaging",
     )
-    density = np.arange(idx.size) // points
-    counts = np.bincount(density * n_blocks + bmap[hits - 1], minlength=m * n_blocks)
-    return counts.reshape(m, n_blocks)
+    return partition.count(hits, m)
+
+
+def _grouping(x: BarycentricVector, partition: OutcomePartition | None) -> OutcomePartition:
+    """The partition (singletons when None), checked against the state."""
+    partition = partition or OutcomePartition.singletons(x.n)
+    partition.check_state(x.n)
+    return partition
 
 
 def mc_combine(stats: np.ndarray, density_samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,8 +239,9 @@ def convergence_scan(
             raise ValueError("the mc route needs a seed")
         if density_samples < 2 or point_samples < 1:
             raise ValueError("need at least two density samples and one point sample")
+    partition = _grouping(x, partition)
     rows: list[dict[str, float | int]] = []
-    xv = x.as_array() if partition is None else partition.aggregate(x.as_array())
+    xv = partition.aggregate(x.as_array())
     for n_c in cell_counts:
         if method == "exact":
             probs = universal_probability_exact(x, n_c, partition)

@@ -56,8 +56,7 @@ class UtrOutcome:
 
 def outcome_probabilities(x: BarycentricVector, partition: OutcomePartition) -> np.ndarray:
     """Block probabilities under the uniform break law: sums of x over blocks."""
-    if partition.n != x.n:
-        raise ValueError(f"partition covers 1..{partition.n} but state has {x.n} outcomes")
+    partition.check_state(x.n)
     return partition.aggregate(x.as_array())
 
 
@@ -70,8 +69,7 @@ def collapse(
     """
     if not 1 <= block_index <= partition.n_blocks:
         raise ValueError(f"block index {block_index} outside 1..{partition.n_blocks}")
-    if partition.n != x.n:
-        raise ValueError(f"partition covers 1..{partition.n} but state has {x.n} outcomes")
+    partition.check_state(x.n)
     weight, post = restrict(x.as_array(), partition.block_masks()[block_index - 1])
     if weight == 0.0:
         block = sorted(partition.blocks[block_index - 1])
@@ -123,13 +121,11 @@ def run_batch(
     """Vectorized trial counts per block for `trials` independent events."""
     if trials < 0:
         raise ValueError(f"negative trial count {trials}")
-    if partition.n != x.n:
-        raise ValueError(f"partition covers 1..{partition.n} but state has {x.n} outcomes")
-    bmap = partition.block_map()
+    partition.check_state(x.n)
     support = x.support()
     if len(support) == 1:
         counts = np.zeros(partition.n_blocks, dtype=np.int64)
-        counts[bmap[support[0] - 1]] = trials
+        counts[partition.block_map()[support[0] - 1]] = trials
         return counts
     xv = x.as_array()
     regions = resolve_ties(
@@ -137,7 +133,7 @@ def run_batch(
         lambda rows: regions_of_batch(xv, sample_uniform_batch(x.n, rows.size, rng)),
         f"for state {x.components}",
     )
-    return np.bincount(bmap[regions - 1], minlength=partition.n_blocks)
+    return partition.count(regions)[0]
 
 
 def sequential_probability(
@@ -208,7 +204,7 @@ def complementary_mc(
         lambda rows: _ratio_regions(lv, sample_uniform_batch(lam.n, rows.size, rng)),
         f"at break point {lam.components}",
     )
-    return np.bincount(regions - 1, minlength=lam.n) / trials
+    return OutcomePartition.singletons(lam.n).count(regions)[0] / trials
 
 
 def product_relation_residuals(x: Sequence[float]) -> tuple[float, float, float, float]:

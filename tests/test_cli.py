@@ -235,6 +235,25 @@ def test_gtr_one_dimensional_run(tmp_path):
     assert abs(result["mc_frequency_plus"] - 0.75) < 0.02
 
 
+def test_gtr_one_dimensional_tie_is_a_fair_coin(tmp_path):
+    # every break lands exactly on the particle, so each trial tosses a coin
+    cfg = write_config(
+        tmp_path,
+        "tie.json",
+        {
+            "kind": "gtr",
+            "seed": 5,
+            "params": {"mode": "1d", "cos_theta": 0.0, "trials": 100_000,
+                       "density": {"type": "point", "z0": 0.0}},
+        },
+    )
+    proc = run_cli("run", cfg)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["p_plus"] == 0.5
+    assert abs(result["mc_frequency_plus"] - 0.5) <= 4 * 0.5 / 100_000**0.5
+
+
 def test_universal_scan_csv(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -24,7 +24,7 @@ from trm import (
     transition_probabilities_1d,
     transition_probabilities_nd,
 )
-from trm.gtr import Z_MAX, atom, cdf
+from trm.gtr import Z_MAX, atom, cdf, frequency_plus_1d, sample_outcomes_1d
 from conftest import random_interior_state
 
 
@@ -140,6 +140,36 @@ def test_sampler_point_masses(rng):
     z = sample_break_point(DoublePoint(0.25, 0.75), rng, size=50_000)
     assert set(np.unique(z)) == {-Z_MAX, Z_MAX}
     assert abs((z == Z_MAX).mean() - 0.25) < 0.02
+
+
+def test_outcomes_1d_follow_the_break_rule(rng):
+    z, plus = sample_outcomes_1d(Uniform(), 0.2, rng, 1000)
+    assert z.shape == plus.shape == (1000,)
+    assert (plus == (z < 0.2 * Z_MAX)).all()
+    # every break ties at the particle: a fair coin per break
+    z, plus = sample_outcomes_1d(PointBreak(0.0), 0.0, rng, 20_000)
+    assert (z == 0.0).all()
+    assert abs(plus.mean() - 0.5) < 4 * 0.5 / math.sqrt(20_000)
+
+
+def test_outcomes_1d_refuse_a_cellular_density_before_drawing():
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        sample_outcomes_1d(CellularDensity(3, 4, frozenset({1})), 0.0, rng, 5)
+    with pytest.raises(ValueError):
+        sample_outcomes_1d(Uniform(), 1.5, rng, 5)
+    assert rng.bit_generator.state == before
+
+
+def test_frequency_plus_1d_is_worker_invariant():
+    d = Epsilon(0.5)
+    one = frequency_plus_1d(0.2, d, 150_000, seed=9, workers=1)
+    assert frequency_plus_1d(0.2, d, 150_000, seed=9, workers=2) == one
+    p_plus = transition_probabilities_1d(0.2, d)[0]
+    assert abs(one - p_plus) < 4 * math.sqrt(p_plus * (1 - p_plus) / 150_000)
+    with pytest.raises(ValueError):
+        frequency_plus_1d(1.5, d, 10, seed=9)
 
 
 def test_nd_uniform_is_exact_block_sums(rng):

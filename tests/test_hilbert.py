@@ -85,6 +85,18 @@ def test_state_norm_validation():
         HilbertState((3.0, 4.0j))  # norm 5 is far outside tolerance
 
 
+def test_nan_amplitude_is_refused():
+    with pytest.raises(ValueError):
+        HilbertState((float("nan"), 0.5))
+
+
+def test_nan_in_the_basis_is_refused():
+    basis = np.eye(2)
+    basis[0, 1] = float("nan")
+    with pytest.raises(ValueError):
+        HilbertObservable.standard(2, basis=basis)
+
+
 def test_observable_requires_orthonormal_rows():
     with pytest.raises(ValueError):
         HilbertObservable(

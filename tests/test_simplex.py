@@ -203,6 +203,40 @@ def test_aggregate_batches_rows_exactly(rng):
         p.aggregate(rows[..., :4])
 
 
+def test_count_matches_a_per_row_tally(rng):
+    for n in (2, 3, 5):
+        for blocks in list(iter_partitions(n))[:: max(1, n - 1)]:
+            p = OutcomePartition(blocks)
+            groups, per = int(rng.integers(2, 6)), int(rng.integers(1, 40))
+            regions = rng.integers(1, n + 1, groups * per)
+            counts = p.count(regions, groups)
+            assert counts.shape == (groups, p.n_blocks)
+            for g in range(groups):
+                for r in regions[g * per : (g + 1) * per]:
+                    counts[g, p.block_of(int(r)) - 1] -= 1
+            assert not counts.any()
+    assert OutcomePartition.singletons(3).count(np.array([3, 1, 3])).tolist() == [[1, 0, 2]]
+
+
+def test_block_map_is_built_once_and_read_only():
+    p = OutcomePartition.of([[2, 4], [1, 3]])
+    assert p.block_map() is p.block_map()
+    assert p.block_map().tolist() == [1, 0, 1, 0]
+    with pytest.raises(ValueError):
+        p.block_map()[0] = 0
+    # the stored map stays out of equality, hashing and repr
+    q = OutcomePartition.of([[1, 3], [2, 4]])
+    assert p != q and p == OutcomePartition.of([[4, 2], [3, 1]])
+    assert hash(p) == hash(OutcomePartition.of([[4, 2], [3, 1]]))
+    assert "map" not in repr(p)
+
+
+def test_check_state_refuses_an_uncovered_state():
+    OutcomePartition.singletons(3).check_state(3)
+    with pytest.raises(ValueError, match="covers 1..3 but state has 4"):
+        OutcomePartition.singletons(3).check_state(4)
+
+
 def test_partition_enumeration_counts():
     # Bell numbers
     for n, bell in [(2, 2), (3, 5), (4, 15), (5, 52)]:

@@ -29,6 +29,11 @@ def test_bloch_norm_is_enforced():
         BlochVector((1.0, 0.0, 0.0))  # norm 1 is the wrong sphere
 
 
+def test_nan_coordinate_is_refused():
+    with pytest.raises(ValueError):
+        BlochVector((float("nan"), 0.0, 0.0))
+
+
 def test_from_angles_matches_coordinates():
     v = BlochVector.from_angles(math.pi / 3, math.pi / 4)
     assert abs(np.linalg.norm(v.as_array()) - RADIUS) < 1e-12

@@ -2,19 +2,32 @@
 
 Cellular densities break only inside a chosen subset of cells, uniformly.
 The averaging results downstream need nothing from the cells beyond equal
-measure, so each dimension uses the simplest exact scheme:
+measure, so each geometry uses the simplest exact scheme:
 
-  two outcomes     equal intervals of the first barycentric coordinate
   three outcomes   edgewise subdivision of the triangle into k^2 congruent
                    up/down triangles (cell count must be a perfect square)
-  four and more    slabs between consecutive quantiles of the first
+  any other count  slabs between consecutive quantiles of the first
                    barycentric coordinate (lam_1 is Beta(1, n-1) under the
                    uniform law, so quantile cuts give equal measure and
-                   within-slab sampling stays exact)
+                   within-slab sampling stays exact); for two outcomes
+                   these are equal intervals of lam_1
 
-Cells are indexed 1..n_cells in a fixed documented order: interval/slab
-cells by increasing coordinate; triangle cells row by row from the edge
-opposite vertex 3, upward triangle before the downward one to its right.
+Every geometry has one exact law for the share of each cell inside each
+outcome region (cell_fraction_in_regions).  A break point lies in region
+A_i when i minimizes lam_j / x_j, that is when lam_i x_j <= lam_j x_i for
+every j.  A triangle cell is clipped by the two half-planes of each region.
+For a slab, the exponential race gives lam_1 = x_1 * Beta(1, n-1) given
+outcome 1, so the slab [a, b) holds the region-1 share
+
+    f_1 = N x_1 [(1 - a/x_1)_+^(n-1) - (1 - b/x_1)_+^(n-1)]
+
+of its measure 1/N = (1 - a)^(n-1) - (1 - b)^(n-1); the rest splits over
+the outcomes i >= 2 as x_i / (1 - x_1), because the argmin of the
+remaining ratios does not depend on lam_1.
+
+Cells are indexed 1..n_cells in a fixed documented order: slab cells by
+increasing coordinate; triangle cells row by row from the edge opposite
+vertex 3, upward triangle before the downward one to its right.
 """
 
 from __future__ import annotations
@@ -28,11 +41,33 @@ from .errors import DegenerateDensityError
 
 __all__ = [
     "CellularDensity",
+    "MAX_CELLS",
     "cell_fraction_in_regions",
+    "check_subdivision",
     "sample_in_cells",
     "slab_bounds",
     "triangle_vertices",
 ]
+
+# Largest cell count of any subdivision: it bounds the (n, n_cells) arrays
+# of the exact cell laws and the subset bitmasks of the sampled average.
+MAX_CELLS = 1 << 16
+
+# Triangle cells clipped at once; it bounds the clipping's scratch arrays to
+# about a megabyte.
+CLIP_CHUNK = 1024
+
+
+def check_subdivision(n_outcomes: int, n_cells: int) -> None:
+    """Refuse a subdivision that has no cells: fewer than two outcomes, a
+    cell count outside 1..MAX_CELLS, or a non-square count for three
+    outcomes."""
+    if n_outcomes < 2:
+        raise ValueError(f"need at least two outcomes, got {n_outcomes}")
+    if not 1 <= n_cells <= MAX_CELLS:
+        raise ValueError(f"cell count must lie in 1..{MAX_CELLS}, got {n_cells}")
+    if n_outcomes == 3 and math.isqrt(n_cells) ** 2 != n_cells:
+        raise ValueError(f"triangle subdivision needs a square cell count, got {n_cells}")
 
 
 @dataclass(frozen=True)
@@ -48,32 +83,17 @@ class CellularDensity:
     breakable: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.n_outcomes < 2:
-            raise ValueError(f"need at least two outcomes, got {self.n_outcomes}")
-        if self.n_cells < 1:
-            raise ValueError(f"need at least one cell, got {self.n_cells}")
-        if self.n_outcomes == 3:
-            k = math.isqrt(self.n_cells)
-            if k * k != self.n_cells:
-                raise ValueError(
-                    f"triangle subdivision needs a square cell count, got {self.n_cells}"
-                )
+        check_subdivision(self.n_outcomes, self.n_cells)
         cells = frozenset(int(c) for c in self.breakable)
         if not cells:
             raise DegenerateDensityError("no breakable cells: density has no support")
-        if not cells <= set(range(1, self.n_cells + 1)):
+        if min(cells) < 1 or max(cells) > self.n_cells:
             raise ValueError(f"breakable cells {sorted(cells)} outside 1..{self.n_cells}")
         object.__setattr__(self, "breakable", cells)
 
     @property
     def breakable_sorted(self) -> np.ndarray:
         return np.array(sorted(self.breakable), dtype=np.intp)
-
-
-def interval_bounds(n_cells: int) -> np.ndarray:
-    """(n_cells, 2) bounds of equal lam_1 intervals on [0, 1]."""
-    edges = np.linspace(0.0, 1.0, n_cells + 1)
-    return np.column_stack([edges[:-1], edges[1:]])
 
 
 def slab_bounds(n_outcomes: int, n_cells: int) -> np.ndarray:
@@ -88,105 +108,94 @@ def slab_bounds(n_outcomes: int, n_cells: int) -> np.ndarray:
     return np.column_stack([q[:-1], q[1:]])
 
 
-def triangle_vertices(k: int) -> np.ndarray:
-    """(k*k, 3, 2) chart vertices of the edgewise subdivision.
+def triangle_vertices(k: int, cells: np.ndarray | None = None) -> np.ndarray:
+    """(m, 3, 2) chart vertices of the given 0-based cells (all k*k cells by
+    default) of the edgewise subdivision.
 
     Chart coordinates are (u, v) = (lam_2, lam_3); the full triangle has
     corners (0,0), (1,0), (0,1).  Every cell has chart area 1/(2 k^2).
+    Row j holds the 2(k-j) - 1 cells from c = j(2k-j) on, alternately the
+    upward triangle at column i and the downward one to its right.
     """
-    cells = []
-    for j in range(k):
-        for i in range(k - j):
-            cells.append([(i / k, j / k), ((i + 1) / k, j / k), (i / k, (j + 1) / k)])
-            if i + j <= k - 2:
-                cells.append(
-                    [((i + 1) / k, j / k), ((i + 1) / k, (j + 1) / k), (i / k, (j + 1) / k)]
-                )
-    return np.array(cells, dtype=float)
-
-
-def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-def _ensure_ccw(poly: np.ndarray) -> np.ndarray:
-    x, y = poly[:, 0], poly[:, 1]
-    signed = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-    return poly if signed >= 0.0 else poly[::-1]
-
-
-def _clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Intersection of two convex polygons (both CCW), Sutherland-Hodgman."""
-    output = [tuple(p) for p in subject]
-    m = len(clip)
-    for e in range(m):
-        ax, ay = clip[e]
-        bx, by = clip[(e + 1) % m]
-        if not output:
-            break
-        polygon = output
-        output = []
-        k = len(polygon)
-        for i in range(k):
-            px, py = polygon[i]
-            qx, qy = polygon[(i + 1) % k]
-            c1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-            c2 = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
-            if c1 >= 0.0:
-                output.append((px, py))
-            if (c1 >= 0.0) != (c2 >= 0.0):
-                # signs differ strictly, so c1 - c2 cannot vanish
-                t = c1 / (c1 - c2)
-                output.append((px + t * (qx - px), py + t * (qy - py)))
-    return np.array(output, dtype=float) if output else np.empty((0, 2))
-
-
-def _region_polygons(x: np.ndarray) -> list[np.ndarray]:
-    """Chart polygons of the three outcome regions of a 3-outcome state.
-
-    Region A_i is the convex hull of the state point and the two vertices
-    other than i; chart corners are x1->(0,0), x2->(1,0), x3->(0,1).
-    """
-    p = (float(x[1]), float(x[2]))
-    corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    polys = []
-    for i in range(3):
-        verts = [p if j == i else corners[j] for j in range(3)]
-        polys.append(_ensure_ccw(np.array(verts, dtype=float)))
-    return polys
+    c = np.arange(k * k) if cells is None else np.asarray(cells, dtype=np.intp)
+    # k^2 - c lies in ((k-j-1)^2, (k-j)^2] for a cell c of row j
+    j = k - np.ceil(np.sqrt(k * k - c)).astype(np.intp)
+    o = c - j * (2 * k - j)
+    i, down = o >> 1, o & 1
+    corners = [i + down, j, i + 1, j + down, i, j + 1]
+    return np.stack(corners, axis=-1).reshape(-1, 3, 2) / k
 
 
 def cell_fraction_in_regions(x: np.ndarray, n_outcomes: int, n_cells: int) -> np.ndarray:
     """(n_outcomes, n_cells) fraction of each cell's measure inside each
-    outcome region of the state x.  Exact; two and three outcomes only."""
+    outcome region of the state x.  Exact for every subdivision."""
+    check_subdivision(n_outcomes, n_cells)
     xv = np.asarray(x, dtype=float)
-    if n_outcomes == 2:
-        bounds = interval_bounds(n_cells)
-        lo, hi = bounds[:, 0], bounds[:, 1]
-        overlap = np.clip(np.minimum(hi, xv[0]) - lo, 0.0, None)
-        frac1 = overlap / (hi - lo)
-        return np.vstack([frac1, 1.0 - frac1])
+    if xv.shape != (n_outcomes,):
+        raise ValueError(f"need a state of {n_outcomes} outcomes, got shape {xv.shape}")
     if n_outcomes == 3:
-        k = math.isqrt(n_cells)
-        if k * k != n_cells:
-            raise ValueError(f"triangle subdivision needs a square cell count, got {n_cells}")
-        tris = triangle_vertices(k)
-        cell_area = 0.5 / (k * k)
-        regions = _region_polygons(xv)
-        out = np.zeros((3, n_cells))
-        for c in range(n_cells):
-            cell = _ensure_ccw(tris[c])
-            for i, reg in enumerate(regions):
-                part = _clip_convex(reg, cell)
-                if len(part) >= 3:
-                    out[i, c] = _polygon_area(part) / cell_area
-        sums = out.sum(axis=0)
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise ValueError("region polygons fail to tile a cell; clipping is broken")
-        # clipping noise: renormalize columns that must sum to exactly 1
-        return out / sums[None, :]
-    raise ValueError(f"exact cell fractions implemented for 2 or 3 outcomes, not {n_outcomes}")
+        return _triangle_fractions(xv, math.isqrt(n_cells))
+    x1, m = xv[0], n_outcomes - 1
+    a, b = slab_bounds(n_outcomes, n_cells).T
+    f1 = np.zeros(n_cells)
+    if x1 > 0.0:
+        # both differences of m-th powers, x_1 (t_a^m - t_b^m) with
+        # t = (1 - lam_1/x_1)_+ and the slab measure (1-a)^m - (1-b)^m, are
+        # factored as (u - w) * sum_k u^k w^(m-1-k), so no subtraction of
+        # nearby powers loses digits
+        t_a, t_b = (np.clip(1.0 - s / x1, 0.0, None) for s in (a, b))
+        inside = np.clip(np.minimum(b, x1) - a, 0.0, None)
+        f1 = inside * _power_sum(t_a, t_b, m) / ((b - a) * _power_sum(1.0 - a, 1.0 - b, m))
+    rest = xv[1:] / (1.0 - x1) if x1 < 1.0 else np.zeros(m)
+    return np.vstack([f1, (1.0 - f1) * rest[:, None]])
+
+
+def _power_sum(u: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """sum_{k<m} u^k w^(m-1-k), which is (u^m - w^m) / (u - w) for u != w."""
+    return sum(u**k * w ** (m - 1 - k) for k in range(m))
+
+
+def _triangle_fractions(xv: np.ndarray, k: int) -> np.ndarray:
+    """(3, k*k) region shares of the triangle cells: each cell clipped by
+    the two half-planes lam_j x_i - lam_i x_j >= 0 of each region i, in
+    chunks of CLIP_CHUNK cells."""
+    e = np.eye(3)
+    areas = np.empty((3, k * k))
+    for lo in range(0, k * k, CLIP_CHUNK):
+        chunk = np.arange(lo, min(lo + CLIP_CHUNK, k * k))
+        chart = triangle_vertices(k, chunk)
+        cells = np.concatenate([1.0 - chart.sum(axis=2, keepdims=True), chart], axis=2)
+        for i in range(3):
+            poly = cells
+            for j in range(3):
+                if j != i:
+                    poly = _clip(poly, xv[i] * e[j] - xv[j] * e[i], xv)
+            u, v = poly[..., 1], poly[..., 2]
+            twice = u * np.roll(v, -1, axis=1) - v * np.roll(u, -1, axis=1)
+            areas[i, chunk] = 0.5 * twice.sum(axis=1)
+    # a region of zero measure can come out a rounding error below zero
+    np.maximum(areas, 0.0, out=areas)
+    return areas / areas.sum(axis=0)
+
+
+def _clip(poly: np.ndarray, normal: np.ndarray, on_line: np.ndarray) -> np.ndarray:
+    """(C, 2V, 3) outlines of C polygons (C, V, 3) cut to poly @ normal >= 0.
+
+    Edge e emits the ends of its part inside the half-plane, or the point
+    on_line of the boundary line twice when no part is inside.  Consecutive
+    emitted points are then joined along the boundary line wherever the
+    outline leaves the half-plane, so the shoelace sum of the outline is
+    the clipped area: collinear detours add none.
+    """
+    d = poly @ normal
+    nxt, d_nxt = np.roll(poly, -1, axis=1), np.roll(d, -1, axis=1)
+    p_in, q_in = (d >= 0.0)[..., None], (d_nxt >= 0.0)[..., None]
+    gap = d - d_nxt
+    t = np.divide(d, gap, out=np.zeros_like(d), where=gap != 0.0)[..., None]
+    cross = poly + t * (nxt - poly)
+    start = np.where(p_in, poly, np.where(q_in, cross, on_line))
+    end = np.where(q_in, nxt, np.where(p_in, cross, on_line))
+    return np.stack([start, end], axis=2).reshape(poly.shape[0], -1, 3)
 
 
 def sample_in_cells(
@@ -198,12 +207,8 @@ def sample_in_cells(
     """
     idx = np.asarray(cell_idx, dtype=np.intp)
     m = idx.shape[0]
-    if n_outcomes == 2:
-        lam1 = (idx + rng.random(m)) / n_cells
-        return np.column_stack([lam1, 1.0 - lam1])
     if n_outcomes == 3:
-        k = math.isqrt(n_cells)
-        tris = triangle_vertices(k)[idx]
+        tris = triangle_vertices(math.isqrt(n_cells), idx)
         r = rng.random((m, 2))
         flip = r.sum(axis=1) > 1.0
         r[flip] = 1.0 - r[flip]

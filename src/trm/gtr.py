@@ -121,10 +121,10 @@ class DoublePoint:
 
     def __post_init__(self) -> None:
         a, b = float(self.a), float(self.b)
-        if a <= 0.0 or b <= 0.0:
+        if not (a > 0.0 and b > 0.0):
             raise ValueError(f"both masses must be positive, got a={a}, b={b}")
         total = a + b
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise ValueError(f"masses sum to {total}, not 1 within {MASS_TOL}")
         object.__setattr__(self, "a", a / total)
         object.__setattr__(self, "b", b / total)
@@ -146,14 +146,14 @@ class PiecewiseConstant1D:
             raise ValueError("need at least two breakpoints")
         if len(ms) != len(bp) - 1:
             raise ValueError(f"{len(ms)} masses for {len(bp) - 1} sub-intervals")
-        if any(q <= p for p, q in zip(bp, bp[1:])):
+        if not all(q > p for p, q in zip(bp, bp[1:])):
             raise ValueError(f"breakpoints must increase strictly: {bp}")
-        if bp[0] < -Z_MAX - 1e-12 or bp[-1] > Z_MAX + 1e-12:
+        if not (bp[0] >= -Z_MAX - 1e-12 and bp[-1] <= Z_MAX + 1e-12):
             raise ValueError(f"breakpoints must lie within [-{Z_MAX}, {Z_MAX}]")
-        if any(m < 0.0 for m in ms):
-            raise ValueError(f"negative mass in {ms}")
+        if not all(m >= 0.0 for m in ms):
+            raise ValueError(f"negative or NaN mass in {ms}")
         total = math.fsum(ms)
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise ValueError(f"masses sum to {total}, not 1 within {MASS_TOL}")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "masses", tuple(m / total for m in ms))
@@ -297,9 +297,10 @@ def transition_probabilities_nd(
     """Block probabilities under a density on the full outcome simplex.
 
     Returns (probabilities, standard_errors).  Uniform is exact (the block
-    sums of x).  Cellular densities are exact for two outcomes (interval
-    arithmetic) and stratified Monte Carlo within the breakable cells
-    otherwise, with per-cell binomial standard errors.
+    sums of x).  Cellular densities are exact for two outcomes (the slab
+    cell law of cells.cell_fraction_in_regions, averaged over the breakable
+    cells) and stratified Monte Carlo within the breakable cells otherwise,
+    with per-cell binomial standard errors.
     """
     partition.check_state(x.n)
     if isinstance(density, Uniform):

@@ -148,10 +148,7 @@ class HilbertObservable:
 
 def born_probabilities(state: HilbertState, obs: HilbertObservable) -> np.ndarray:
     """Block outcome probabilities: sums of |<a_i|psi>|^2 over each block."""
-    w = np.abs(obs.coordinates(state)) ** 2
-    return np.array(
-        [w[[i - 1 for i in sorted(b)]].sum() for b in obs.partition.blocks]
-    )
+    return np.abs(obs.coordinates(state)) ** 2 @ obs.partition.block_masks().T.astype(float)
 
 
 def collapse(state: HilbertState, obs: HilbertObservable, block_index: int) -> HilbertState:

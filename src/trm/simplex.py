@@ -267,10 +267,7 @@ def region_of(
         lam = BarycentricVector(tuple(float(v) for v in lam))
     if x.n != lam.n:
         raise ValueError(f"dimension mismatch: {x.n} vs {lam.n}")
-    support = x.support()
-    if len(support) == 1:
-        return support[0]
-    idx, tie = _ratio_regions(lam.as_array(), x.as_array())
+    idx, tie = regions_of_batch(x, lam.as_array()[None, :])
     if bool(tie[0]):
         raise UnstableEquilibriumError(
             f"break point {lam.components} sits on a region boundary of {x.components}"

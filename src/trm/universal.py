@@ -9,29 +9,32 @@ every finite n_c: the block mass of region A_i is linear in the cell
 indicators and every cell has the same expected weight 1/|B| conditional on
 being breakable, so the subset average is just m(A_i)/m(simplex) = x_i.
 
-universal_probability_exact computes each cell's outcome fractions in
-closed form (interval overlap for two outcomes, convex polygon clipping for
-three) and averages them over the subsets without enumerating any: each
-cell lies in C(n_c-1, k-1) of the C(n_c, k) subsets of size k, so the
-subset average of mean_{c in B} f[:, c] is the plain cell mean of f.
-universal_probability_mc samples subsets and break points instead, for any
-number of outcomes.  Its kernel, mc_batch, draws a chunk of densities at
-once: an (m, n_c) subset bitmask with the empty rows redrawn, each row's
-point cells picked among its set bits, one tie-resolved break-point draw for
-all of the chunk's rows, and one OutcomePartition.count for the
-per-density estimates.
+universal_probability_exact takes each cell's outcome fractions from the
+exact cell law of cells.cell_fraction_in_regions, for any number of
+outcomes and cells, and averages them over the subsets without enumerating
+any: each cell lies in C(n_c-1, k-1) of the C(n_c, k) subsets of size k, so
+the subset average of mean_{c in B} f[:, c] is the plain cell mean of f.
+universal_probability_mc samples subsets and break points instead.  Its
+kernel, mc_batch, draws a chunk of densities at once: an (m, n_c) subset
+bitmask with the empty rows redrawn, each row's point cells picked among
+its set bits, one tie-resolved break-point draw for all of the chunk's
+rows, and one OutcomePartition.count for the per-density estimates.
 convergence_scan tabulates either route against the uniform law over a
 range of cell counts.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cells import CellularDensity, cell_fraction_in_regions, sample_in_cells
+from .cells import (
+    CellularDensity,
+    cell_fraction_in_regions,
+    check_subdivision,
+    sample_in_cells,
+)
 from .shards import run_sharded
 from .simplex import BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
 
@@ -43,17 +46,18 @@ __all__ = [
     "universal_probability_mc",
 ]
 
-# Largest cell count of enumerate_cellular (2^24 - 1 subsets) and of the
-# exact two-outcome average.
+# Largest cell count of enumerate_cellular (2^24 - 1 subsets).
 ENUMERATION_LIMIT = 24
 
 # Densities per shard block of convergence_scan's sampling route; a density
 # sample is much heavier than a utr trial.
 UNIVERSAL_BLOCK = 256
 
-# Break points (densities x point_samples) that mc_batch draws per chunk; it
-# bounds the chunk's scratch arrays to a few hundred kB.  A density with more
-# points than this draws them in chunks of this size.
+# Break points (densities x point_samples) and subset bits (densities x
+# n_cells) that mc_batch draws per chunk; it bounds the chunk's scratch
+# arrays to a few hundred kB.  A chunk holds at least one density, whose
+# subset has at most cells.MAX_CELLS bits; a density with more points than
+# this draws them in chunks of this size.
 MC_CHUNK_ROWS = 2048
 
 
@@ -76,26 +80,11 @@ def universal_probability_exact(
     n_cells: int,
     partition: OutcomePartition | None = None,
 ) -> np.ndarray:
-    """Exact subset-average outcome (or block) probabilities.
-
-    Two outcomes: any cell count up to the enumeration limit.  Three
-    outcomes: edgewise subdivisions with at most 16 cells.  The average is
-    linear in the outcome indicators, so block probabilities are block sums
-    of the singleton average.
+    """Exact subset-average outcome (or block) probabilities, for any number
+    of outcomes and any subdivision that check_subdivision accepts.  The
+    average is linear in the outcome indicators, so block probabilities are
+    block sums of the singleton average.
     """
-    if x.n == 2:
-        if n_cells > ENUMERATION_LIMIT:
-            raise ValueError(
-                f"cell count {n_cells} above enumeration limit {ENUMERATION_LIMIT}"
-            )
-    elif x.n == 3:
-        k = math.isqrt(n_cells)
-        if k * k != n_cells or n_cells > 16:
-            raise ValueError(
-                f"exact three-outcome averaging needs a square cell count <= 16, got {n_cells}"
-            )
-    else:
-        raise ValueError(f"exact averaging implemented for 2 or 3 outcomes, not {x.n}")
     fractions = cell_fraction_in_regions(x.as_array(), x.n, n_cells)
     # the subset average of mean_{c in B} fractions[:, c] is the cell mean
     return _grouping(x, partition).aggregate(fractions.mean(axis=1))
@@ -138,11 +127,10 @@ def mc_batch(
     standard errors account for within-block correlations.
     """
     xv = x.as_array()
-    # constructing one density validates the subdivision parameters
-    CellularDensity(x.n, n_cells, frozenset(range(1, n_cells + 1)))
+    check_subdivision(x.n, n_cells)
     partition = _grouping(x, partition)
     sums = np.zeros((2, partition.n_blocks))
-    per_chunk = max(1, MC_CHUNK_ROWS // point_samples)
+    per_chunk = max(1, MC_CHUNK_ROWS // max(point_samples, n_cells))
     for start in range(0, density_samples, per_chunk):
         m = min(per_chunk, density_samples - start)
         order, k = _draw_subsets(m, n_cells, rng)

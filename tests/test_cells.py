@@ -1,12 +1,14 @@
 """Equal-measure cell tessellations and their region overlap fractions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import beta
 
 from trm import CellularDensity, DegenerateDensityError, cell_fraction_in_regions
 from trm.cells import (
-    interval_bounds,
+    MAX_CELLS,
     sample_in_cells,
     slab_bounds,
     triangle_vertices,
@@ -24,10 +26,24 @@ def test_cellular_density_validation():
         CellularDensity(3, 5, frozenset({1}))  # three outcomes need k^2 cells
     with pytest.raises(ValueError):
         CellularDensity(2, 3, frozenset({4}))  # cell index out of range
+    with pytest.raises(ValueError):
+        CellularDensity(2, 3, frozenset({0}))
+    with pytest.raises(ValueError):
+        CellularDensity(4, MAX_CELLS + 1, frozenset({1}))
 
 
-def test_interval_bounds_partition_unit():
-    b = interval_bounds(4)
+def test_cellular_density_range_check_allocates_nothing_per_cell():
+    tracemalloc.start()
+    try:
+        CellularDensity(4, MAX_CELLS, frozenset({1}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_two_outcome_slabs_are_equal_intervals():
+    b = slab_bounds(2, 4)
     np.testing.assert_allclose(b[:, 0], [0, 0.25, 0.5, 0.75], atol=1e-15)
     np.testing.assert_allclose(b[:, 1], [0.25, 0.5, 0.75, 1.0], atol=1e-15)
 
@@ -49,6 +65,24 @@ def test_triangle_cells_tile_and_have_equal_area():
         assert abs(sum(areas) - 0.5) < 1e-12
 
 
+def test_triangle_cells_follow_the_documented_order():
+    # row j from the edge opposite vertex 3, upward triangle at column i
+    # before the downward one to its right; a subset of cells is the same
+    # rows of the full table
+    for k in (1, 2, 3, 7):
+        ref = []
+        for j in range(k):
+            for i in range(k - j):
+                ref.append([(i / k, j / k), ((i + 1) / k, j / k), (i / k, (j + 1) / k)])
+                if i + j <= k - 2:
+                    ref.append(
+                        [((i + 1) / k, j / k), ((i + 1) / k, (j + 1) / k), (i / k, (j + 1) / k)]
+                    )
+        np.testing.assert_array_equal(triangle_vertices(k), np.array(ref))
+        some = np.array([k * k - 1, 0, k * k // 2])
+        np.testing.assert_array_equal(triangle_vertices(k, some), np.array(ref)[some])
+
+
 def test_slab_bounds_carry_equal_beta_mass():
     # first coordinate of a flat simplex point is Beta(1, n-1); slabs are
     # its quantile bands
@@ -60,7 +94,7 @@ def test_slab_bounds_carry_equal_beta_mass():
 
 
 def test_fractions_columns_sum_to_one(rng):
-    for n, n_c in [(2, 7), (3, 9), (3, 25)]:
+    for n, n_c in [(2, 7), (3, 9), (3, 25), (4, 6), (7, 40)]:
         x = random_interior_state(rng, n)
         frac = cell_fraction_in_regions(x, n, n_c)
         assert frac.shape == (n, n_c)
@@ -68,14 +102,76 @@ def test_fractions_columns_sum_to_one(rng):
         assert (frac >= -1e-15).all()
 
 
-def test_fractions_beyond_three_outcomes_rejected(rng):
+def test_fractions_refuse_subdivisions_without_cells():
+    for n, n_c in [(4, 0), (4, MAX_CELLS + 1), (2, MAX_CELLS + 1), (3, 5), (1, 4)]:
+        with pytest.raises(ValueError):
+            cell_fraction_in_regions(np.full(n, 1.0 / n), n, n_c)
+
+
+def test_fractions_refuse_a_state_of_another_dimension(rng):
     with pytest.raises(ValueError):
-        cell_fraction_in_regions(random_interior_state(rng, 4), 4, 6)
+        cell_fraction_in_regions(random_interior_state(rng, 4), 5, 6)
+
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(40)
+
+
+def _slab_oracle(x, n_cells):
+    """(n, n_cells) slab fractions by Gauss-Legendre quadrature, independent
+    of the closed form.  Slab c holds the points whose lam_1 has CDF value
+    p = 1 - (1 - lam_1)^(n-1) in [c/N, (c+1)/N).  Given lam_1 = t, the rest
+    is (1-t) u with u uniform on the (n-2)-simplex, so region 1 (lam_1/x_1
+    smallest) has conditional probability (1 - t(1-x_1)/((1-t) x_1))_+^(n-2),
+    zero from t = x_1 on, and each i >= 2 takes x_i/(1-x_1) of the rest.
+    The fraction is the mean over p in the slab, integrated up to the kink.
+    """
+    n, x1 = len(x), x[0]
+    p_kink = 1.0 - (1.0 - x1) ** (n - 1)
+    out = np.zeros((n, n_cells))
+    for c in range(n_cells):
+        lo, hi = c / n_cells, (c + 1) / n_cells
+        top = min(hi, p_kink)
+        if top > lo:
+            p = lo + (top - lo) * (_NODES + 1.0) / 2.0
+            t = 1.0 - (1.0 - p) ** (1.0 / (n - 1))
+            g = np.clip(1.0 - t * (1.0 - x1) / ((1.0 - t) * x1), 0.0, None) ** (n - 2)
+            out[0, c] = (_WEIGHTS @ g) / 2.0 * (top - lo) / (hi - lo)
+        out[1:, c] = (1.0 - out[0, c]) * np.asarray(x[1:]) / (1.0 - x1)
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_slab_fractions_match_quadrature(rng, n):
+    for n_c in (1, 2, 7, 31, 63):
+        x = random_interior_state(rng, n)
+        np.testing.assert_allclose(
+            cell_fraction_in_regions(x, n, n_c), _slab_oracle(x, n_c), rtol=0, atol=1e-12
+        )
+
+
+def _edge_states(n):
+    rest = np.full(n - 1, 1.0 / (n - 1))
+    yield np.concatenate([[0.0], rest])
+    yield np.concatenate([[1e-300], rest * (1.0 - 1e-300)])
+    yield np.eye(n)[0]
+    yield np.eye(n)[-1]
+    yield np.concatenate([[0.5], np.zeros(n - 2), [0.5]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fractions_of_boundary_states_are_finite_and_sum_to_one(n):
+    for x in _edge_states(n):
+        for n_c in (1, 4, 9, 64):
+            frac = cell_fraction_in_regions(x, n, n_c)
+            assert np.isfinite(frac).all(), (x, n_c)
+            assert (frac >= 0.0).all(), (x, n_c)
+            np.testing.assert_allclose(frac.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(frac.mean(axis=1), x, rtol=0, atol=1e-12)
 
 
 def test_fractions_full_breakability_recovers_state_exactly_low_dim(rng):
     # with every cell breakable the weighted fractions integrate the regions
-    for n, n_c in [(2, 5), (2, 12), (3, 4), (3, 16)]:
+    for n, n_c in [(2, 5), (2, 12), (3, 4), (3, 16), (4, 6), (6, 33)]:
         x = random_interior_state(rng, n)
         frac = cell_fraction_in_regions(x, n, n_c)
         np.testing.assert_allclose(frac.mean(axis=1), x, atol=1e-12)
@@ -100,7 +196,7 @@ def test_sample_in_cells_stays_inside_interval_cells(rng):
     pts = sample_in_cells(2, 4, np.array([0, 1, 2, 3] * 500), rng)
     np.testing.assert_allclose(pts.sum(axis=1), 1.0, atol=1e-12)
     first = pts[:, 0].reshape(-1, 4)
-    bounds = interval_bounds(4)
+    bounds = slab_bounds(2, 4)
     for c in range(4):
         assert (first[:, c] >= bounds[c, 0] - 1e-12).all()
         assert (first[:, c] <= bounds[c, 1] + 1e-12).all()

@@ -13,6 +13,7 @@ import pytest
 
 import trm
 from trm import cli
+from trm.cells import MAX_CELLS
 from trm.hilbert import correspondence_batch
 from trm.shards import block_rng
 
@@ -197,6 +198,11 @@ def _gtr_nd(cellular):
                          "masses": [float("nan")]}), 2),
         ("gtr", _gtr_1d(cos_theta=float("inf")), 2),
         ("oracle", {"dims": [], "states": 1}, 2),
+        # one cell more than any subdivision holds
+        ("universal", {"x": [0.5, 0.5], "n_cells": MAX_CELLS + 1}, 3),
+        ("universal", {"x": [0.5, 0.5], "n_cells": MAX_CELLS + 1, "method": "mc",
+                       "density_samples": 2, "point_samples": 1}, 3),
+        ("gtr", _gtr_nd({"n_outcomes": 4, "n_cells": MAX_CELLS + 1, "breakable": [1]}), 3),
     ],
 )
 def test_malformed_values_are_rejected_without_output(tmp_path, kind, params, code):

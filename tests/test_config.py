@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from trm.cells import MAX_CELLS
 from trm.cli import main
 
 README = Path(__file__).parent.parent / "README.md"
@@ -88,6 +89,7 @@ VALUES = st.one_of(
     st.floats(),
     st.lists(st.integers(-1, 4), max_size=4),
     st.just(float("nan")),
+    st.just(MAX_CELLS + 1),
 )
 
 

@@ -110,6 +110,27 @@ def test_piecewise_validation():
         PiecewiseConstant1D((-1.0, 1.0), (1.0,))  # outside the interval
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DoublePoint(NAN, 0.5),
+        lambda: DoublePoint(0.5, NAN),
+        lambda: PiecewiseConstant1D((NAN, Z_MAX), (1.0,)),
+        lambda: PiecewiseConstant1D((-Z_MAX, NAN), (1.0,)),
+        lambda: PiecewiseConstant1D((-Z_MAX, NAN, Z_MAX), (0.5, 0.5)),
+        lambda: PiecewiseConstant1D((-Z_MAX, 0.0, Z_MAX), (NAN, 1.0)),
+        lambda: PiecewiseConstant1D((-Z_MAX, Z_MAX), (NAN,)),
+    ],
+    ids=["double-a", "double-b", "bp-low", "bp-high", "bp-inner", "mass", "only-mass"],
+)
+def test_one_dimensional_densities_refuse_nan(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_cdf_is_monotone_and_normalized():
     densities = [
         Uniform(),

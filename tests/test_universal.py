@@ -32,7 +32,7 @@ from trm import (
     universal_probability_exact,
     universal_probability_mc,
 )
-from trm.cells import cell_fraction_in_regions
+from trm.cells import MAX_CELLS, cell_fraction_in_regions
 from trm.universal import ENUMERATION_LIMIT, MC_CHUNK_ROWS, mc_batch, mc_combine
 from conftest import random_interior_state
 
@@ -100,9 +100,23 @@ def test_exact_average_equals_state_three_outcomes(rng):
         assert dev.max() < 1e-12, (n_c, x)
 
 
-def test_exact_average_dimension_guard(rng):
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_exact_average_equals_state_every_dimension(rng, n):
+    for n_c in (1, 4, 16, 100, 4096, MAX_CELLS):
+        x = BarycentricVector(tuple(random_interior_state(rng, n)))
+        dev = np.abs(universal_probability_exact(x, n_c) - x.as_array())
+        assert dev.max() < 1e-12, (n_c, x)
+
+
+def test_exact_average_dimension_guard():
+    # every outcome count has a cell law; only subdivisions without cells
+    # are refused
+    x4 = BarycentricVector((0.25, 0.25, 0.25, 0.25))
+    assert universal_probability_exact(x4, 7).shape == (4,)
     with pytest.raises(ValueError):
-        universal_probability_exact(BarycentricVector((0.25, 0.25, 0.25, 0.25)), 4)
+        universal_probability_exact(x4, MAX_CELLS + 1)
+    with pytest.raises(ValueError):
+        universal_probability_exact(BarycentricVector((0.2, 0.3, 0.5)), 8)
 
 
 def test_mc_average_matches_state_within_bands(rng):
@@ -160,13 +174,20 @@ def test_mc_batch_is_deterministic_across_chunks():
     np.testing.assert_array_equal(first, again)
 
 
-@pytest.mark.parametrize("m,p_pts", [(400, 1000), (3, 50_000)])
-def test_mc_batch_memory_is_bounded_by_the_chunk(m, p_pts):
+@pytest.mark.parametrize(
+    "m,p_pts,n_c",
+    [
+        pytest.param(400, 1000, 9, id="400-1000"),
+        pytest.param(3, 50_000, 9, id="3-50000"),
+        pytest.param(400, 1, 10_000, id="400-1-10000cells"),
+    ],
+)
+def test_mc_batch_memory_is_bounded_by_the_chunk(m, p_pts, n_c):
     x = BarycentricVector((0.2, 0.3, 0.5))
     rng = np.random.default_rng(14)
     tracemalloc.start()
     try:
-        mc_batch(x, 9, m, p_pts, rng)
+        mc_batch(x, n_c, m, p_pts, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,6 +254,8 @@ def test_mc_average_with_partition(rng):
     assert (np.abs(probs - target) <= 4 * errs + 1e-12).all()
     with pytest.raises(ValueError):
         mc_batch(x, 8, 4, 4, rng, OutcomePartition.singletons(3))
+    with pytest.raises(ValueError):
+        mc_batch(x, MAX_CELLS + 1, 4, 4, rng)
 
 
 def test_mc_agrees_with_exact_two_outcomes(rng):

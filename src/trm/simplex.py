@@ -15,6 +15,13 @@ Closed forms used throughout (orthonormal-vertex embedding):
 
 so the uniform break law reproduces P(outcome i) = x_i exactly.
 
+The break point lam lies in A_i when i minimizes lam_j / x_j over the
+support of x.  regions_of_batch decides this for many break points in one
+pass over the n columns: it keeps the smallest ratio so far, its index and
+the runner-up, and calls a row tied (on a region boundary) when the two
+smallest ratios agree within TIE_RTOL relatively.  Both the argmin and the
+relative tie test are invariant under scaling a row.
+
 OutcomePartition owns the grouping of outcomes into blocks.  It builds its
 outcome-to-block map once, checks that a state has the outcomes it covers
 (check_state), sums per-outcome values by block (aggregate) and tallies
@@ -230,26 +237,39 @@ def _check_index(n: int, i: int) -> None:
         raise ValueError(f"outcome index {i} outside 1..{n}")
 
 
-def _ratio_regions(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise argmin of num/den with den==0 columns excluded.
+def _ratio_regions(
+    cols: np.ndarray, ratio: Callable[[int], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise first argmin of ratio columns and tie mask, in one pass.
 
-    Returns 1-based argmin indices and a boolean tie mask.  A row ties when
-    its two smallest ratios agree within TIE_RTOL relatively, which is the
-    break-on-boundary condition.
+    cols holds the 0-based column indices in ascending order; ratio(j)
+    returns a new (m,) array, which the pass may overwrite, of the ratios of
+    column j, np.inf where a row excludes it.
+    The pass keeps three (m,) arrays: the smallest ratio so far, its index
+    and the runner-up, so no (m, n) ratio matrix is ever built.  Of equal
+    minima the first column wins.  Returns 1-based indices and a boolean
+    tie mask.  A row ties when its two smallest ratios agree within
+    TIE_RTOL relatively, which is the break-on-boundary condition; a row
+    with one finite ratio has an infinite runner-up and never ties.
     """
-    num2 = np.atleast_2d(np.asarray(num, dtype=float))
-    den2 = np.atleast_2d(np.asarray(den, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den2 > 0.0, num2 / np.where(den2 > 0.0, den2, 1.0), np.inf)
-    idx = np.argmin(ratios, axis=1)
-    two = np.partition(ratios, 1, axis=1)[:, :2]
-    lo, hi = two[:, 0], two[:, 1]
+    lo = ratio(cols[0])
+    hi = np.full_like(lo, np.inf)
+    # the smallest integer type that holds every index keeps its updates cheap
+    idx = np.full(lo.shape, cols[0] + 1, dtype=np.min_scalar_type(cols[-1] + 1))
+    step, first, spare = np.empty_like(idx), np.empty(lo.shape, dtype=bool), np.empty_like(lo)
+    for j in cols[1:]:
+        r = ratio(j)
+        np.less(r, lo, out=first)
+        # first * (j + 1) is 0 or the new index, and the new index exceeds
+        # every index kept so far because the columns ascend
+        np.maximum(idx, np.multiply(first, idx.dtype.type(j + 1), out=step), out=idx)
+        # the runner-up is the old minimum where r beats it, else min(hi, r)
+        np.minimum(hi, np.maximum(lo, r, out=spare), out=hi)
+        np.minimum(lo, r, out=lo)
     with np.errstate(invalid="ignore"):
-        tie = (hi - lo) <= TIE_RTOL * hi
-    # rows with a single positive denominator have hi == inf; never a tie
-    single = np.count_nonzero(np.broadcast_to(den2, ratios.shape) > 0.0, axis=1) == 1
-    tie = np.where(single | ~np.isfinite(hi), False, tie)
-    return idx.astype(np.intp) + 1, tie
+        tie = np.subtract(hi, lo, out=spare) <= np.multiply(hi, TIE_RTOL, out=lo)
+    tie &= np.isfinite(hi)
+    return idx.astype(np.intp), tie
 
 
 def region_of(
@@ -281,17 +301,19 @@ def regions_of_batch(
     """Vectorized region_of for one state against many break points.
 
     Returns (indices, ties); indices are 1-based and only meaningful where
-    ties is False.
+    ties is False.  One pass over the support columns of x divides each
+    column of points by its positive x_j, so no column needs a zero mask,
+    and keeps the running minimum, its index and the runner-up.  Both the
+    argmin and the relative tie test are invariant under scaling a row, so
+    the rows of points need not be normalised.  A vertex state has one
+    support column and never ties.  Raises ValueError when the width of
+    points is not the number of outcomes of x.
     """
     xv = x.as_array() if isinstance(x, BarycentricVector) else np.asarray(x, dtype=float)
-    pos = np.flatnonzero(xv > 0.0)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pos.size == 1:
-        return (
-            np.full(pts.shape[0], pos[0] + 1, dtype=np.intp),
-            np.zeros(pts.shape[0], dtype=bool),
-        )
-    return _ratio_regions(pts, xv[None, :])
+    if pts.shape[-1] != xv.size:
+        raise ValueError(f"break points of width {pts.shape[-1]} for a {xv.size}-outcome state")
+    return _ratio_regions(np.flatnonzero(xv > 0.0), lambda j: pts[:, j] / xv[j])
 
 
 def resolve_ties(

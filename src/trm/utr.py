@@ -188,6 +188,22 @@ def complementary_probabilities(lam: BarycentricVector) -> np.ndarray:
     raise ValueError(f"closed form implemented for 2 or 3 outcomes, not {lam.n}")
 
 
+def _regions_at_break_point(
+    lam: np.ndarray, states: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """regions_of_batch with the roles swapped: (indices, ties) of the
+    region of each (m, n) state row that contains the one break point lam.
+    The denominators change from row to row, so each row excludes its own
+    zero components."""
+    m = states.shape[0]
+    return _ratio_regions(
+        np.arange(lam.size),
+        lambda j: np.divide(
+            lam[j], states[:, j], out=np.full(m, np.inf), where=states[:, j] > 0.0
+        ),
+    )
+
+
 def complementary_mc(
     lam: BarycentricVector, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -201,7 +217,7 @@ def complementary_mc(
     lv = lam.as_array()
     regions = resolve_ties(
         trials,
-        lambda rows: _ratio_regions(lv, sample_uniform_batch(lam.n, rows.size, rng)),
+        lambda rows: _regions_at_break_point(lv, sample_uniform_batch(lam.n, rows.size, rng)),
         f"at break point {lam.components}",
     )
     return OutcomePartition.singletons(lam.n).count(regions)[0] / trials

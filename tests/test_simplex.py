@@ -1,6 +1,7 @@
 """Geometry layer: measures, regions, partitions, uniform sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from trm import (
     sample_uniform_batch,
     simplex_measure,
 )
-from trm.simplex import MAX_BOUNDARY_RETRIES, iter_partitions, resolve_ties
+from trm.simplex import MAX_BOUNDARY_RETRIES, TIE_RTOL, iter_partitions, resolve_ties
+from trm.utr import _regions_at_break_point
 
 from conftest import random_interior_state
 
@@ -112,6 +114,117 @@ def test_regions_of_batch_matches_scalar(rng):
     assert not ties.any()
     for k in range(100):
         assert idx[k] == region_of(x, tuple(pts[k]))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("width", [-1, 1])
+def test_regions_of_batch_refuses_a_width_mismatch(n, width):
+    pts = np.full((3, n + width), 1.0 / (n + width))
+    for x in (BarycentricVector(tuple(np.full(n, 1.0 / n))), np.full(n, 1.0 / n)):
+        with pytest.raises(ValueError, match="width"):
+            regions_of_batch(x, pts)
+
+
+def _reference_regions(num, den):
+    """Sort-based reference of the region kernel.
+
+    Builds the full (m, n) matrix of num/den with den <= 0 entries set to
+    inf, takes the first index of each row's minimum, and calls a row tied
+    when its two smallest sorted ratios agree within TIE_RTOL relatively,
+    never when the runner-up is inf.
+    """
+    num, den = np.broadcast_arrays(np.atleast_2d(num), np.atleast_2d(den))
+    ratios = np.full(num.shape, np.inf)
+    np.divide(num, den, out=ratios, where=den > 0.0)
+    two = np.sort(ratios, axis=1)[:, :2]
+    lo, hi = two[:, 0], two[:, 1]
+    idx = np.argmax(ratios == lo[:, None], axis=1) + 1
+    with np.errstate(invalid="ignore"):
+        tie = np.isfinite(hi) & (hi - lo <= TIE_RTOL * hi)
+    return idx, tie
+
+
+def _gap_ratios(gen, n, support, gap):
+    """(2, n) ratio rows: 1 at one support column, 1 / (1 - gap) at another
+    (a relative gap of `gap`), larger ratios elsewhere."""
+    r = gen.uniform(1.5, 3.0, (2, n))
+    for row in r:
+        i, k = gen.choice(support, 2, replace=False)
+        row[i], row[k] = 1.0, 1.0 / (1.0 - gap)
+    return r
+
+
+def _kernel_case(gen, n, zeros):
+    """A weight vector with `zeros` zero components (n - 1 gives a vertex),
+    random rows and, where the support allows, rows that tie exactly and
+    rows whose relative gap is 0.5 and 2 times TIE_RTOL.  Returns the
+    weights, the (ratio rows, expected tie) pairs, and the random rows."""
+    w = gen.dirichlet(np.ones(n))
+    w[gen.choice(n, zeros, replace=False)] = 0.0
+    w /= w.sum()
+    support = np.flatnonzero(w > 0.0)
+    probes = []
+    if support.size > 1:
+        probes.append((np.ones((3, n)) * gen.uniform(0.5, 2.0, (3, 1)), True))
+        probes.append((_gap_ratios(gen, n, support, 0.5 * TIE_RTOL), True))
+        probes.append((_gap_ratios(gen, n, support, 2.0 * TIE_RTOL), False))
+    return w, probes, gen.dirichlet(np.ones(n), 64)
+
+
+@given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_region_kernel_matches_sort_reference(n, zeros, seed):
+    gen = np.random.default_rng(seed)
+    w, probes, rows = _kernel_case(gen, n, min(zeros, n - 1))
+    x = BarycentricVector(tuple(w))
+    xv = x.as_array()
+    for ratio_rows, expect in probes:
+        pts = np.where(xv > 0.0, ratio_rows * xv, gen.random(ratio_rows.shape))
+        assert (_reference_regions(pts, xv)[1] == expect).all()
+        rows = np.vstack([rows, pts])
+    idx, tie = regions_of_batch(x, rows)
+    ref_idx, ref_tie = _reference_regions(rows, xv)
+    np.testing.assert_array_equal(tie, ref_tie)
+    np.testing.assert_array_equal(idx[~tie], ref_idx[~tie])
+    assert idx.dtype == np.intp
+
+
+@given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_fixed_break_point_kernel_matches_sort_reference(n, zeros, seed):
+    # complementary_mc's per-row denominators: each state row has its own
+    # zero components, and a row with one positive component never ties
+    gen = np.random.default_rng(seed)
+    lam, probes, states = _kernel_case(gen, n, min(zeros, n - 1))
+    states[gen.random(states.shape) < 0.3] = 0.0
+    states[:8] = 0.0
+    states[np.arange(8), gen.integers(0, n, 8)] = gen.random(8) + 0.1
+    states[np.all(states == 0.0, axis=1), 0] = 1.0
+    for ratio_rows, expect in probes:
+        den = np.where(lam > 0.0, lam / ratio_rows, 0.0)
+        assert (_reference_regions(lam, den)[1] == expect).all()
+        states = np.vstack([states, den])
+    idx, tie = _regions_at_break_point(lam, states)
+    ref_idx, ref_tie = _reference_regions(lam, states)
+    assert not ref_tie[:8].any()
+    np.testing.assert_array_equal(tie, ref_tie)
+    np.testing.assert_array_equal(idx[~tie], ref_idx[~tie])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_regions_of_batch_builds_no_ratio_matrix(n, rng):
+    # an (m, n) float matrix of ratios alone is n * m * 8 bytes; the
+    # one-pass kernel holds a few (m,) arrays whatever n is
+    m = 65536
+    pts = sample_uniform_batch(n, m, rng)
+    x = BarycentricVector(tuple(random_interior_state(rng, n)))
+    tracemalloc.start()
+    try:
+        regions_of_batch(x, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * 8
 
 
 @given(

@@ -28,6 +28,13 @@ remaining ratios does not depend on lam_1.
 Cells are indexed 1..n_cells in a fixed documented order: slab cells by
 increasing coordinate; triangle cells row by row from the edge opposite
 vertex 3, upward triangle before the downward one to its right.
+
+sample_in_cells draws uniform points inside given cells and writes them
+into one (m, n) array.  A triangle cell's column, row and orientation are
+decoded in closed form (the decoding triangle_vertices uses too), and each
+chart coordinate is built from the cell's corners as 1-D arrays, so no
+(m, 3, 2) corner tensor is made.  A slab inverts the lam_1 CDF inside the
+cell and spreads the remainder with the simplex sampler's row normaliser.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDensityError
+from .simplex import _normalise_rows
 
 __all__ = [
     "CellularDensity",
@@ -117,13 +125,20 @@ def triangle_vertices(k: int, cells: np.ndarray | None = None) -> np.ndarray:
     Row j holds the 2(k-j) - 1 cells from c = j(2k-j) on, alternately the
     upward triangle at column i and the downward one to its right.
     """
-    c = np.arange(k * k) if cells is None else np.asarray(cells, dtype=np.intp)
+    i, j, down = _triangle_cells(k, np.arange(k * k) if cells is None else cells)
+    corners = [i + down, j, i + 1, j + down, i, j + 1]
+    return np.stack(corners, axis=-1).reshape(-1, 3, 2) / k
+
+
+def _triangle_cells(k: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, down) of 0-based triangle cells: column, row and 1 for a
+    downward triangle.  The corners in units of 1/k are (i + down, j),
+    (i + 1, j + down) and (i, j + 1)."""
+    c = np.asarray(cells, dtype=np.intp)
     # k^2 - c lies in ((k-j-1)^2, (k-j)^2] for a cell c of row j
     j = k - np.ceil(np.sqrt(k * k - c)).astype(np.intp)
     o = c - j * (2 * k - j)
-    i, down = o >> 1, o & 1
-    corners = [i + down, j, i + 1, j + down, i, j + 1]
-    return np.stack(corners, axis=-1).reshape(-1, 3, 2) / k
+    return o >> 1, j, o & 1
 
 
 def cell_fraction_in_regions(x: np.ndarray, n_outcomes: int, n_cells: int) -> np.ndarray:
@@ -203,23 +218,37 @@ def sample_in_cells(
 ) -> np.ndarray:
     """Uniform points inside the given cells (0-based indices), one each.
 
-    Returns an (m, n_outcomes) array of barycentric points.
+    Returns an (m, n_outcomes) array of barycentric points.  Raises
+    ValueError for a subdivision check_subdivision refuses or a cell index
+    outside 0..n_cells-1.  A triangle cell folds a uniform point (r0, r1)
+    of the unit square into the half below r0 + r1 = 1 and maps it to
+    a + r0 (b - a) + r1 (c - a) over the cell's corners a, b, c.
     """
+    check_subdivision(n_outcomes, n_cells)
     idx = np.asarray(cell_idx, dtype=np.intp)
     m = idx.shape[0]
+    if m and (idx.min() < 0 or idx.max() >= n_cells):
+        raise ValueError(f"cell indices must lie in 0..{n_cells - 1}")
+    out = np.empty((m, n_outcomes))
     if n_outcomes == 3:
-        tris = triangle_vertices(math.isqrt(n_cells), idx)
+        k = math.isqrt(n_cells)
+        i, j, down = _triangle_cells(k, idx)
         r = rng.random((m, 2))
-        flip = r.sum(axis=1) > 1.0
-        r[flip] = 1.0 - r[flip]
-        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-        uv = a + r[:, :1] * (b - a) + r[:, 1:] * (c - a)
-        lam1 = 1.0 - uv.sum(axis=1)
-        return np.column_stack([lam1, uv])
-    # quantile slabs: invert the lam_1 CDF inside the cell, then spread the
-    # remainder uniformly over the lower-dimensional simplex
-    p = (idx + rng.random(m)) / n_cells
-    lam1 = 1.0 - (1.0 - p) ** (1.0 / (n_outcomes - 1))
-    rest = rng.standard_exponential((m, n_outcomes - 1))
-    rest /= rest.sum(axis=1, keepdims=True)
-    return np.column_stack([lam1, (1.0 - lam1)[:, None] * rest])
+        r0, r1 = r[:, 0], r[:, 1]
+        np.subtract(1.0, r, out=r, where=(r0 + r1 > 1.0)[:, None])
+
+        def chart(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+            a, b, c = a / k, b / k, c / k
+            return a + r0 * (b - a) + r1 * (c - a)
+
+        u = out[:, 1] = chart(i + down, i + 1, i)
+        v = out[:, 2] = chart(j, j + down, j + 1)
+        out[:, 0] = 1.0 - (u + v)
+        return out
+    p = rng.random(m)
+    p += idx
+    p /= n_cells
+    lam1 = out[:, 0] = 1.0 - (1.0 - p) ** (1.0 / (n_outcomes - 1))
+    rest = _normalise_rows(rng.standard_exponential((m, n_outcomes - 1)))
+    np.multiply((1.0 - lam1)[:, None], rest, out=out[:, 1:])
+    return out

@@ -22,6 +22,13 @@ the runner-up, and calls a row tied (on a region boundary) when the two
 smallest ratios agree within TIE_RTOL relatively.  Both the argmin and the
 relative tie test are invariant under scaling a row.
 
+Uniform break points are normalised exponential spacings: n iid standard
+exponentials divided by their sum are uniform on the simplex.
+sample_uniform_batch draws them as one (m, n) array and divides it in place
+by row sums added up column by column, so it holds one (m, n) and one (m,)
+array.  For n <= 7 those sums, and so the points, have the same bits as
+numpy's own row sum; wider rows may differ in the last bit.
+
 OutcomePartition owns the grouping of outcomes into blocks.  It builds its
 outcome-to-block map once, checks that a state has the outcomes it covers
 (check_state), sums per-outcome values by block (aggregate) and tallies
@@ -177,12 +184,16 @@ class OutcomePartition:
         """(groups, n_blocks) block tallies of 1-based outcome regions.
 
         regions holds `groups` equal runs of consecutive entries, one run per
-        group (for example one sampled density or one cell each).
+        group (for example one sampled density or one cell each).  One
+        bincount tallies (group, outcome) pairs; the outcome columns are then
+        added into their blocks, so no per-region block lookup is made.
         """
-        k = self.n_blocks
-        blocks = self._map[np.reshape(regions, (groups, -1)) - 1]
-        blocks += k * np.arange(groups)[:, None]
-        return np.bincount(blocks.ravel(), minlength=groups * k).reshape(groups, k)
+        n = self.n
+        bins = np.reshape(regions, (groups, -1)) + n * np.arange(groups)[:, None]
+        outcomes = np.bincount(bins.ravel(), minlength=groups * n + 1)[1:].reshape(groups, n)
+        counts = np.zeros((groups, self.n_blocks), dtype=outcomes.dtype)
+        np.add.at(counts, (slice(None), self._map), outcomes)
+        return counts
 
     def aggregate(self, v: np.ndarray) -> np.ndarray:
         """Block sums over the last axis of a (..., n) array in outcome order.
@@ -354,11 +365,27 @@ def sample_uniform(n: int, rng: np.random.Generator) -> BarycentricVector:
 
 
 def sample_uniform_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(size, n) array of uniform simplex points."""
+    """(size, n) array of uniform simplex points: each row holds n standard
+    exponentials divided, in place, by their sum."""
     if n < 2:
         raise ValueError(f"need at least two outcomes, got n={n}")
-    e = rng.standard_exponential((size, n))
-    return e / e.sum(axis=1, keepdims=True)
+    return _normalise_rows(rng.standard_exponential((size, n)))
+
+
+def _normalise_rows(e: np.ndarray) -> np.ndarray:
+    """Divide each row of a 2-D array by its sum, in place, and return it.
+
+    The sums add the columns left to right into one (m,) array, which is
+    faster than a reduce over short rows and allocates no second (m, n)
+    array.  numpy sums a row of fewer than 8 terms left to right too, so
+    for up to 7 columns the result is bit-identical to
+    e / e.sum(axis=1, keepdims=True); wider rows may differ in the last bit.
+    """
+    s = e[:, 0].copy()
+    for j in range(1, e.shape[1]):
+        s += e[:, j]
+    e /= s[:, None]
+    return e
 
 
 def iter_partitions(n: int) -> Iterator[tuple[frozenset[int], ...]]:

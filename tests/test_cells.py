@@ -217,6 +217,50 @@ def test_sample_in_cells_triangle_membership(rng):
         assert (ab.sum(axis=1) <= 1 + 1e-9).all()
 
 
+def _vertex_tensor_triangles(k, idx, rng):
+    """The triangle sampler over an (m, 3, 2) tensor of cell corners."""
+    tris = triangle_vertices(k, idx)
+    r = rng.random((idx.size, 2))
+    flip = r.sum(axis=1) > 1.0
+    r[flip] = 1.0 - r[flip]
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    uv = a + r[:, :1] * (b - a) + r[:, 1:] * (c - a)
+    return np.column_stack([1.0 - uv.sum(axis=1), uv])
+
+
+def _column_stack_slabs(n, n_cells, idx, rng):
+    """The slab sampler with numpy's row sum and a column_stack."""
+    p = (idx + rng.random(idx.size)) / n_cells
+    lam1 = 1.0 - (1.0 - p) ** (1.0 / (n - 1))
+    rest = rng.standard_exponential((idx.size, n - 1))
+    rest /= rest.sum(axis=1, keepdims=True)
+    return np.column_stack([lam1, (1.0 - lam1)[:, None] * rest])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 256])
+def test_triangle_sampler_keeps_the_bits_of_the_vertex_tensor(k):
+    idx = np.random.default_rng(k).integers(0, k * k, 5000)
+    pts = sample_in_cells(3, k * k, idx, np.random.default_rng(1))
+    assert np.array_equal(pts, _vertex_tensor_triangles(k, idx, np.random.default_rng(1)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 6])
+def test_slab_sampler_keeps_the_bits_of_the_column_stack(n):
+    n_c = 7
+    idx = np.random.default_rng(n).integers(0, n_c, 5000)
+    pts = sample_in_cells(n, n_c, idx, np.random.default_rng(2))
+    assert np.array_equal(pts, _column_stack_slabs(n, n_c, idx, np.random.default_rng(2)))
+
+
+def test_sample_in_cells_refuses_cells_off_the_subdivision(rng):
+    # each of these once returned points off the simplex, or NaN
+    for n, n_c, cells in [(3, 10, [9]), (3, 9, [9]), (4, 8, [8]), (4, 8, [0, -1]),
+                          (2, 4, [4, 0]), (1, 4, [0]), (4, MAX_CELLS + 1, [0])]:
+        with pytest.raises(ValueError):
+            sample_in_cells(n, n_c, np.array(cells), rng)
+    assert sample_in_cells(4, 8, np.array([], dtype=int), rng).shape == (0, 4)
+
+
 def test_sample_in_cells_slab_membership(rng):
     n, n_c = 5, 6
     bounds = slab_bounds(n, n_c)

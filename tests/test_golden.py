@@ -53,6 +53,18 @@ GOLDEN = {
                     "cell_counts": [4, 9], "density_samples": 300, "point_samples": 40}},
         "c50c7ee2efbc4408e6ce52fa65fa972bae2e7887a359f7f97d0c930593171115",
     ),
+    "universal_mc_n4_slabs": (
+        {"kind": "universal", "seed": 18,
+         "params": {"method": "mc", "x": [0.1, 0.2, 0.3, 0.4], "blocks": [[1, 4], [2, 3]],
+                    "cell_counts": [5, 16], "density_samples": 300, "point_samples": 40}},
+        "2ed155c99e0483dabc9472c915733d3b9db2a951785d04f7af9772d67501e133",
+    ),
+    "utr_n6": (
+        {"kind": "utr", "seed": 19,
+         "params": {"x": [0.05, 0.1, 0.15, 0.2, 0.22, 0.28],
+                    "blocks": [[1, 6], [2, 3], [4], [5]], "trials": 100000}},
+        "537a2c9c1295b95b5192510e30d078dd866acbb7512c43e2aa4f50b841121c1c",
+    ),
     "oracle": (
         {"kind": "oracle", "seed": 17, "params": {"dims": [2, 3, 4, 5], "states": 40}},
         "43c6bf4aaf1c0092f5a2f09871d1fbf185ce2095fa7017e8be7fe702461c146b",

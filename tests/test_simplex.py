@@ -329,6 +329,12 @@ def test_count_matches_a_per_row_tally(rng):
                     counts[g, p.block_of(int(r)) - 1] -= 1
             assert not counts.any()
     assert OutcomePartition.singletons(3).count(np.array([3, 1, 3])).tolist() == [[1, 0, 2]]
+    # blocks that are not runs of consecutive outcomes, over three groups
+    counts = OutcomePartition.of([[2, 4, 5], [1, 3]]).count(
+        np.array([1, 4, 5, 5, 2, 2, 3, 1, 3, 4, 4, 4]), 3
+    )
+    assert counts.tolist() == [[3, 1], [2, 2], [3, 1]]
+    assert counts.dtype.kind == "i"
 
 
 def test_block_map_is_built_once_and_read_only():
@@ -354,6 +360,41 @@ def test_partition_enumeration_counts():
     # Bell numbers
     for n, bell in [(2, 2), (3, 5), (4, 15), (5, 52)]:
         assert sum(1 for _ in iter_partitions(n)) == bell
+
+
+def _row_sum_divide(n, size, rng):
+    """The sampler as numpy's row sum writes it: e / e.sum(axis=1)."""
+    e = rng.standard_exponential((size, n))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_uniform_sampler_keeps_the_bits_of_the_row_sum_divide(n):
+    # numpy adds a row of fewer than 8 terms left to right, as the
+    # column-wise sums do, so the points are the same bits
+    pts = sample_uniform_batch(n, 20000, np.random.default_rng(n))
+    assert np.array_equal(pts, _row_sum_divide(n, 20000, np.random.default_rng(n)))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_wide_uniform_sampler_rows_sum_to_one(n, rng):
+    pts = sample_uniform_batch(n, 20000, rng)
+    assert np.abs(pts.sum(axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
+    assert (pts >= 0).all()
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_uniform_sampler_holds_one_point_array(n, rng):
+    # the points and one (m,) array of row sums: a second (m, n) array for
+    # the quotient, as e / e.sum(...) allocates, would pass the bound
+    m = 65536
+    tracemalloc.start()
+    try:
+        sample_uniform_batch(n, m, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n + 2) * m
 
 
 def test_uniform_sampler_marginals(rng):

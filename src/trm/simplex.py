@@ -23,11 +23,18 @@ smallest ratios agree within TIE_RTOL relatively.  Both the argmin and the
 relative tie test are invariant under scaling a row.
 
 Uniform break points are normalised exponential spacings: n iid standard
-exponentials divided by their sum are uniform on the simplex.
-sample_uniform_batch draws them as one (m, n) array and divides it in place
-by row sums added up column by column, so it holds one (m, n) and one (m,)
-array.  For n <= 7 those sums, and so the points, have the same bits as
-numpy's own row sum; wider rows may differ in the last bit.
+exponentials divided by their sum are uniform on the simplex.  The utr and
+complementary trials never divide: since a region depends only on the
+direction of a row, they compare the raw exponentials, drawn outcome-major
+by _exponential_break_points so that every column the region pass reads is
+contiguous, and P(i) = x_i still holds exactly.  This revision changed the
+utr and complementary random streams accordingly.
+
+sample_uniform_batch remains the public normalised sampler, and its only
+library caller is sample_uniform.  It draws one (m, n) array and divides it
+in place by row sums added up column by column, so it holds one (m, n) and
+one (m,) array.  For n <= 7 those sums, and so the points, have the same
+bits as numpy's own row sum; wider rows may differ in the last bit.
 
 OutcomePartition owns the grouping of outcomes into blocks.  It builds its
 outcome-to-block map once, checks that a state has the outcomes it covers
@@ -187,8 +194,13 @@ class OutcomePartition:
         group (for example one sampled density or one cell each).  One
         bincount tallies (group, outcome) pairs; the outcome columns are then
         added into their blocks, so no per-region block lookup is made.
+        Raises ValueError when a region lies outside 1..n, which would
+        otherwise be tallied in a neighbouring group.
         """
         n = self.n
+        regions = np.asarray(regions)
+        if regions.size and (regions.min() < 1 or regions.max() > n):
+            raise ValueError(f"regions must lie in 1..{n}")
         bins = np.reshape(regions, (groups, -1)) + n * np.arange(groups)[:, None]
         outcomes = np.bincount(bins.ravel(), minlength=groups * n + 1)[1:].reshape(groups, n)
         counts = np.zeros((groups, self.n_blocks), dtype=outcomes.dtype)
@@ -370,6 +382,23 @@ def sample_uniform_batch(n: int, size: int, rng: np.random.Generator) -> np.ndar
     if n < 2:
         raise ValueError(f"need at least two outcomes, got n={n}")
     return _normalise_rows(rng.standard_exponential((size, n)))
+
+
+def _exponential_break_points(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(size, n) break points as raw standard exponentials, outcome-major.
+
+    Each row is a uniform simplex point times a positive scale (its row
+    sum), and the rows are never divided by it: outcome regions do not
+    depend on that scale.  A break point lam lies in A_i when i minimizes
+    lam_j / x_j; scaling the row scales every ratio alike, so neither the
+    argmin nor the relative TIE_RTOL test moves.  With the roles swapped
+    (_regions_at_break_point, where the row is a state s and the break
+    point is fixed) every ratio lam_j / s_j scales by the same row sum too.
+
+    The values are drawn as an (n, size) array and returned transposed, so
+    each column pts[:, j] that _ratio_regions reads is contiguous.
+    """
+    return rng.standard_exponential((n, size)).T
 
 
 def _normalise_rows(e: np.ndarray) -> np.ndarray:

@@ -23,11 +23,11 @@ from .errors import ImpossibleOutcomeError
 from .simplex import (
     BarycentricVector,
     OutcomePartition,
+    _exponential_break_points,
     _ratio_regions,
     regions_of_batch,
     resolve_ties,
     sample_uniform,
-    sample_uniform_batch,
 )
 
 __all__ = [
@@ -130,7 +130,7 @@ def run_batch(
     xv = x.as_array()
     regions = resolve_ties(
         trials,
-        lambda rows: regions_of_batch(xv, sample_uniform_batch(x.n, rows.size, rng)),
+        lambda rows: regions_of_batch(xv, _exponential_break_points(x.n, rows.size, rng)),
         f"for state {x.components}",
     )
     return partition.count(regions)[0]
@@ -217,7 +217,9 @@ def complementary_mc(
     lv = lam.as_array()
     regions = resolve_ties(
         trials,
-        lambda rows: _regions_at_break_point(lv, sample_uniform_batch(lam.n, rows.size, rng)),
+        lambda rows: _regions_at_break_point(
+            lv, _exponential_break_points(lam.n, rows.size, rng)
+        ),
         f"at break point {lam.components}",
     )
     return OutcomePartition.singletons(lam.n).count(regions)[0] / trials

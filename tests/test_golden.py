@@ -18,7 +18,7 @@ GOLDEN = {
     "utr_blocks": (
         {"kind": "utr", "seed": 11,
          "params": {"x": [0.1, 0.2, 0.3, 0.4], "blocks": [[1, 4], [2], [3]], "trials": 100000}},
-        "2abff08da40185004708658f6df9f0eac94d430b62292e8a02452df3515af108",
+        "78969919d120d978ef326ab8c437db2bc3504ca848b7e6e4a5f4cde4553c2c1e",
     ),
     "utr_vertex": (
         {"kind": "utr", "seed": 12,
@@ -63,7 +63,7 @@ GOLDEN = {
         {"kind": "utr", "seed": 19,
          "params": {"x": [0.05, 0.1, 0.15, 0.2, 0.22, 0.28],
                     "blocks": [[1, 6], [2, 3], [4], [5]], "trials": 100000}},
-        "537a2c9c1295b95b5192510e30d078dd866acbb7512c43e2aa4f50b841121c1c",
+        "f9f101cef48fce9e030092c09b42efec0b04e332c386b5e557a6fab9e2dcd4e8",
     ),
     "oracle": (
         {"kind": "oracle", "seed": 17, "params": {"dims": [2, 3, 4, 5], "states": 40}},

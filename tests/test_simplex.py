@@ -211,6 +211,33 @@ def test_fixed_break_point_kernel_matches_sort_reference(n, zeros, seed):
     np.testing.assert_array_equal(idx[~tie], ref_idx[~tie])
 
 
+@given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_scaling_rows_changes_no_region(n, zeros, seed):
+    # utr and complementary trials compare raw exponentials, never divided
+    # by their row sums: a positive row scale must move no index and no tie
+    gen = np.random.default_rng(seed)
+    w, probes, rows = _kernel_case(gen, n, min(zeros, n - 1))
+    # zero components in the rows too, with none left all zero
+    rows[gen.random(rows.shape) < 0.3] = 0.0
+    rows[np.all(rows == 0.0, axis=1), 0] = 1.0
+    pts = np.vstack([rows] + [np.where(w > 0.0, r * w, gen.random(r.shape)) for r, _ in probes])
+    states = np.vstack([rows] + [np.where(w > 0.0, w / r, 0.0) for r, _ in probes])
+    expect = np.repeat([e for _, e in probes], [r.shape[0] for r, _ in probes]).astype(bool)
+    for kernel, base in (
+        (lambda p: regions_of_batch(w, p), pts),
+        (lambda s: _regions_at_break_point(w, s), states),
+    ):
+        idx, tie = kernel(base)
+        np.testing.assert_array_equal(tie[rows.shape[0] :], expect)
+        # each row's own 1 / sum, which normalises it, and log-uniform
+        # factors in [1e-3, 1e3]
+        for scale in (1.0 / base.sum(axis=1), 10.0 ** gen.uniform(-3.0, 3.0, base.shape[0])):
+            s_idx, s_tie = kernel(base * scale[:, None])
+            np.testing.assert_array_equal(s_tie, tie)
+            np.testing.assert_array_equal(s_idx[~tie], idx[~tie])
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_regions_of_batch_builds_no_ratio_matrix(n, rng):
     # an (m, n) float matrix of ratios alone is n * m * 8 bytes; the
@@ -335,6 +362,14 @@ def test_count_matches_a_per_row_tally(rng):
     )
     assert counts.tolist() == [[3, 1], [2, 2], [3, 1]]
     assert counts.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("regions", [[1, 4, 2, 2], [1, 0, 2, 2]])
+def test_count_refuses_regions_outside_the_outcomes(regions):
+    # unchecked, a region 4 was tallied as outcome 1 of the next group and a
+    # region 0 as outcome 3 of the previous one
+    with pytest.raises(ValueError, match=r"1\.\.3"):
+        OutcomePartition.singletons(3).count(np.array(regions), 2)
 
 
 def test_block_map_is_built_once_and_read_only():

@@ -1,6 +1,8 @@
 """Measurement law on the simplex: outcome statistics, degenerate blocks,
 sequential chains, fixed-break-point laws, and the product-state relations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,13 @@ from trm import (
     outcome_probabilities,
     product_probability_check,
     product_relation_residuals,
+    regions_of_batch,
     run_batch,
     run_once,
     sequential_probability,
 )
+from trm.utr import _regions_at_break_point
+
 from conftest import random_interior_state
 
 X4 = BarycentricVector((0.1, 0.2, 0.3, 0.4))
@@ -64,6 +69,54 @@ def test_run_batch_frequencies_within_bands(rng):
     freqs = counts / trials
     sigma = np.sqrt(X4.as_array() * (1 - X4.as_array()) / trials)
     assert (np.abs(freqs - X4.as_array()) <= 4 * sigma).all()
+
+
+def _normalised_outcome_major_draw(seed, n, size):
+    """The draw run_batch and complementary_mc make from a fresh generator,
+    written the long way: (n, size) exponentials, transposed so each row
+    is one trial, and each row divided by its sum."""
+    e = np.random.default_rng(seed).standard_exponential((n, size)).T
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "x, blocks",
+    [
+        ((0.1, 0.2, 0.3, 0.4), [[1, 4], [2], [3]]),
+        ((0.05, 0.1, 0.0, 0.2, 0.3, 0.35), [[1, 6], [2, 3], [4], [5]]),
+    ],
+)
+def test_raw_draws_decide_as_normalised_points_do(x, blocks):
+    # run_batch and complementary_mc never divide their exponentials by the
+    # row sums; a tally of the normalised copy of the same draw must agree
+    x, p, trials = BarycentricVector(x), OutcomePartition.of(blocks), 50_000
+    pts = _normalised_outcome_major_draw(7, x.n, trials)
+    idx, tie = regions_of_batch(x, pts)
+    assert not tie.any()
+    expect = [np.isin(idx, sorted(b)).sum() for b in p.blocks]
+    assert run_batch(x, p, trials, np.random.default_rng(7)).tolist() == expect
+    idx, tie = _regions_at_break_point(x.as_array(), pts)
+    assert not tie.any()
+    freqs = complementary_mc(x, trials, np.random.default_rng(7))
+    np.testing.assert_array_equal(freqs, np.bincount(idx, minlength=x.n + 1)[1:] / trials)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_trial_kernels_hold_the_draw_and_a_few_columns(n, rng):
+    # the (m, n) draw and about six (m,) arrays; an (m, n) ratio matrix
+    # next to the draw exceeds the bound, and so does, at n = 6, a
+    # normalised (m, n) copy made while the draw is alive
+    m = 65536
+    x = BarycentricVector(tuple(random_interior_state(rng, n)))
+    p = OutcomePartition.singletons(n)
+    for run in (lambda: run_batch(x, p, m, rng), lambda: complementary_mc(x, m, rng)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 7) * 8 * m
 
 
 def test_run_batch_vertex_state_is_deterministic(rng):

@@ -117,7 +117,7 @@ def _blocks(params: Mapping[str, Any]) -> OutcomePartition:
 _POSITIVE = integer_in(1)
 _SEED = integer_in(0, 2**64 - 1)
 _STATE = {"x": (_state, REQUIRED), "blocks": (_partition, None)}
-_CELLS = {"cell_counts": (array_field(_POSITIVE, min_len=1), None), "n_cells": (_POSITIVE, None)}
+_CELLS = {"cell_counts": (array_field(_POSITIVE, min_len=1), REQUIRED)}
 _STEP = {"sign": (_sign, REQUIRED), "direction": (_bloch, REQUIRED)}
 
 # Field that selects the mode of a kind, and its default.
@@ -242,12 +242,9 @@ def _run_gtr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, 
 
 def _run_universal(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
     x, partition, method = params["x"], _blocks(params), params["method"]
-    if (params["cell_counts"] is None) == (params["n_cells"] is None):
-        raise SchemaError("universal params needs exactly one of cell_counts and n_cells")
-    counts = params["cell_counts"] or [params["n_cells"]]
     sizes = {k: params[k] for k in ("density_samples", "point_samples") if k in params}
     rows = convergence_scan(
-        x, counts, seed, method, partition=partition, workers=workers, **sizes
+        x, params["cell_counts"], seed, method, partition=partition, workers=workers, **sizes
     )
     result = {
         "x": list(x.components),
@@ -348,13 +345,26 @@ def _refuse_constant(token: str) -> Any:
     raise SchemaError(f"config holds {token}, which is not a JSON number")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict, refusing a repeated key, of which json.loads
+    would keep the last value and drop the others unseen."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"config repeats the key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path: Path, forced_kind: str | None) -> tuple[dict, str, int, dict]:
     try:
         text = path.read_text()
     except OSError as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from None
     try:
-        config = json.loads(text, parse_constant=_refuse_constant)
+        config = json.loads(
+            text, parse_constant=_refuse_constant, object_pairs_hook=_unique_keys
+        )
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config {path} is not valid JSON: {exc}") from None
     spec = {"kind": (_document, forced_kind), "seed": (_SEED, None), "params": (_document, {})}

@@ -15,8 +15,6 @@ simplex route is the library's own code, OutcomePartition.aggregate for the
 block probabilities and utr.restrict for the collapses, applied to the
 squared moduli.  Only the outcome grouping, which both routes need, is
 shared.
-
-States serialize as JSON arrays of [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,10 +40,7 @@ __all__ = [
     "correspondence_batch",
     "is_product_state",
     "product_state",
-    "state_from_json",
-    "state_to_json",
     "tensor",
-    "utr_correspondence",
 ]
 
 NORM_TOL = 1e-9
@@ -218,12 +212,11 @@ def product_state(
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    """Verdict of the Hilbert-vs-simplex comparison: ok says max_deviation
-    <= tol.  From utr_correspondence they are a bool and a float; from
-    correspondence_batch they are arrays with one entry per state."""
+    """Verdict of the Hilbert-vs-simplex comparison, as (S,) arrays with one
+    entry per state: ok says max_deviation <= tol."""
 
-    ok: bool | np.ndarray
-    max_deviation: float | np.ndarray
+    ok: np.ndarray
+    max_deviation: np.ndarray
     partitions_checked: int
 
 
@@ -308,28 +301,3 @@ def _collapsed_moduli(
     post = post @ base
     post = post @ base.conj().T
     return np.abs(post) ** 2
-
-
-def utr_correspondence(
-    state: HilbertState,
-    basis: np.ndarray | None = None,
-    tol: float = 1e-12,
-) -> CorrespondenceReport:
-    """Compare the Hilbert route against the simplex route on every grouping:
-    correspondence_batch for the one state."""
-    batch = correspondence_batch(state.as_array()[None, :], basis, tol)
-    return CorrespondenceReport(
-        bool(batch.ok[0]), float(batch.max_deviation[0]), batch.partitions_checked
-    )
-
-
-def state_to_json(state: HilbertState) -> list[list[float]]:
-    return [[a.real, a.imag] for a in state.amplitudes]
-
-
-def state_from_json(doc: Sequence[Sequence[float]]) -> HilbertState:
-    try:
-        amps = tuple(complex(float(re), float(im)) for re, im in doc)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"amplitudes must be [re, im] pairs: {exc}") from None
-    return HilbertState(amps)

@@ -30,11 +30,11 @@ by _exponential_break_points so that every column the region pass reads is
 contiguous, and P(i) = x_i still holds exactly.  This revision changed the
 utr and complementary random streams accordingly.
 
-sample_uniform_batch remains the public normalised sampler, and its only
-library caller is sample_uniform.  It draws one (m, n) array and divides it
-in place by row sums added up column by column, so it holds one (m, n) and
-one (m,) array.  For n <= 7 those sums, and so the points, have the same
-bits as numpy's own row sum; wider rows may differ in the last bit.
+sample_uniform_batch remains the public normalised sampler, with no caller
+in the library.  It draws one (m, n) array and divides it in place by row
+sums added up column by column, so it holds one (m, n) and one (m,) array.
+For n <= 7 those sums, and so the points, have the same bits as numpy's own
+row sum; wider rows may differ in the last bit.
 
 OutcomePartition owns the grouping of outcomes into blocks.  It builds its
 outcome-to-block map once, checks that a state has the outcomes it covers
@@ -68,7 +68,6 @@ __all__ = [
     "region_of",
     "regions_of_batch",
     "resolve_ties",
-    "sample_uniform",
     "sample_uniform_batch",
     "simplex_measure",
 ]
@@ -173,10 +172,9 @@ class OutcomePartition:
 
     def block_of(self, outcome: int) -> int:
         """1-based index of the block containing a 1-based outcome index."""
-        for k, b in enumerate(self.blocks, start=1):
-            if outcome in b:
-                return k
-        raise ValueError(f"outcome {outcome} outside 1..{self.n}")
+        if outcome not in range(1, self.n + 1):
+            raise ValueError(f"outcome {outcome} outside 1..{self.n}")
+        return int(self._map[int(outcome) - 1]) + 1
 
     def block_map(self) -> np.ndarray:
         """Read-only array mapping 0-based outcome index to 0-based block
@@ -365,15 +363,6 @@ def resolve_ties(
             f"{MAX_BOUNDARY_RETRIES} consecutive boundary draws {what}"
         )
     return out
-
-
-def sample_uniform(n: int, rng: np.random.Generator) -> BarycentricVector:
-    """One point drawn uniformly from the (n-1)-simplex.
-
-    Normalized exponential spacings: n iid standard exponentials divided by
-    their sum are uniform on the simplex.
-    """
-    return BarycentricVector(tuple(sample_uniform_batch(n, 1, rng)[0]))
 
 
 def sample_uniform_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:

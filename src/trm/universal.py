@@ -14,40 +14,32 @@ exact cell law of cells.cell_fraction_in_regions, for any number of
 outcomes and cells, and averages them over the subsets without enumerating
 any: each cell lies in C(n_c-1, k-1) of the C(n_c, k) subsets of size k, so
 the subset average of mean_{c in B} f[:, c] is the plain cell mean of f.
-universal_probability_mc samples subsets and break points instead.  Its
-kernel, mc_batch, draws a chunk of densities at once: an (m, n_c) subset
-bitmask with the empty rows redrawn, each row's point cells picked among
-its set bits, one tie-resolved break-point draw for all of the chunk's
-rows, and one OutcomePartition.count for the per-density estimates.
+No route builds the 2^n_c - 1 densities one by one; the test suite keeps
+that enumeration as its oracle.  universal_probability_mc samples subsets
+and break points instead.  Its kernel, mc_batch, draws a chunk of densities
+at once: an (m, n_c) subset bitmask with the empty rows redrawn, each row's
+point cells picked among its set bits, one tie-resolved break-point draw
+for all of the chunk's rows, and one OutcomePartition.count for the
+per-density estimates.
 convergence_scan tabulates either route against the uniform law over a
 range of cell counts.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cells import (
-    CellularDensity,
-    cell_fraction_in_regions,
-    check_subdivision,
-    sample_in_cells,
-)
+from .cells import cell_fraction_in_regions, check_subdivision, sample_in_cells
 from .shards import run_sharded
 from .simplex import BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
 
 __all__ = [
-    "ENUMERATION_LIMIT",
     "convergence_scan",
-    "enumerate_cellular",
     "universal_probability_exact",
     "universal_probability_mc",
 ]
-
-# Largest cell count of enumerate_cellular (2^24 - 1 subsets).
-ENUMERATION_LIMIT = 24
 
 # Densities per shard block of convergence_scan's sampling route; a density
 # sample is much heavier than a utr trial.
@@ -59,20 +51,6 @@ UNIVERSAL_BLOCK = 256
 # subset has at most cells.MAX_CELLS bits; a density with more points than
 # this draws them in chunks of this size.
 MC_CHUNK_ROWS = 2048
-
-
-def enumerate_cellular(n_outcomes: int, n_cells: int) -> Iterator[CellularDensity]:
-    """All cellular densities on a subdivision: one per nonempty cell subset.
-
-    Subsets come in bitmask order (cell 1 is the lowest bit).
-    """
-    if n_cells > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"enumeration over 2^{n_cells} subsets refused; limit is {ENUMERATION_LIMIT}"
-        )
-    for mask in range(1, 1 << n_cells):
-        cells = frozenset(c + 1 for c in range(n_cells) if mask >> c & 1)
-        yield CellularDensity(n_outcomes, n_cells, cells)
 
 
 def universal_probability_exact(

@@ -14,7 +14,6 @@ estimates the law for any dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,11 +26,9 @@ from .simplex import (
     _ratio_regions,
     regions_of_batch,
     resolve_ties,
-    sample_uniform,
 )
 
 __all__ = [
-    "UtrOutcome",
     "collapse",
     "complementary_mc",
     "complementary_probabilities",
@@ -40,18 +37,8 @@ __all__ = [
     "product_relation_residuals",
     "restrict",
     "run_batch",
-    "run_once",
     "sequential_probability",
 ]
-
-@dataclass(frozen=True)
-class UtrOutcome:
-    """One measurement event: which block fired, the collapsed state, and
-    the break point that decided it."""
-
-    block_index: int
-    post_state: BarycentricVector
-    breaking_point: BarycentricVector
 
 
 def outcome_probabilities(x: BarycentricVector, partition: OutcomePartition) -> np.ndarray:
@@ -90,26 +77,6 @@ def restrict(x: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kept = np.where(mask, x, 0.0)
     weight = kept.sum(axis=-1)
     return weight, kept / np.where(weight == 0.0, 1.0, weight)[..., None]
-
-
-def run_once(
-    x: BarycentricVector, partition: OutcomePartition, rng: np.random.Generator
-) -> UtrOutcome:
-    """Sample one measurement event.
-
-    Break points landing on a region boundary are resampled; after
-    MAX_BOUNDARY_RETRIES consecutive boundary hits the trial is abandoned
-    with UnstableEquilibriumError.
-    """
-    drawn: list[BarycentricVector] = []
-
-    def draw(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        drawn.append(sample_uniform(x.n, rng))
-        return regions_of_batch(x, drawn[-1].as_array())
-
-    region = int(resolve_ties(1, draw, f"for state {x.components}")[0])
-    block = partition.block_of(region)
-    return UtrOutcome(block, collapse(x, partition, block), drawn[-1])
 
 
 def run_batch(

@@ -21,7 +21,6 @@ from trm import (
     collapse,
     complementary_mc,
     complementary_probabilities,
-    enumerate_cellular,
     epsilon_probability,
     height,
     is_product_state,
@@ -37,12 +36,13 @@ from trm import (
     transition_probabilities_nd,
     universal_probability_exact,
     universal_probability_mc,
-    utr_correspondence,
 )
 from trm.checker import JointTriple
 from trm.gtr import Z_MAX, Epsilon
-from trm.hilbert import HilbertState
+from trm.hilbert import HilbertState, correspondence_batch
 from trm.simplex import facet_measure
+
+from conftest import enumerate_cellular
 
 SEED = 20260815
 
@@ -221,13 +221,12 @@ def test_c08_hilbert_route_equals_simplex_route():
     to five; the antisymmetric state shows the 0-vs-1/4 contradiction."""
     gen = np.random.default_rng(SEED + 8)
     for n in (2, 3, 4, 5):
-        worst = 0.0
-        for _ in range(1000):
-            raw = gen.normal(size=n) + 1j * gen.normal(size=n)
-            state = HilbertState(tuple(raw / np.linalg.norm(raw)))
-            rep = utr_correspondence(state, tol=1e-12)
-            assert rep.ok, (n, rep)
-            worst = max(worst, rep.max_deviation)
+        # state by state, n real parts then n imaginary parts
+        raw = gen.normal(size=(1000, 2, n))
+        amps = raw[:, 0] + 1j * raw[:, 1]
+        rep = correspondence_batch(amps / np.linalg.norm(amps, axis=1, keepdims=True), tol=1e-12)
+        assert rep.ok.all(), (n, rep.max_deviation.max())
+        worst = rep.max_deviation.max()
         assert worst < 1e-12, (n, worst)
     singlet = HilbertState((0.0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0.0))
     check = is_product_state(singlet)

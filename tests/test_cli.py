@@ -199,10 +199,12 @@ def _gtr_nd(cellular):
         ("gtr", _gtr_1d(cos_theta=float("inf")), 2),
         ("oracle", {"dims": [], "states": 1}, 2),
         # one cell more than any subdivision holds
-        ("universal", {"x": [0.5, 0.5], "n_cells": MAX_CELLS + 1}, 3),
-        ("universal", {"x": [0.5, 0.5], "n_cells": MAX_CELLS + 1, "method": "mc",
+        ("universal", {"x": [0.5, 0.5], "cell_counts": [MAX_CELLS + 1]}, 3),
+        ("universal", {"x": [0.5, 0.5], "cell_counts": [MAX_CELLS + 1], "method": "mc",
                        "density_samples": 2, "point_samples": 1}, 3),
         ("gtr", _gtr_nd({"n_outcomes": 4, "n_cells": MAX_CELLS + 1, "breakable": [1]}), 3),
+        # n_cells is not a universal field: cell_counts gives every count
+        ("universal", {"x": [0.5, 0.5], "n_cells": 4}, 2),
     ],
 )
 def test_malformed_values_are_rejected_without_output(tmp_path, kind, params, code):
@@ -213,6 +215,30 @@ def test_malformed_values_are_rejected_without_output(tmp_path, kind, params, co
 def test_unknown_top_level_field_is_rejected_without_output(tmp_path):
     doc = {"kind": "oracle", "seed": 1, "params": {"dims": [2], "states": 1}, "note": "x"}
     assert_rejected(run_cli("run", write_config(tmp_path, "bad.json", doc)), 2)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"kind": "utr", "seed": 1, "seed": 2, "params": {"x": [0.5, 0.5], "trials": 10}}',
+         "seed"),
+        ('{"kind": "utr", "seed": 1, "params": {"x": [0.5, 0.5], "trials": 10, "trials": 1000}}',
+         "trials"),
+        ('{"kind": "gtr", "seed": 1, "params": {"cos_theta": 0.5, '
+         '"density": {"type": "epsilon", "epsilon": 0.5, "epsilon": 1.0}}}', "epsilon"),
+        ('{"kind": "classify", "seed": 1, "params": {"bundle": {"joints": '
+         '[{"p_vw": 0.5, "p_uw": 0.5, "p_ucv": 0.5, "p_uw": 0.2}]}}}', "p_uw"),
+    ],
+    ids=["top-level", "params", "density", "bundle-entry"],
+)
+def test_repeated_keys_are_rejected_without_output(tmp_path, text, key):
+    cfg = tmp_path / "repeated.json"
+    cfg.write_text(text)
+    out = tmp_path / "out.json"
+    proc = run_cli("run", cfg, "--out", out)
+    assert_rejected(proc, 2)
+    assert repr(key) in proc.stderr
+    assert not out.exists()
 
 
 def assert_rejected(proc, code):

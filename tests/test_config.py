@@ -72,7 +72,7 @@ BASES = [
                          "breakable": [1, 2]}}),
     ("gtr", {"mode": "nd", "x": [0.4, 0.6], "density": {"type": "uniform"}}),
     ("universal", {"method": "exact", "x": [0.4, 0.6], "cell_counts": [1, 2]}),
-    ("universal", {"method": "mc", "x": [0.2, 0.3, 0.5], "n_cells": 4,
+    ("universal", {"method": "mc", "x": [0.2, 0.3, 0.5], "cell_counts": [4],
                    "density_samples": 4, "point_samples": 4}),
     ("sphere", {"mode": "counterexample", "epsilon": 0.5}),
     ("sphere", SEQUENTIAL),

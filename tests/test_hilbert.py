@@ -20,16 +20,9 @@ from trm import (
     is_product_state,
     product_state,
     tensor,
-    utr_correspondence,
 )
 from trm import cli
-from trm.hilbert import (
-    NORM_TOL,
-    collapse,
-    correspondence_batch,
-    state_from_json,
-    state_to_json,
-)
+from trm.hilbert import NORM_TOL, collapse, correspondence_batch
 from trm.simplex import iter_partitions
 from trm.utr import collapse as utr_collapse
 from trm.utr import outcome_probabilities
@@ -174,15 +167,16 @@ def test_phase_blind_law_misses_entanglement():
 
 def test_correspondence_computational_basis(rng):
     for n, bell in [(2, 2), (3, 5), (4, 15), (5, 52)]:
-        rep = utr_correspondence(random_state(rng, n))
-        assert rep.ok and rep.partitions_checked == bell
-        assert rep.max_deviation < 1e-12
+        rep = correspondence_batch(random_state(rng, n).as_array()[None, :])
+        assert rep.ok[0] and rep.partitions_checked == bell
+        assert rep.max_deviation[0] < 1e-12
 
 
 def test_correspondence_random_unitary_basis(rng):
     for n in (2, 3, 4):
-        rep = utr_correspondence(random_state(rng, n), basis=haar_basis(rng, n))
-        assert rep.ok, rep
+        state = random_state(rng, n)
+        rep = correspondence_batch(state.as_array()[None, :], haar_basis(rng, n))
+        assert rep.ok[0], rep
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -190,15 +184,8 @@ def test_correspondence_random_unitary_basis(rng):
 def test_correspondence_property(seed):
     gen = np.random.default_rng(seed)
     n = int(gen.integers(2, 5))
-    rep = utr_correspondence(random_state(gen, n))
-    assert rep.ok
-
-
-def test_state_json_roundtrip(rng):
-    s = random_state(rng, 4)
-    doc = state_to_json(s)
-    back = state_from_json(doc)
-    np.testing.assert_allclose(back.as_array(), s.as_array(), atol=1e-15)
+    rep = correspondence_batch(random_state(gen, n).as_array()[None, :])
+    assert rep.ok[0]
 
 
 def test_batch_agrees_with_one_row_calls_and_the_loop_reference(rng):
@@ -209,10 +196,10 @@ def test_batch_agrees_with_one_row_calls_and_the_loop_reference(rng):
         assert batch.ok.shape == batch.max_deviation.shape == (30,)
         for s, row in enumerate(amps):
             state = HilbertState(tuple(row))
-            one = utr_correspondence(state)
-            assert one.ok == batch.ok[s]
+            one = correspondence_batch(state.as_array()[None, :])
+            assert one.ok[0] == batch.ok[s]
             assert one.partitions_checked == bell
-            assert abs(one.max_deviation - batch.max_deviation[s]) <= 1e-15
+            assert abs(one.max_deviation[0] - batch.max_deviation[s]) <= 1e-15
             worst, checked = loop_correspondence(state)
             assert checked == bell
             assert abs(worst - batch.max_deviation[s]) <= 1e-15
@@ -241,7 +228,7 @@ def test_batch_checks_basis_and_norms(rng):
         state = HilbertState(tuple(amps[0]))
         worst, _ = loop_correspondence(state, basis)
         assert abs(worst - batch.max_deviation[0]) <= 1e-15
-        assert utr_correspondence(state, basis=basis).ok
+        assert correspondence_batch(state.as_array()[None, :], basis).ok[0]
     amps = random_amplitudes(rng, 4, 3)
     with pytest.raises(ValueError, match="orthonormal"):
         correspondence_batch(amps, basis=np.array([[1, 0, 0], [1, 0, 0], [0, 0, 1]]))

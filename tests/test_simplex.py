@@ -327,6 +327,19 @@ def test_partition_validation():
     assert p.aggregate(np.array([0.1, 0.2, 0.3, 0.4])).tolist() == [0.2 + 0.4, 0.1 + 0.3]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_block_of_reads_the_block_map(n):
+    for blocks in iter_partitions(n):
+        p = OutcomePartition(blocks)
+        for i in range(1, n + 1):
+            assert p.block_of(i) == p.block_map()[i - 1] + 1
+            assert i in p.blocks[p.block_of(i) - 1]
+        assert p.block_of(float(n)) == p.block_of(n)
+        for outside in (0, n + 1, 1.5):
+            with pytest.raises(ValueError):
+                p.block_of(outside)
+
+
 def test_aggregate_batches_rows_exactly(rng):
     p = OutcomePartition.of([[2, 4, 5], [1, 3]])
     rows = rng.exponential(size=(2, 3, 5))

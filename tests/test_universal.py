@@ -27,14 +27,13 @@ from trm import (
     BarycentricVector,
     OutcomePartition,
     convergence_scan,
-    enumerate_cellular,
     transition_probabilities_nd,
     universal_probability_exact,
     universal_probability_mc,
 )
 from trm.cells import MAX_CELLS, cell_fraction_in_regions
-from trm.universal import ENUMERATION_LIMIT, MC_CHUNK_ROWS, mc_batch, mc_combine
-from conftest import random_interior_state
+from trm.universal import MC_CHUNK_ROWS, mc_batch, mc_combine
+from conftest import enumerate_cellular, random_interior_state
 
 HALF = BarycentricVector((0.5, 0.5))
 SKEW = BarycentricVector((0.3, 0.7))
@@ -81,8 +80,6 @@ def test_hand_enumerated_subset_laws(x, n_c, oracle):
 def test_enumeration_counts_and_guard():
     assert sum(1 for _ in enumerate_cellular(2, 4)) == 15
     assert sum(1 for _ in enumerate_cellular(3, 4)) == 15
-    with pytest.raises(ValueError):
-        list(enumerate_cellular(2, ENUMERATION_LIMIT + 1))
 
 
 def test_exact_average_equals_state_two_outcomes(rng):

@@ -20,7 +20,6 @@ from trm import (
     product_relation_residuals,
     regions_of_batch,
     run_batch,
-    run_once,
     sequential_probability,
 )
 from trm.utr import _regions_at_break_point
@@ -49,17 +48,6 @@ def test_collapse_zero_weight_block_is_impossible():
     x = BarycentricVector((0.5, 0.5, 0.0, 0.0))
     with pytest.raises(ImpossibleOutcomeError):
         collapse(x, COARSE, 2)
-
-
-def test_run_once_outcome_is_consistent(rng):
-    out = run_once(X4, COARSE, rng)
-    assert out.block_index in (1, 2)
-    np.testing.assert_allclose(
-        out.post_state.components,
-        collapse(X4, COARSE, out.block_index).components,
-        atol=1e-15,
-    )
-    assert abs(sum(out.breaking_point.components) - 1.0) < 1e-9
 
 
 def test_run_batch_frequencies_within_bands(rng):

@@ -35,6 +35,13 @@ decoded in closed form (the decoding triangle_vertices uses too), and each
 chart coordinate is built from the cell's corners as 1-D arrays, so no
 (m, 3, 2) corner tensor is made.  A slab inverts the lam_1 CDF inside the
 cell and spreads the remainder with the simplex sampler's row normaliser.
+
+region_counts_in_cells is the one sampling kernel of the cellular routes
+(gtr.transition_probabilities_nd and universal.mc_batch): it draws one
+point in each given cell with sample_in_cells, finds each point's outcome
+region with regions_of_batch, redrawing only the points that tie through
+resolve_ties, and tallies the regions per group of cells with
+OutcomePartition.count.
 """
 
 from __future__ import annotations
@@ -45,13 +52,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDensityError
-from .simplex import _normalise_rows
+from .simplex import OutcomePartition, _normalise_rows, regions_of_batch, resolve_ties
 
 __all__ = [
     "CellularDensity",
     "MAX_CELLS",
     "cell_fraction_in_regions",
     "check_subdivision",
+    "region_counts_in_cells",
     "sample_in_cells",
     "slab_bounds",
     "triangle_vertices",
@@ -252,3 +260,26 @@ def sample_in_cells(
     rest = _normalise_rows(rng.standard_exponential((m, n_outcomes - 1)))
     np.multiply((1.0 - lam1)[:, None], rest, out=out[:, 1:])
     return out
+
+
+def region_counts_in_cells(
+    x: np.ndarray,
+    n_cells: int,
+    idx: np.ndarray,
+    partition: OutcomePartition,
+    groups: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """(groups, n_blocks) outcome-block counts of one uniform break point in
+    each of the cells idx (0-based) against the state x.
+
+    idx holds `groups` equal runs of cells, one run per group (a sampled
+    density, or one stratum cell).  A point that ties on a region boundary
+    is drawn again in its own cell.
+    """
+    hits = resolve_ties(
+        idx.size,
+        lambda rows: regions_of_batch(x, sample_in_cells(x.size, n_cells, idx[rows], rng)),
+        "in cellular sampling",
+    )
+    return partition.count(hits, groups)

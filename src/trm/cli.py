@@ -24,6 +24,7 @@ Exit codes: 0 success, 1 oracle comparison failure, 2 malformed config,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import hashlib
 import io
@@ -67,6 +68,11 @@ from .utr import outcome_probabilities, run_batch
 __all__ = ["main"]
 
 KINDS = ("utr", "gtr", "universal", "sphere", "classify", "oracle")
+
+# glibc mallopt parameters and the ceilings of glibc's own dynamic
+# adjustment of them on 64-bit systems.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_MAX = 32 << 20
 
 # States the oracle draws and checks per correspondence_batch call.  The
 # batch holds about two complex (states, partition blocks, n) arrays at a
@@ -219,7 +225,7 @@ def _run_gtr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, 
         return result, rows
     x, partition = params["x"], _blocks(params)
     probs, errs = transition_probabilities_nd(
-        x, partition, density, block_rng(seed, 0), samples_per_cell=params["samples_per_cell"]
+        x, partition, density, seed, params["samples_per_cell"], workers
     )
     rows = [
         {
@@ -441,6 +447,30 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
+def _keep_freed_memory() -> None:
+    """Keep the sampling blocks' freed scratch in the C heap for reuse.
+
+    Each block allocates a few MB of scratch arrays and frees them before
+    the next.  glibc hands freed memory at the top of its heap back to the
+    system once it exceeds the trim threshold, and whether a block's scratch
+    ends up there depends on where small long-lived allocations happen to
+    sit; when it does, every block faults its pages in anew, which made a
+    one-worker 8e6-trial utr run twice as slow on a 2-CPU Linux host.
+    Fixing the mmap and trim
+    thresholds at the ceilings of glibc's own adjustment (32 MB, and twice
+    that) keeps the scratch for the next block.  Without glibc's mallopt,
+    nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX)
+    mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_MAX)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="trm",
@@ -472,6 +502,7 @@ def main(argv: list[str] | None = None) -> int:
                 help="self-test hook: report a deviation of at least 1e-3",
             )
     args = parser.parse_args(argv)
+    _keep_freed_memory()
 
     try:
         config, kind, seed, params = _load_config(args.config, forced[args.command])

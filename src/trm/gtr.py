@@ -23,6 +23,12 @@ the central fraction e of the interval), PointBreak (a single atom),
 DoublePoint (atoms at both ends, giving state-independent outcomes),
 PiecewiseConstant1D, and CellularDensity for any outcome count.
 
+transition_probabilities_nd gives the law of a density on the full outcome
+simplex.  For a cellular density on three or more outcomes it samples each
+breakable cell equally often, sharded like the other sampled routes, and
+counts the regions with cells.region_counts_in_cells, the cell-sampling
+kernel it shares with universal.mc_batch.
+
 Every density has a canonical JSON form {"type": tag, ...parameters}.
 """
 
@@ -34,7 +40,12 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .cells import CellularDensity, cell_fraction_in_regions, sample_in_cells
+from .cells import (
+    CellularDensity,
+    cell_fraction_in_regions,
+    region_counts_in_cells,
+    sample_in_cells,
+)
 from .errors import (
     REQUIRED,
     Check,
@@ -44,8 +55,8 @@ from .errors import (
     number_field,
     object_field,
 )
-from .shards import run_sharded
-from .simplex import BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
+from .shards import BLOCK_SIZE, run_sharded
+from .simplex import BarycentricVector, OutcomePartition
 
 __all__ = [
     "DensitySpec",
@@ -291,8 +302,9 @@ def transition_probabilities_nd(
     x: BarycentricVector,
     partition: OutcomePartition,
     density: DensitySpec,
-    rng: np.random.Generator | None = None,
+    seed: int | None = None,
     samples_per_cell: int = 4096,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block probabilities under a density on the full outcome simplex.
 
@@ -301,6 +313,12 @@ def transition_probabilities_nd(
     cell law of cells.cell_fraction_in_regions, averaged over the breakable
     cells) and stratified Monte Carlo within the breakable cells otherwise,
     with per-cell binomial standard errors.
+
+    The stratified route needs a seed and draws samples_per_cell points in
+    each of the C breakable cells, sharded with run_sharded over blocks of
+    C * max(1, BLOCK_SIZE // C) points.  Every block holds a whole number of
+    points per cell, so block i draws that many in each cell from
+    block_rng(seed, i), and the estimates do not depend on `workers`.
     """
     partition.check_state(x.n)
     if isinstance(density, Uniform):
@@ -318,22 +336,20 @@ def transition_probabilities_nd(
     if x.n == 2:
         fr = cell_fraction_in_regions(x.as_array(), 2, density.n_cells)
         return partition.aggregate(fr[:, cells].mean(axis=1)), np.zeros(partition.n_blocks)
-    if rng is None:
-        raise ValueError("stratified sampling needs an explicit generator")
+    if seed is None:
+        raise ValueError("stratified sampling needs a seed")
     if samples_per_cell < 2:
         raise ValueError(f"need at least two samples per cell, got {samples_per_cell}")
-    m = samples_per_cell
-    idx = np.repeat(cells, m)
-    hits = resolve_ties(
-        idx.size,
-        lambda rows: regions_of_batch(
-            x, sample_in_cells(density.n_outcomes, density.n_cells, idx[rows], rng)
-        ),
-        "in cellular sampling",
-    )
-    frac = partition.count(hits, len(cells)) / m  # (cells, blocks)
+    m, c, xv = samples_per_cell, cells.size, x.as_array()
+
+    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+        idx = np.repeat(cells, rows // c)
+        return region_counts_in_cells(xv, density.n_cells, idx, partition, c, rng)
+
+    counts = run_sharded(c * m, seed, block, workers, block_size=c * max(1, BLOCK_SIZE // c))
+    frac = counts / m  # (cells, blocks)
     probs = frac.mean(axis=0)
-    var = (frac * (1.0 - frac) / m).sum(axis=0) / len(cells) ** 2
+    var = (frac * (1.0 - frac) / m).sum(axis=0) / c**2
     return probs, np.sqrt(var)
 
 

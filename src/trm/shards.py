@@ -10,7 +10,7 @@ order they finish.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,7 +34,10 @@ def run_sharded(
     """Sum of block_fn(rng_i, count_i) over fixed-size blocks covering `total`.
 
     block_fn must depend only on its arguments; the reduction happens in
-    block-index order regardless of completion order.
+    block-index order regardless of completion order.  At most
+    min(workers, number of blocks) threads run the blocks, and none when that
+    is 1; each block's result is added into the sum as soon as it is its
+    turn, so no list of results is kept.
     """
     if total <= 0:
         raise ValueError(f"need a positive total, got {total}")
@@ -47,12 +50,16 @@ def run_sharded(
     def one(i: int) -> np.ndarray:
         return np.asarray(block_fn(block_rng(seed, i), counts[i]))
 
-    if workers <= 1:
-        results = [one(i) for i in range(len(counts))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(len(counts))))
-    acc = results[0].copy()
-    for r in results[1:]:
+    threads = min(workers, len(counts))
+    if threads <= 1:
+        return _sum(map(one, range(len(counts))))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return _sum(pool.map(one, range(len(counts))))
+
+
+def _sum(results: Iterator[np.ndarray]) -> np.ndarray:
+    """Sum of the results in the order they are yielded."""
+    acc = next(results).copy()
+    for r in results:
         acc += r
     return acc

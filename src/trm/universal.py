@@ -18,9 +18,10 @@ No route builds the 2^n_c - 1 densities one by one; the test suite keeps
 that enumeration as its oracle.  universal_probability_mc samples subsets
 and break points instead.  Its kernel, mc_batch, draws a chunk of densities
 at once: an (m, n_c) subset bitmask with the empty rows redrawn, each row's
-point cells picked among its set bits, one tie-resolved break-point draw
-for all of the chunk's rows, and one OutcomePartition.count for the
-per-density estimates.
+point cells picked among its set bits, and one call of the cell-sampling
+kernel cells.region_counts_in_cells, shared with gtr's stratified route,
+which draws a tie-resolved break point in every picked cell and counts the
+per-density block hits.
 convergence_scan tabulates either route against the uniform law over a
 range of cell counts.
 """
@@ -31,9 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cells import cell_fraction_in_regions, check_subdivision, sample_in_cells
+from .cells import cell_fraction_in_regions, check_subdivision, region_counts_in_cells
 from .shards import run_sharded
-from .simplex import BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
+from .simplex import BarycentricVector, OutcomePartition
 
 __all__ = [
     "convergence_scan",
@@ -154,12 +155,7 @@ def _block_counts(
     m = k.size
     pick = rng.integers(0, k[:, None], (m, points))
     idx = np.take_along_axis(order, pick, axis=1).ravel()
-    hits = resolve_ties(
-        idx.size,
-        lambda rows: regions_of_batch(xv, sample_in_cells(xv.size, n_cells, idx[rows], rng)),
-        "while averaging",
-    )
-    return partition.count(hits, m)
+    return region_counts_in_cells(xv, n_cells, idx, partition, m, rng)
 
 
 def _grouping(x: BarycentricVector, partition: OutcomePartition | None) -> OutcomePartition:

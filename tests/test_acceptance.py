@@ -255,7 +255,9 @@ def test_c09_fixed_break_point_law():
 
 def test_c10_cli_output_is_worker_invariant(tmp_path):
     """Identical config and seed give byte-identical CLI output at 1, 4,
-    and 16 workers, for both sharded Monte Carlo kinds."""
+    and 16 workers, for every sharded Monte Carlo route: utr trials, the
+    sampled universal average, gtr 1d trials and gtr nd strata over several
+    blocks."""
     configs = [
         {
             "kind": "utr",
@@ -267,6 +269,29 @@ def test_c10_cli_output_is_worker_invariant(tmp_path):
             "seed": SEED,
             "params": {"x": [0.2, 0.3, 0.5], "cell_counts": [9], "method": "mc",
                        "density_samples": 500, "point_samples": 200},
+        },
+        {
+            "kind": "gtr",
+            "seed": SEED,
+            "params": {"mode": "1d", "cos_theta": 0.3, "trials": 200_000,
+                       "density": {"type": "epsilon", "epsilon": 0.6}},
+        },
+        {
+            # 4 breakable cells x 40000 points: two full blocks and a partial one
+            "kind": "gtr",
+            "seed": SEED,
+            "params": {"mode": "nd", "x": [0.1, 0.2, 0.3, 0.4], "samples_per_cell": 40_000,
+                       "density": {"type": "cellular", "n_outcomes": 4, "n_cells": 8,
+                                   "breakable": [1, 2, 5, 8]}},
+        },
+        {
+            # 3 breakable triangle cells x 50000 points, over three blocks
+            "kind": "gtr",
+            "seed": SEED,
+            "params": {"mode": "nd", "x": [0.2, 0.3, 0.5], "blocks": [[1, 3], [2]],
+                       "samples_per_cell": 50_000,
+                       "density": {"type": "cellular", "n_outcomes": 3, "n_cells": 9,
+                                   "breakable": [1, 4, 8]}},
         },
     ]
     for k, config in enumerate(configs):

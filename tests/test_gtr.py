@@ -1,6 +1,7 @@
 """Break densities: CDFs, atoms, transition laws, sampling, JSON forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from trm import (
     transition_probabilities_1d,
     transition_probabilities_nd,
 )
+import trm.cells as cells_module
+from trm.cells import cell_fraction_in_regions
 from trm.gtr import Z_MAX, atom, cdf, frequency_plus_1d, sample_outcomes_1d
+from trm.shards import BLOCK_SIZE
 from conftest import random_interior_state
 
 
@@ -218,18 +222,72 @@ def test_nd_cellular_three_outcomes_mc(rng):
     x = BarycentricVector(tuple(random_interior_state(rng, 3)))
     d = CellularDensity(3, 16, frozenset(range(1, 17)))
     probs, errs = transition_probabilities_nd(
-        x, OutcomePartition.singletons(3), d, rng, samples_per_cell=4000
+        x, OutcomePartition.singletons(3), d, 20260815, samples_per_cell=4000
     )
     assert abs(probs.sum() - 1.0) < 1e-12
     # fully breakable equals the uniform law up to MC noise
     assert (np.abs(probs - x.as_array()) <= 4 * errs + 1e-3).all()
 
 
-def test_nd_requires_rng_for_mc():
+def test_nd_requires_seed_for_mc():
     x = BarycentricVector((0.2, 0.3, 0.5))
     d = CellularDensity(3, 4, frozenset({1}))
     with pytest.raises(ValueError):
         transition_probabilities_nd(x, OutcomePartition.singletons(3), d)
+
+
+@pytest.mark.parametrize(
+    "n,n_cells,breakable",
+    [(3, 16, (2, 7, 11)), (4, 16, (1, 3, 4, 8, 9, 13, 16))],
+    ids=["n3-C3", "n4-C7"],
+)
+def test_nd_strata_are_sharded_exact_and_worker_invariant(monkeypatch, n, n_cells, breakable):
+    rng = np.random.default_rng(n)
+    x = BarycentricVector(tuple(random_interior_state(rng, n)))
+    d = CellularDensity(n, n_cells, frozenset(breakable))
+    part = OutcomePartition.singletons(n)
+    c = len(breakable)
+    # c does not divide BLOCK_SIZE; m fills two whole blocks and part of a third
+    assert BLOCK_SIZE % c
+    m = 2 * (BLOCK_SIZE // c) + 1000
+
+    calls = []
+    sample = cells_module.sample_in_cells
+
+    def recording(n_outcomes, n_c, cell_idx, gen):
+        calls.append(np.array(cell_idx))
+        return sample(n_outcomes, n_c, cell_idx, gen)
+
+    monkeypatch.setattr(cells_module, "sample_in_cells", recording)
+    probs, errs = transition_probabilities_nd(x, part, d, 5, m, workers=1)
+    monkeypatch.undo()
+
+    assert len(calls) >= 3
+    assert max(idx.size for idx in calls) <= BLOCK_SIZE
+    per_cell = np.bincount(np.concatenate(calls), minlength=n_cells)
+    expected = np.zeros(n_cells, dtype=per_cell.dtype)
+    expected[np.array(breakable) - 1] = m
+    np.testing.assert_array_equal(per_cell, expected)
+
+    exact = cell_fraction_in_regions(x.as_array(), n, n_cells)[:, np.array(breakable) - 1]
+    assert (np.abs(probs - exact.mean(axis=1)) <= 4 * errs).all(), (probs, errs)
+
+    two = transition_probabilities_nd(x, part, d, 5, m, workers=2)
+    np.testing.assert_array_equal(two[0], probs)
+    np.testing.assert_array_equal(two[1], errs)
+
+
+def test_nd_memory_is_bounded_by_the_block():
+    # the benchmark's density: 8 of the 32 slab cells of four outcomes
+    x = BarycentricVector((0.1, 0.2, 0.3, 0.4))
+    d = CellularDensity(4, 32, frozenset(range(1, 33, 4)))
+    tracemalloc.start()
+    try:
+        transition_probabilities_nd(x, OutcomePartition.singletons(4), d, 1, 65536, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_json_roundtrip_all_families():

@@ -1,8 +1,11 @@
 """Sharded execution must give the same numbers for any worker count."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import trm.shards
 from trm import BarycentricVector, OutcomePartition, block_rng, run_batch, run_sharded
 from trm.shards import BLOCK_SIZE
 
@@ -58,3 +61,21 @@ def test_input_validation():
         run_sharded(0, 1, counting_fn)
     with pytest.raises(ValueError):
         run_sharded(10, 1, counting_fn, block_size=0)
+
+
+def test_threads_never_outnumber_blocks(monkeypatch):
+    asked = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(trm.shards, "ThreadPoolExecutor", Recorder)
+    three = run_sharded(2500, 3, counting_fn, workers=16, block_size=1000)
+    assert asked == [3]
+    one = run_sharded(800, 3, counting_fn, workers=16, block_size=1000)
+    assert asked == [3]
+    monkeypatch.undo()
+    np.testing.assert_array_equal(three, run_sharded(2500, 3, counting_fn, block_size=1000))
+    np.testing.assert_array_equal(one, run_sharded(800, 3, counting_fn, block_size=1000))

@@ -229,7 +229,8 @@ def test_nd_cellular_three_outcomes_mc(rng):
     assert (np.abs(probs - x.as_array()) <= 4 * errs + 1e-3).all()
 
 
-def test_nd_requires_seed_for_mc():
+def test_nd_requires_rng_for_mc():
+    # the stratified route draws from a seed and refuses to run without one
     x = BarycentricVector((0.2, 0.3, 0.5))
     d = CellularDensity(3, 4, frozenset({1}))
     with pytest.raises(ValueError):

@@ -31,10 +31,12 @@ vertex 3, upward triangle before the downward one to its right.
 
 sample_in_cells draws uniform points inside given cells and writes them
 into one (m, n) array.  A triangle cell's column, row and orientation are
-decoded in closed form (the decoding triangle_vertices uses too), and each
-chart coordinate is built from the cell's corners as 1-D arrays, so no
-(m, 3, 2) corner tensor is made.  A slab inverts the lam_1 CDF inside the
-cell and spreads the remainder with the simplex sampler's row normaliser.
+decoded in closed form (the decoding triangle_vertices uses too) into the
+smallest unsigned type that holds k, and each chart coordinate is computed
+in place in its output column from those corners, so no (m, 3, 2) corner
+tensor is made and the scratch beside the output is two (m,) float arrays.
+A slab inverts the lam_1 CDF inside the cell and spreads the remainder with
+the simplex sampler's row normaliser.
 
 region_counts_in_cells is the one sampling kernel of the cellular routes
 (gtr.transition_probabilities_nd and universal.mc_batch): it draws one
@@ -141,12 +143,14 @@ def triangle_vertices(k: int, cells: np.ndarray | None = None) -> np.ndarray:
 def _triangle_cells(k: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i, j, down) of 0-based triangle cells: column, row and 1 for a
     downward triangle.  The corners in units of 1/k are (i + down, j),
-    (i + 1, j + down) and (i, j + 1)."""
+    (i + 1, j + down) and (i, j + 1); no coordinate exceeds k, so all three
+    come in the smallest unsigned type that holds k (one byte up to k = 255)."""
     c = np.asarray(cells, dtype=np.intp)
     # k^2 - c lies in ((k-j-1)^2, (k-j)^2] for a cell c of row j
     j = k - np.ceil(np.sqrt(k * k - c)).astype(np.intp)
     o = c - j * (2 * k - j)
-    return o >> 1, j, o & 1
+    small = np.min_scalar_type(k)
+    return (o >> 1).astype(small), j.astype(small), (o & 1).astype(small)
 
 
 def cell_fraction_in_regions(x: np.ndarray, n_outcomes: int, n_cells: int) -> np.ndarray:
@@ -228,37 +232,55 @@ def sample_in_cells(
 
     Returns an (m, n_outcomes) array of barycentric points.  Raises
     ValueError for a subdivision check_subdivision refuses or a cell index
-    outside 0..n_cells-1.  A triangle cell folds a uniform point (r0, r1)
-    of the unit square into the half below r0 + r1 = 1 and maps it to
-    a + r0 (b - a) + r1 (c - a) over the cell's corners a, b, c.
+    outside 0..n_cells-1.
     """
     check_subdivision(n_outcomes, n_cells)
     idx = np.asarray(cell_idx, dtype=np.intp)
     m = idx.shape[0]
     if m and (idx.min() < 0 or idx.max() >= n_cells):
         raise ValueError(f"cell indices must lie in 0..{n_cells - 1}")
-    out = np.empty((m, n_outcomes))
     if n_outcomes == 3:
-        k = math.isqrt(n_cells)
-        i, j, down = _triangle_cells(k, idx)
-        r = rng.random((m, 2))
-        r0, r1 = r[:, 0], r[:, 1]
-        np.subtract(1.0, r, out=r, where=(r0 + r1 > 1.0)[:, None])
-
-        def chart(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-            a, b, c = a / k, b / k, c / k
-            return a + r0 * (b - a) + r1 * (c - a)
-
-        u = out[:, 1] = chart(i + down, i + 1, i)
-        v = out[:, 2] = chart(j, j + down, j + 1)
-        out[:, 0] = 1.0 - (u + v)
-        return out
+        return _sample_in_triangles(math.isqrt(n_cells), idx, rng)
+    out = np.empty((m, n_outcomes))
     p = rng.random(m)
     p += idx
     p /= n_cells
     lam1 = out[:, 0] = 1.0 - (1.0 - p) ** (1.0 / (n_outcomes - 1))
     rest = _normalise_rows(rng.standard_exponential((m, n_outcomes - 1)))
     np.multiply((1.0 - lam1)[:, None], rest, out=out[:, 1:])
+    return out
+
+
+def _sample_in_triangles(k: int, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(m, 3) uniform points in the triangle cells idx of the k*k subdivision.
+
+    Each point folds a uniform (r0, r1) of the unit square into the half
+    below r0 + r1 = 1 and maps it to a + r0 (b - a) + r1 (c - a) over its
+    cell's chart corners a, b, c.  Each chart coordinate is computed in
+    place in its column of the output, in that operation order, with two
+    (m,) scratch arrays beside the compact cell decoding.
+    """
+    i, j, down = _triangle_cells(k, idx)
+    m = idx.shape[0]
+    out = np.empty((m, 3))
+    r = rng.random((m, 2))
+    r0, r1 = r[:, 0], r[:, 1]
+    np.subtract(1.0, r, out=r, where=(r0 + r1 > 1.0)[:, None])
+    along_b, along_c = np.empty(m), np.empty(m)
+
+    def chart(col: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+        np.divide(a, k, out=col)
+        np.subtract(np.divide(b, k, out=along_b), col, out=along_b)
+        np.multiply(r0, along_b, out=along_b)
+        np.subtract(np.divide(c, k, out=along_c), col, out=along_c)
+        np.multiply(r1, along_c, out=along_c)
+        np.add(col, along_b, out=col)
+        np.add(col, along_c, out=col)
+
+    chart(out[:, 1], i + down, i + 1, i)
+    chart(out[:, 2], j, j + down, j + 1)
+    np.add(out[:, 1], out[:, 2], out=out[:, 0])
+    np.subtract(1.0, out[:, 0], out=out[:, 0])
     return out
 
 
@@ -279,7 +301,9 @@ def region_counts_in_cells(
     """
     hits = resolve_ties(
         idx.size,
-        lambda rows: regions_of_batch(x, sample_in_cells(x.size, n_cells, idx[rows], rng)),
+        lambda rows, count: regions_of_batch(
+            x, sample_in_cells(x.size, n_cells, idx[rows], rng)
+        ),
         "in cellular sampling",
     )
     return partition.count(hits, groups)

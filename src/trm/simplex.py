@@ -339,23 +339,25 @@ def regions_of_batch(
 
 def resolve_ties(
     size: int,
-    draw: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    draw: Callable[[slice | np.ndarray, int], tuple[np.ndarray, np.ndarray]],
     what: str,
 ) -> np.ndarray:
     """Outcome regions of `size` rows, redrawing the rows whose break ties.
 
-    draw(rows) draws fresh break points for the given row indices and
-    returns (indices, ties) for them, as regions_of_batch does.  Only tied
-    rows are drawn again, in row order.  Raises UnstableEquilibriumError
-    when rows still tie after MAX_BOUNDARY_RETRIES draws; `what` names the
-    sampling in that message.
+    draw(rows, count) draws `count` fresh break points for the rows that
+    `rows` selects and returns (indices, ties) for them, as regions_of_batch
+    does.  The first draw covers every row and passes slice(None), so a
+    caller that indexes per-row data with it gets a view, not a copy; each
+    redraw passes the index array of the rows that tied, in row order.
+    Raises UnstableEquilibriumError when rows still tie after
+    MAX_BOUNDARY_RETRIES draws; `what` names the sampling in that message.
     """
-    out, tie = draw(np.arange(size))
+    out, tie = draw(slice(None), size)
     pending = np.flatnonzero(tie)
     for _ in range(MAX_BOUNDARY_RETRIES - 1):
         if pending.size == 0:
             break
-        idx, tie = draw(pending)
+        idx, tie = draw(pending, pending.size)
         out[pending] = idx
         pending = pending[tie]
     if pending.size:

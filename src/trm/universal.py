@@ -21,7 +21,10 @@ at once: an (m, n_c) subset bitmask with the empty rows redrawn, each row's
 point cells picked among its set bits, and one call of the cell-sampling
 kernel cells.region_counts_in_cells, shared with gtr's stratified route,
 which draws a tie-resolved break point in every picked cell and counts the
-per-density block hits.
+per-density block hits.  A chunk holds up to MC_CHUNK_ROWS = 8192 break
+points, so a shard block of UNIVERSAL_BLOCK densities of 64 points is two
+kernel calls; the chunk keeps only its cell indices beside the kernel's
+scratch, which peaks near 82 bytes per break point for three outcomes.
 convergence_scan tabulates either route against the uniform law over a
 range of cell counts.
 """
@@ -47,11 +50,13 @@ __all__ = [
 UNIVERSAL_BLOCK = 256
 
 # Break points (densities x point_samples) and subset bits (densities x
-# n_cells) that mc_batch draws per chunk; it bounds the chunk's scratch
-# arrays to a few hundred kB.  A chunk holds at least one density, whose
-# subset has at most cells.MAX_CELLS bits; a density with more points than
-# this draws them in chunks of this size.
-MC_CHUNK_ROWS = 2048
+# n_cells) that mc_batch draws per chunk.  A chunk's scratch peaks at about
+# 82 bytes per break point for three outcomes (tracemalloc, 256 densities of
+# 64 points on 25 cells), so about 0.7 MB per chunk; the test suite bounds
+# it at 96 bytes.  A chunk holds at least one density, whose subset has at
+# most cells.MAX_CELLS bits; a density with more points than this draws them
+# in chunks of this size.
+MC_CHUNK_ROWS = 8192
 
 
 def universal_probability_exact(
@@ -85,10 +90,16 @@ def universal_probability_mc(
     standard error is the spread of per-density estimates over
     sqrt(density_samples).
     """
-    if density_samples < 2 or point_samples < 1:
-        raise ValueError("need at least two density samples and one point sample")
+    _check_mc_sizes(density_samples, point_samples)
     stats = mc_batch(x, n_cells, density_samples, point_samples, rng, partition)
     return mc_combine(stats, density_samples)
+
+
+def _check_mc_sizes(density_samples: int, point_samples: int) -> None:
+    """Refuse fewer than two densities, which leave no spread to report, or
+    a density without a point."""
+    if density_samples < 2 or point_samples < 1:
+        raise ValueError("need at least two density samples and one point sample")
 
 
 def mc_batch(
@@ -153,9 +164,9 @@ def _block_counts(
     each of the m subsets (order, k), each point in a uniformly picked
     breakable cell of its row."""
     m = k.size
-    pick = rng.integers(0, k[:, None], (m, points))
-    idx = np.take_along_axis(order, pick, axis=1).ravel()
-    return region_counts_in_cells(xv, n_cells, idx, partition, m, rng)
+    # the picks die with the call, so only the cell indices stay alive
+    idx = np.take_along_axis(order, rng.integers(0, k[:, None], (m, points)), axis=1)
+    return region_counts_in_cells(xv, n_cells, idx.ravel(), partition, m, rng)
 
 
 def _grouping(x: BarycentricVector, partition: OutcomePartition | None) -> OutcomePartition:
@@ -199,8 +210,7 @@ def convergence_scan(
     if method == "mc":
         if seed is None:
             raise ValueError("the mc route needs a seed")
-        if density_samples < 2 or point_samples < 1:
-            raise ValueError("need at least two density samples and one point sample")
+        _check_mc_sizes(density_samples, point_samples)
     partition = _grouping(x, partition)
     rows: list[dict[str, float | int]] = []
     xv = partition.aggregate(x.as_array())

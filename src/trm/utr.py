@@ -97,7 +97,7 @@ def run_batch(
     xv = x.as_array()
     regions = resolve_ties(
         trials,
-        lambda rows: regions_of_batch(xv, _exponential_break_points(x.n, rows.size, rng)),
+        lambda rows, count: regions_of_batch(xv, _exponential_break_points(x.n, count, rng)),
         f"for state {x.components}",
     )
     return partition.count(regions)[0]
@@ -184,8 +184,8 @@ def complementary_mc(
     lv = lam.as_array()
     regions = resolve_ties(
         trials,
-        lambda rows: _regions_at_break_point(
-            lv, _exponential_break_points(lam.n, rows.size, rng)
+        lambda rows, count: _regions_at_break_point(
+            lv, _exponential_break_points(lam.n, count, rng)
         ),
         f"at break point {lam.components}",
     )

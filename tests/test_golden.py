@@ -51,13 +51,13 @@ GOLDEN = {
         {"kind": "universal", "seed": 16,
          "params": {"method": "mc", "x": [0.2, 0.3, 0.5], "blocks": [[1], [2, 3]],
                     "cell_counts": [4, 9], "density_samples": 300, "point_samples": 40}},
-        "c50c7ee2efbc4408e6ce52fa65fa972bae2e7887a359f7f97d0c930593171115",
+        "b470b54be3367fad0294c544d0239b4ee96e644debe3586251931087e380dbe2",
     ),
     "universal_mc_n4_slabs": (
         {"kind": "universal", "seed": 18,
          "params": {"method": "mc", "x": [0.1, 0.2, 0.3, 0.4], "blocks": [[1, 4], [2, 3]],
                     "cell_counts": [5, 16], "density_samples": 300, "point_samples": 40}},
-        "2ed155c99e0483dabc9472c915733d3b9db2a951785d04f7af9772d67501e133",
+        "1c6c430d53cfbf41b9f21964863a70ea33826043539c235e7127929c1b6998e1",
     ),
     "utr_n6": (
         {"kind": "utr", "seed": 19,

@@ -274,23 +274,29 @@ def test_region_of_is_argmin_of_ratios(n, seed):
 def test_resolve_ties_redraws_only_tied_rows():
     calls = []
 
-    def draw(rows):
-        calls.append(rows.tolist())
+    def draw(rows, count):
+        calls.append(rows if isinstance(rows, slice) else rows.tolist())
+        rows = np.arange(5)[rows]
+        assert rows.size == count
         # rows 1 and 3 tie on their first draw only
         tie = np.array([r in (1, 3) and len(calls) == 1 for r in rows])
         return rows + 10 * len(calls), tie
 
     out = resolve_ties(5, draw, "in a stub")
-    assert calls == [[0, 1, 2, 3, 4], [1, 3]]
+    # the first draw selects every row with a slice, so a caller indexing
+    # per-row data with it gets a view instead of a copy
+    assert calls == [slice(None), [1, 3]]
     assert out.tolist() == [10, 21, 12, 23, 14]
 
 
 def test_resolve_ties_gives_up_after_max_retries():
     calls = []
 
-    def draw(rows):
+    def draw(rows, count):
+        rows = np.arange(3)[rows]
+        assert rows.size == count
         calls.append(rows.tolist())
-        return rows + 1, np.ones(rows.size, dtype=bool)
+        return rows + 1, np.ones(count, dtype=bool)
 
     with pytest.raises(UnstableEquilibriumError, match="in a stub"):
         resolve_ties(3, draw, "in a stub")

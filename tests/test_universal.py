@@ -32,6 +32,7 @@ from trm import (
     universal_probability_mc,
 )
 from trm.cells import MAX_CELLS, cell_fraction_in_regions
+import trm.universal as universal_module
 from trm.universal import MC_CHUNK_ROWS, mc_batch, mc_combine
 from conftest import enumerate_cellular, random_interior_state
 
@@ -135,6 +136,26 @@ def test_mc_combine_is_mean_and_stderr():
     )
 
 
+def _half_binomial_moments(p_pts):
+    """E[(j/P)^2] and E[(j/P)^4] for j ~ Bin(P, 1/2), in closed form.
+
+    From the mean P/2 and the central moments P/4 (second), 0 (third) and
+    P/4 (1 + 3(P-2)/4) (fourth): E[j^2] = P^2/4 + P/4 and
+    E[j^4] = P^4/16 + 3P^3/8 + 3P^2/16 - P/8.
+    """
+    return (
+        0.25 + 0.25 / p_pts,
+        1 / 16 + 3 / (8 * p_pts) + 3 / (16 * p_pts**2) - 1 / (8 * p_pts**3),
+    )
+
+
+@pytest.mark.parametrize("p_pts", [1, 2, 3, 8, 64])
+def test_half_binomial_moments_match_the_binomial_sum(p_pts):
+    binom = [math.comb(p_pts, j) / 2**p_pts for j in range(p_pts + 1)]
+    summed = [sum(w * (j / p_pts) ** k for j, w in enumerate(binom)) for k in (2, 4)]
+    np.testing.assert_allclose(_half_binomial_moments(p_pts), summed, rtol=1e-14)
+
+
 @pytest.mark.parametrize(
     "p_pts,m", [(8, 4000), (2 * MC_CHUNK_ROWS, 500)], ids=["small", "split-density"]
 )
@@ -144,8 +165,7 @@ def test_mc_batch_draws_within_each_subset(p_pts, m):
     # (1 + 1/4 + 1/(4P))/3; cells picked outside the subset would give
     # about 1/4.  With more points than a chunk, each density's points are
     # drawn in parts that must share the density's subset.
-    binom = [math.comb(p_pts, j) / 2**p_pts for j in range(p_pts + 1)]
-    moment = [(1 + sum(w * (j / p_pts) ** k for j, w in enumerate(binom))) / 3 for k in (2, 4)]
+    moment = [(1 + mu) / 3 for mu in _half_binomial_moments(p_pts)]
     sigma = math.sqrt((moment[1] - moment[0] ** 2) / m)
     assert abs(moment[0] - 0.25) > 8 * sigma
     sums = mc_batch(HALF, 2, m, p_pts, np.random.default_rng(11))
@@ -164,7 +184,7 @@ def test_mc_batch_redraws_empty_subsets():
 
 def test_mc_batch_is_deterministic_across_chunks():
     x = BarycentricVector((0.2, 0.3, 0.5))
-    m, p_pts = 300, 64
+    m, p_pts = 600, 64
     assert m * p_pts > 4 * MC_CHUNK_ROWS
     first = mc_batch(x, 9, m, p_pts, np.random.default_rng(13))
     again = mc_batch(x, 9, m, p_pts, np.random.default_rng(13))
@@ -189,6 +209,33 @@ def test_mc_batch_memory_is_bounded_by_the_chunk(m, p_pts, n_c):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+def test_mc_batch_at_the_bench_shape_makes_two_kernel_calls_in_bounded_scratch(monkeypatch):
+    # 256 densities of 64 points on 25 triangle cells, one shard block of
+    # the universal_mc benchmark: two chunks of MC_CHUNK_ROWS break points,
+    # each one call of the cell-sampling kernel, in at most 96 bytes of
+    # scratch per break point
+    x = BarycentricVector((0.2, 0.3, 0.5))
+    m, p_pts, n_c = 256, 64, 25
+    mc_batch(x, n_c, m, p_pts, np.random.default_rng(15))
+    tracemalloc.start()
+    try:
+        mc_batch(x, n_c, m, p_pts, np.random.default_rng(15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * MC_CHUNK_ROWS, peak
+    sizes = []
+    kernel = universal_module.region_counts_in_cells
+
+    def recording(xv, n_cells, idx, partition, groups, rng):
+        sizes.append(idx.size)
+        return kernel(xv, n_cells, idx, partition, groups, rng)
+
+    monkeypatch.setattr(universal_module, "region_counts_in_cells", recording)
+    mc_batch(x, n_c, m, p_pts, np.random.default_rng(15))
+    assert sizes == [MC_CHUNK_ROWS] * 2
 
 
 def _enumerated_subset_average(fractions, n_cells):

@@ -40,6 +40,11 @@ __all__ = [
 
 PROB_TOL = 1e-12
 
+# Largest Kolmogorov margin that still counts as satisfied, and largest
+# spherical-triangle gap (radians) that still counts as embeddable.
+KOLMOGOROV_TOL = 1e-12
+QUBIT_TOL = 1e-9
+
 
 def _check_probability(name: str, value: float) -> float:
     v = float(value)
@@ -87,23 +92,22 @@ class QubitVerdict:
     angles: tuple[float, float, float]
 
 
-def kolmogorov_check(triple: JointTriple, tol: float = 1e-12) -> KolmogorovVerdict:
+def kolmogorov_check(triple: JointTriple) -> KolmogorovVerdict:
     """Whether the three joints fit in a single probability space.
 
-    margin = p_vw - p_uw - p_ucv; a margin above tol is a violation.
+    margin = p_vw - p_uw - p_ucv; a margin above KOLMOGOROV_TOL is a
+    violation.
     """
     margin = triple.p_vw - triple.p_uw - triple.p_ucv
-    return KolmogorovVerdict(margin <= tol, margin)
+    return KolmogorovVerdict(margin <= KOLMOGOROV_TOL, margin)
 
 
-def qubit_embeddable(
-    transitions: PairwiseTransitions, tol: float = 1e-9
-) -> QubitVerdict:
+def qubit_embeddable(transitions: PairwiseTransitions) -> QubitVerdict:
     """Whether the transition probabilities are squared overlaps of three
     pure two-dimensional states.
 
     deficit is the largest violation among the spherical triangle
-    inequalities (0.0 when embeddable within tol).
+    inequalities (0.0 when embeddable within QUBIT_TOL).
     """
     t_ab = 2.0 * math.acos(math.sqrt(transitions.p_ab))
     t_bc = 2.0 * math.acos(math.sqrt(transitions.p_bc))
@@ -115,7 +119,7 @@ def qubit_embeddable(
         t_ab + t_bc + t_ac - 2.0 * math.pi,
     )
     worst = max(gaps)
-    return QubitVerdict(worst <= tol, max(worst, 0.0), (t_ab, t_bc, t_ac))
+    return QubitVerdict(worst <= QUBIT_TOL, max(worst, 0.0), (t_ab, t_bc, t_ac))
 
 
 def _triple(*fields: str) -> Check:
@@ -130,9 +134,7 @@ _BUNDLE = {
 }
 
 
-def classify(
-    bundle: Mapping[str, Any], kol_tol: float = 1e-12, qubit_tol: float = 1e-9
-) -> dict[str, Any]:
+def classify(bundle: Mapping[str, Any]) -> dict[str, Any]:
     """Check every joint triple and every pairwise-transition triple in a
     bundle document {"joints": [...], "transitions": [...]}.
 
@@ -143,11 +145,11 @@ def classify(
     doc = object_field(bundle, "bundle", _BUNDLE)
     joints = []
     for entry in doc["joints"]:
-        verdict = kolmogorov_check(JointTriple(**entry), kol_tol)
+        verdict = kolmogorov_check(JointTriple(**entry))
         joints.append({**entry, "satisfied": verdict.satisfied, "margin": verdict.margin})
     transitions = []
     for entry in doc["transitions"]:
-        verdict = qubit_embeddable(PairwiseTransitions(**entry), qubit_tol)
+        verdict = qubit_embeddable(PairwiseTransitions(**entry))
         transitions.append(
             {
                 **entry,

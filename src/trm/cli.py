@@ -320,7 +320,7 @@ def _run_oracle(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
             raw = rng.normal(size=(min(ORACLE_CHUNK, states - start), 2, n))
             amps = raw[:, 0] + 1j * raw[:, 1]
             amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-            dim_worst = max(dim_worst, float(correspondence_batch(amps).max_deviation.max()))
+            dim_worst = max(dim_worst, float(correspondence_batch(amps).max()))
         if inject and d_i == 0:
             # test hook: the first dimension reports a 1e-3 Born deviation
             dim_worst = max(dim_worst, 1e-3)

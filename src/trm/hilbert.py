@@ -8,13 +8,14 @@ with the uniform simplex law component by component.
 
 correspondence_batch checks that agreement for many states and every
 grouping of the basis indices at once, along two routes that stay
-independent.  The Hilbert route works on amplitudes only: eigenbasis
-coordinates, squared moduli summed by a block-indicator matrix, and
-projection, renormalization and re-measurement for each collapse.  The
-simplex route is the library's own code, OutcomePartition.aggregate for the
-block probabilities and utr.restrict for the collapses, applied to the
-squared moduli.  Only the outcome grouping, which both routes need, is
-shared.
+independent, and returns each state's largest deviation; the CLI oracle
+holds it against its configured tolerance.  The Hilbert route works on
+amplitudes only: eigenbasis coordinates, squared moduli summed by a
+block-indicator matrix, and projection, renormalization and re-measurement
+for each collapse.  The simplex route is the library's own code,
+OutcomePartition.aggregate for the block probabilities and utr.restrict for
+the collapses, applied to the squared moduli.  Only the outcome grouping,
+which both routes need, is shared.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImpossibleOutcomeError
-from .simplex import BarycentricVector, OutcomePartition, iter_partitions
-from .utr import product_relation_residuals, restrict
+from .simplex import OutcomePartition, iter_partitions
+from .utr import PRODUCT_TOL, product_relation_residuals, restrict
 
 __all__ = [
-    "CorrespondenceReport",
     "HilbertObservable",
     "HilbertState",
     "ProductCheck",
@@ -72,8 +72,12 @@ class HilbertState:
     def moduli_squared(self) -> np.ndarray:
         return np.abs(self.as_array()) ** 2
 
-    def to_barycentric(self) -> BarycentricVector:
-        return BarycentricVector(tuple(self.moduli_squared()))
+
+def _check_orthonormal(basis: np.ndarray) -> None:
+    """Refuse a square basis whose rows are not orthonormal within NORM_TOL."""
+    gram = basis.conj() @ basis.T
+    if not np.max(np.abs(gram - np.eye(basis.shape[0]))) <= NORM_TOL:
+        raise ValueError("eigenbasis is not orthonormal")
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,8 @@ class HilbertObservable:
         m = np.asarray(rows, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"eigenbasis must be square, got shape {m.shape}")
+        _check_orthonormal(m)
         n = m.shape[0]
-        gram = m.conj() @ m.T
-        if not np.max(np.abs(gram - np.eye(n))) <= NORM_TOL:
-            raise ValueError("eigenbasis is not orthonormal")
         if self.partition.n != n:
             raise ValueError(
                 f"grouping covers 1..{self.partition.n} but basis has {n} vectors"
@@ -181,8 +183,9 @@ class ProductCheck:
     law_residuals: tuple[float, float, float, float]
 
 
-def is_product_state(state: HilbertState, tol: float = 1e-9) -> ProductCheck:
-    """A four-amplitude state factors exactly when psi1*psi4 == psi2*psi3.
+def is_product_state(state: HilbertState) -> ProductCheck:
+    """A four-amplitude state factors exactly when psi1*psi4 == psi2*psi3;
+    the verdict allows a determinant of PRODUCT_TOL.
 
     The probability residuals are reported alongside: they vanish for every
     product state but, unlike the determinant, cannot see phases.
@@ -192,7 +195,7 @@ def is_product_state(state: HilbertState, tol: float = 1e-9) -> ProductCheck:
     a1, a2, a3, a4 = state.amplitudes
     det = abs(a1 * a4 - a2 * a3)
     residuals = product_relation_residuals(state.moduli_squared())
-    return ProductCheck(det <= tol, det, residuals)
+    return ProductCheck(det <= PRODUCT_TOL, det, residuals)
 
 
 def product_state(
@@ -210,16 +213,6 @@ def product_state(
     )
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    """Verdict of the Hilbert-vs-simplex comparison, as (S,) arrays with one
-    entry per state: ok says max_deviation <= tol."""
-
-    ok: np.ndarray
-    max_deviation: np.ndarray
-    partitions_checked: int
-
-
 @functools.lru_cache(maxsize=None)
 def _groupings(n: int) -> tuple[tuple[OutcomePartition, ...], np.ndarray]:
     """Every partition of 1..n and the (pairs, n) block masks of all its
@@ -235,10 +228,8 @@ def _groupings(n: int) -> tuple[tuple[OutcomePartition, ...], np.ndarray]:
 
 
 def correspondence_batch(
-    amplitudes: np.ndarray,
-    basis: np.ndarray | None = None,
-    tol: float = 1e-12,
-) -> CorrespondenceReport:
+    amplitudes: np.ndarray, basis: np.ndarray | None = None
+) -> np.ndarray:
     """Compare the Hilbert route against the simplex route for many states.
 
     amplitudes is an (S, n) complex array, one state per row; each row's
@@ -248,10 +239,9 @@ def correspondence_batch(
     define a barycentric vector x.  For every partition of the basis
     indices, the row's block Born probabilities must match the block sums
     of x, and for every block of nonzero weight the squared moduli of the
-    collapsed state must match the renormalized restriction of x.  The
-    report holds each row's largest absolute difference over all of these
-    and its verdict against tol, as (S,) arrays, and the number of
-    partitions checked per row.
+    collapsed state must match the renormalized restriction of x.  Returns
+    each row's largest absolute difference over all of these, an (S,)
+    array; judging it is the caller's call.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] < 2:
@@ -260,8 +250,7 @@ def correspondence_batch(
     base = np.eye(n, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
     if base.shape != (n, n):
         raise ValueError(f"eigenbasis must be {n} x {n}, got shape {base.shape}")
-    if not np.max(np.abs(base.conj() @ base.T - np.eye(n))) <= NORM_TOL:
-        raise ValueError("eigenbasis is not orthonormal")
+    _check_orthonormal(base)
     norms = np.linalg.norm(amps, axis=1)
     off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if off.size:
@@ -282,8 +271,7 @@ def correspondence_batch(
     np.abs(collapse_gap, out=collapse_gap)
     # a block the simplex route gives zero weight cannot fire: no collapse
     collapse_gap[law == 0.0] = 0.0
-    worst = np.maximum(np.abs(born - law).max(axis=1), collapse_gap.max(axis=(1, 2)))
-    return CorrespondenceReport(worst <= tol, worst, len(partitions))
+    return np.maximum(np.abs(born - law).max(axis=1), collapse_gap.max(axis=(1, 2)))
 
 
 def _collapsed_moduli(

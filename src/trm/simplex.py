@@ -114,10 +114,6 @@ class BarycentricVector:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.components, dtype=float)
 
-    def support(self) -> tuple[int, ...]:
-        """1-based indices of the strictly positive components."""
-        return tuple(i + 1 for i, c in enumerate(self.components) if c > 0.0)
-
 
 @dataclass(frozen=True)
 class OutcomePartition:
@@ -175,11 +171,6 @@ class OutcomePartition:
         if outcome not in range(1, self.n + 1):
             raise ValueError(f"outcome {outcome} outside 1..{self.n}")
         return int(self._map[int(outcome) - 1]) + 1
-
-    def block_map(self) -> np.ndarray:
-        """Read-only array mapping 0-based outcome index to 0-based block
-        index; the same array on every call."""
-        return self._map
 
     def block_masks(self) -> np.ndarray:
         """(n_blocks, n) boolean array: row k marks the outcomes of block k+1."""

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checker import JointTriple, kolmogorov_check
 from .gtr import (
     DensitySpec,
     Epsilon,
@@ -169,15 +170,18 @@ def kolmogorov_counterexample(epsilon: float) -> CounterexampleReport:
         J1 = P(+w then +v)   J2 = P(+w then +u)   J3 = P(+v then -u)
 
     A single probability space would force J1 - J2 <= J3; the report's
-    margin is J1 - J2 - J3 and `violated` says the inequality fails.
+    margin is J1 - J2 - J3 and `violated` says the inequality fails, both
+    as checker.kolmogorov_check decides them.
     """
     density = Epsilon(epsilon)
     w, v, u = counterexample_directions()
     j1 = sequential_joint(w, [(w, 1), (v, 1)], density).probability
     j2 = sequential_joint(w, [(w, 1), (u, 1)], density).probability
     j3 = sequential_joint(w, [(v, 1), (u, -1)], density).probability
-    margin = j1 - j2 - j3
-    return CounterexampleReport(float(epsilon), (j1, j2, j3), margin, margin > 1e-12)
+    verdict = kolmogorov_check(JointTriple(j1, j2, j3))
+    return CounterexampleReport(
+        float(epsilon), (j1, j2, j3), verdict.margin, not verdict.satisfied
+    )
 
 
 def counterexample_bundle(epsilon: float) -> dict:

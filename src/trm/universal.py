@@ -15,16 +15,17 @@ outcomes and cells, and averages them over the subsets without enumerating
 any: each cell lies in C(n_c-1, k-1) of the C(n_c, k) subsets of size k, so
 the subset average of mean_{c in B} f[:, c] is the plain cell mean of f.
 No route builds the 2^n_c - 1 densities one by one; the test suite keeps
-that enumeration as its oracle.  universal_probability_mc samples subsets
-and break points instead.  Its kernel, mc_batch, draws a chunk of densities
-at once: an (m, n_c) subset bitmask with the empty rows redrawn, each row's
-point cells picked among its set bits, and one call of the cell-sampling
-kernel cells.region_counts_in_cells, shared with gtr's stratified route,
-which draws a tie-resolved break point in every picked cell and counts the
-per-density block hits.  A chunk holds up to MC_CHUNK_ROWS = 8192 break
-points, so a shard block of UNIVERSAL_BLOCK densities of 64 points is two
-kernel calls; the chunk keeps only its cell indices beside the kernel's
-scratch, which peaks near 82 bytes per break point for three outcomes.
+that enumeration as its oracle.  The sampling route of convergence_scan
+draws subsets and break points instead.  Its kernel, mc_batch, draws a
+chunk of densities at once: an (m, n_c) subset bitmask with the empty rows
+redrawn, each row's point cells picked among its set bits, and one call of
+the cell-sampling kernel cells.region_counts_in_cells, shared with gtr's
+stratified route, which draws a tie-resolved break point in every picked
+cell and counts the per-density block hits.  A chunk holds up to
+MC_CHUNK_ROWS = 8192 break points, so a shard block of UNIVERSAL_BLOCK
+densities of 64 points is two kernel calls; the chunk keeps only its cell
+indices beside the kernel's scratch, which peaks near 82 bytes per break
+point for three outcomes.
 convergence_scan tabulates either route against the uniform law over a
 range of cell counts.
 """
@@ -42,7 +43,6 @@ from .simplex import BarycentricVector, OutcomePartition
 __all__ = [
     "convergence_scan",
     "universal_probability_exact",
-    "universal_probability_mc",
 ]
 
 # Densities per shard block of convergence_scan's sampling route; a density
@@ -74,34 +74,6 @@ def universal_probability_exact(
     return _grouping(x, partition).aggregate(fractions.mean(axis=1))
 
 
-def universal_probability_mc(
-    x: BarycentricVector,
-    n_cells: int,
-    density_samples: int,
-    point_samples: int,
-    rng: np.random.Generator,
-    partition: OutcomePartition | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo subset average.
-
-    Draws breakable subsets uniformly among the nonempty ones (rejection on
-    the empty draw), estimates each density's outcome law from point_samples
-    breaks, and averages.  Returns (probabilities, standard errors); the
-    standard error is the spread of per-density estimates over
-    sqrt(density_samples).
-    """
-    _check_mc_sizes(density_samples, point_samples)
-    stats = mc_batch(x, n_cells, density_samples, point_samples, rng, partition)
-    return mc_combine(stats, density_samples)
-
-
-def _check_mc_sizes(density_samples: int, point_samples: int) -> None:
-    """Refuse fewer than two densities, which leave no spread to report, or
-    a density without a point."""
-    if density_samples < 2 or point_samples < 1:
-        raise ValueError("need at least two density samples and one point sample")
-
-
 def mc_batch(
     x: BarycentricVector,
     n_cells: int,
@@ -111,7 +83,8 @@ def mc_batch(
     partition: OutcomePartition | None = None,
 ) -> np.ndarray:
     """Accumulated (2, n_blocks) array of per-density estimate sums and sums
-    of squares, the reducible building block of universal_probability_mc.
+    of squares, the reducible building block of convergence_scan's sampling
+    route.
 
     Block aggregation happens per density, before squaring, so the combined
     standard errors account for within-block correlations.
@@ -201,16 +174,22 @@ def convergence_scan(
     from the uniform law.  With a partition, rows are per block and the
     reference is the block sum of x.
 
-    The mc route shards mc_batch over blocks of UNIVERSAL_BLOCK densities,
-    running every cell count from `seed`, so the rows do not depend on
-    `workers`.
+    The mc route draws breakable subsets uniformly among the nonempty ones
+    (rejection on the empty draw), estimates each density's outcome law
+    from point_samples breaks, and averages; the standard error is the
+    spread of the per-density estimates over sqrt(density_samples).  It
+    shards mc_batch over blocks of UNIVERSAL_BLOCK densities, running every
+    cell count from `seed`, so the rows do not depend on `workers`.  It
+    refuses fewer than two densities, which leave no spread to report, and
+    a density without a point.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
     if method == "mc":
         if seed is None:
             raise ValueError("the mc route needs a seed")
-        _check_mc_sizes(density_samples, point_samples)
+        if density_samples < 2 or point_samples < 1:
+            raise ValueError("need at least two density samples and one point sample")
     partition = _grouping(x, partition)
     rows: list[dict[str, float | int]] = []
     xv = partition.aggregate(x.as_array())

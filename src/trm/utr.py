@@ -40,6 +40,10 @@ __all__ = [
     "sequential_probability",
 ]
 
+# Largest product-relation residual, or amplitude determinant, of a law or
+# state that still counts as a product.
+PRODUCT_TOL = 1e-9
+
 
 def outcome_probabilities(x: BarycentricVector, partition: OutcomePartition) -> np.ndarray:
     """Block probabilities under the uniform break law: sums of x over blocks."""
@@ -85,15 +89,13 @@ def run_batch(
     trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized trial counts per block for `trials` independent events."""
+    """Vectorized trial counts per block for `trials` independent events.
+
+    A vertex state needs no case of its own: its one support column never
+    ties, so every trial lands in the vertex's block."""
     if trials < 0:
         raise ValueError(f"negative trial count {trials}")
     partition.check_state(x.n)
-    support = x.support()
-    if len(support) == 1:
-        counts = np.zeros(partition.n_blocks, dtype=np.int64)
-        counts[partition.block_map()[support[0] - 1]] = trials
-        return counts
     xv = x.as_array()
     regions = resolve_ties(
         trials,
@@ -209,9 +211,10 @@ def product_relation_residuals(x: Sequence[float]) -> tuple[float, float, float,
 
 
 def product_probability_check(
-    x: BarycentricVector | Sequence[float], tol: float = 1e-9
+    x: BarycentricVector | Sequence[float],
 ) -> tuple[bool, tuple[float, float, float, float]]:
-    """Whether a four-outcome law factors into two independent binary laws.
+    """Whether a four-outcome law factors into two independent binary laws,
+    within PRODUCT_TOL.
 
     Returns the verdict and all four residuals.
     """
@@ -220,4 +223,4 @@ def product_probability_check(
     if x.n != 4:
         raise ValueError(f"product structure is defined for four outcomes, not {x.n}")
     residuals = product_relation_residuals(x.components)
-    return max(abs(r) for r in residuals) <= tol, residuals
+    return max(abs(r) for r in residuals) <= PRODUCT_TOL, residuals

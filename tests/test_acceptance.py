@@ -21,6 +21,7 @@ from trm import (
     collapse,
     complementary_mc,
     complementary_probabilities,
+    convergence_scan,
     epsilon_probability,
     height,
     is_product_state,
@@ -35,7 +36,6 @@ from trm import (
     transition_probabilities_1d,
     transition_probabilities_nd,
     universal_probability_exact,
-    universal_probability_mc,
 )
 from trm.checker import JointTriple
 from trm.gtr import Z_MAX, Epsilon
@@ -163,8 +163,7 @@ def test_c06_transition_probabilities_escape_qubit_models():
     boundary = qubit_embeddable(
         PairwiseTransitions(
             math.cos(math.pi / 8) ** 2, 0.5, math.cos(3 * math.pi / 8) ** 2
-        ),
-        tol=1e-9,
+        )
     )
     assert boundary.embeddable
     assert boundary.deficit < 1e-9
@@ -209,9 +208,11 @@ def test_c07_universal_average_collapses_to_uniform_law():
             assert dev.max() < 1e-12, (n_c, x)
 
     x3 = BarycentricVector(tuple(interior(gen, 3)))
-    probs, errs = universal_probability_mc(x3, 25, 10**4, 10**3, gen)
-    dev = np.abs(probs - x3.as_array())
-    assert (dev <= 4 * errs).all(), (probs, errs, x3)
+    rows = convergence_scan(
+        x3, [25], SEED + 7, "mc", density_samples=10**4, point_samples=10**3
+    )
+    for r in rows:
+        assert abs(r["deviation"]) <= 4 * r["stderr"], (r, x3)
     assert time.perf_counter() - t0 < 300.0
 
 
@@ -224,9 +225,7 @@ def test_c08_hilbert_route_equals_simplex_route():
         # state by state, n real parts then n imaginary parts
         raw = gen.normal(size=(1000, 2, n))
         amps = raw[:, 0] + 1j * raw[:, 1]
-        rep = correspondence_batch(amps / np.linalg.norm(amps, axis=1, keepdims=True), tol=1e-12)
-        assert rep.ok.all(), (n, rep.max_deviation.max())
-        worst = rep.max_deviation.max()
+        worst = correspondence_batch(amps / np.linalg.norm(amps, axis=1, keepdims=True)).max()
         assert worst < 1e-12, (n, worst)
     singlet = HilbertState((0.0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0.0))
     check = is_product_state(singlet)

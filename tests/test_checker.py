@@ -146,7 +146,7 @@ def test_classify_both_ok(rng):
 def test_classify_quantum_but_not_classical():
     # squared-half-angle regime: the joints break the set inequality while
     # the pairwise transitions close a spherical triangle exactly
-    report = classify(counterexample_bundle(1.0), qubit_tol=1e-9)
+    report = classify(counterexample_bundle(1.0))
     assert not report["classical_ok"]
     assert report["qubit_ok"]
 

@@ -477,8 +477,7 @@ def test_oracle_chunks_draw_the_per_state_stream(tmp_path, monkeypatch):
         reference = np.array(reference)
         np.testing.assert_allclose(np.concatenate(seen[3 * d_i:3 * d_i + 3]), reference,
                                    rtol=0, atol=1e-15)
-        worst = max(float(correspondence_batch(state[None, :]).max_deviation[0])
-                    for state in reference)
+        worst = max(float(correspondence_batch(state[None, :])[0]) for state in reference)
         dim, count, reported = rows[d_i].split(",")
         assert (int(dim), int(count)) == (n, states)
         assert abs(float(reported) - worst) <= 1e-15

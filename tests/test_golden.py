@@ -1,5 +1,5 @@
 """Golden outputs: the sha256 of the JSON output of one small config per
-sampled CLI route.
+sampled CLI route, and of the sphere and classify routes.
 
 The CLI output of a fixed config and seed is meant to stay byte-identical
 across refactors; only a change that deliberately moves a random stream or
@@ -68,6 +68,32 @@ GOLDEN = {
     "oracle": (
         {"kind": "oracle", "seed": 17, "params": {"dims": [2, 3, 4, 5], "states": 40}},
         "43c6bf4aaf1c0092f5a2f09871d1fbf185ce2095fa7017e8be7fe702461c146b",
+    ),
+    "sphere_counterexample_eps_0_3": (
+        {"kind": "sphere", "seed": 20, "params": {"mode": "counterexample", "epsilon": 0.3}},
+        "caf4837fcd24e7a3f0caa9b5e3e693445fb1a1e91715ac0036554c95199986b8",
+    ),
+    "sphere_counterexample_eps_1": (
+        {"kind": "sphere", "seed": 21, "params": {"mode": "counterexample", "epsilon": 1.0}},
+        "532ada1a429fe89fdcd1382ff0ae0a40f123c96ee02381d23102fcbb55f4441d",
+    ),
+    "sphere_sequential": (
+        {"kind": "sphere", "seed": 22,
+         "params": {"mode": "sequential", "initial": [0.7071067811865476, 0.0, 0.0],
+                    "density": {"type": "epsilon", "epsilon": 0.9},
+                    "steps": [{"direction": [0.5, 0.5, 0.0], "sign": 1},
+                              {"direction": [-0.5, 0.5, 0.0], "sign": -1},
+                              {"direction": [0.0, 0.0, 0.7071067811865476], "sign": 1}]}},
+        "37fa6a02cd86e8f08eb63d1ccb4b9522dc84e4f8d35a2af4a859d209611d8570",
+    ),
+    "classify": (
+        {"kind": "classify", "seed": 23,
+         "params": {"bundle": {
+             "joints": [{"p_vw": 0.5, "p_uw": 0.25, "p_ucv": 0.25},
+                        {"p_vw": 0.9, "p_uw": 0.1, "p_ucv": 0.2}],
+             "transitions": [{"p_ab": 0.5, "p_bc": 0.5, "p_ac": 0.5},
+                             {"p_ab": 1.0, "p_bc": 1.0, "p_ac": 0.0}]}}},
+        "8e878152ef50bfba1a0555d64c05c3b2e0d94271b4d9aaeaf53ba6ce509ab952",
     ),
 }
 

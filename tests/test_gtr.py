@@ -26,7 +26,7 @@ from trm import (
     transition_probabilities_nd,
 )
 import trm.cells as cells_module
-from trm.cells import cell_fraction_in_regions
+from trm.cells import cell_fraction_in_regions, slab_bounds, triangle_vertices
 from trm.gtr import Z_MAX, atom, cdf, frequency_plus_1d, sample_outcomes_1d
 from trm.shards import BLOCK_SIZE
 from conftest import random_interior_state
@@ -227,6 +227,47 @@ def test_nd_cellular_three_outcomes_mc(rng):
     assert abs(probs.sum() - 1.0) < 1e-12
     # fully breakable equals the uniform law up to MC noise
     assert (np.abs(probs - x.as_array()) <= 4 * errs + 1e-3).all()
+
+
+def _cells_of(points, n, n_cells):
+    """(m, n_cells) membership of barycentric points in the cells of the
+    subdivision: lam_1 within a slab's bounds, or (lam_2, lam_3) within a
+    triangle's chart corners, each up to 1e-12."""
+    if n != 3:
+        lo, hi = slab_bounds(n, n_cells).T
+        lam1 = points[:, :1]
+        return (lam1 >= lo - 1e-12) & (lam1 <= hi + 1e-12)
+    tri = triangle_vertices(math.isqrt(n_cells))  # (n_cells, 3, 2)
+    a = tri[:, 0]
+    edges = np.stack([tri[:, 1] - a, tri[:, 2] - a], axis=-1)  # (n_cells, 2, 2)
+    offset = points[:, None, 1:] - a  # (m, n_cells, 2)
+    s, t = np.moveaxis(np.linalg.solve(edges, offset[..., None])[..., 0], -1, 0)
+    return (s >= -1e-12) & (t >= -1e-12) & (s + t <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, n_cells, breakable",
+    [(3, 9, {1, 3, 4, 8}), (4, 8, {1, 2, 5, 8}), (4, 32, set(range(3, 33, 4)))],
+    ids=["triangles", "slabs", "many-slabs"],
+)
+def test_sample_break_point_in_a_cellular_density(rng, n, n_cells, breakable):
+    density = CellularDensity(n, n_cells, frozenset(breakable))
+    one = sample_break_point(density, rng)
+    assert one.shape == (n,)
+    m = 20000
+    pts = sample_break_point(density, rng, size=m)
+    assert pts.shape == (m, n)
+    np.testing.assert_allclose(pts.sum(axis=1), 1.0, atol=1e-12)
+    inside = _cells_of(np.vstack([one, pts]), n, n_cells)
+    cells = np.array(sorted(breakable)) - 1
+    # every point lies in a breakable cell
+    assert inside[:, cells].any(axis=1).all()
+    # and the breakable cells are picked uniformly: the first cell holding
+    # a point (points on shared edges have measure zero) is Bin(m, 1/C)
+    first = inside[1:, cells].argmax(axis=1)
+    counts = np.bincount(first, minlength=cells.size)
+    p = 1.0 / cells.size
+    assert (np.abs(counts - m * p) <= 4 * math.sqrt(m * p * (1 - p))).all(), counts
 
 
 def test_nd_requires_rng_for_mc():

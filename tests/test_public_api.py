@@ -1,9 +1,15 @@
 """The public names: every module's __all__ resolves, every name the
 package exports is also listed by the submodule that defines it, and the
-package exports exactly the pinned list below."""
+package exports exactly the pinned list below.  Every function the package
+defines is also used somewhere: in the package, the tests or the
+benchmark."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -96,7 +102,6 @@ PUBLIC = [
     "transition_probabilities_nd",
     "transition_probability",
     "universal_probability_exact",
-    "universal_probability_mc",
 ]
 
 # Names removed because nothing in the package or the CLI called them, each
@@ -110,6 +115,8 @@ REMOVED = [
     ("hilbert", "state_from_json"),
     ("universal", "enumerate_cellular"),
     ("universal", "ENUMERATION_LIMIT"),
+    ("universal", "universal_probability_mc"),
+    ("hilbert", "CorrespondenceReport"),
 ]
 
 
@@ -121,3 +128,47 @@ def test_package_exports_the_pinned_names():
 def test_removed_names_stay_removed(module, name):
     assert not hasattr(trm, name)
     assert not hasattr(importlib.import_module(f"trm.{module}"), name)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "trm"
+# A string that is a dotted name, such as the tracer's "Class.method" targets.
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """Names a tree refers to: bare names, attributes, imported names and
+    the parts of dotted-name strings."""
+    uses: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            uses[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                uses.update(node.value.split("."))
+    return uses
+
+
+def test_every_function_is_used_outside_its_definition():
+    uses: Counter = Counter()
+    own: Counter = Counter()
+    defined = []
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "bench"):
+        for path in sorted(folder.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            uses += _uses(tree)
+            if folder != PACKAGE:
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                    if name.startswith("__") and name.endswith("__"):
+                        continue
+                    defined.append((f"{path.name}:{node.lineno}", name))
+                    own[name] += _uses(node)[name]
+    dead = [(where, name) for where, name in defined if uses[name] == own[name]]
+    assert not dead, dead

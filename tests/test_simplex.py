@@ -338,7 +338,6 @@ def test_block_of_reads_the_block_map(n):
     for blocks in iter_partitions(n):
         p = OutcomePartition(blocks)
         for i in range(1, n + 1):
-            assert p.block_of(i) == p.block_map()[i - 1] + 1
             assert i in p.blocks[p.block_of(i) - 1]
         assert p.block_of(float(n)) == p.block_of(n)
         for outside in (0, n + 1, 1.5):
@@ -391,13 +390,9 @@ def test_count_refuses_regions_outside_the_outcomes(regions):
         OutcomePartition.singletons(3).count(np.array(regions), 2)
 
 
-def test_block_map_is_built_once_and_read_only():
+def test_partition_equality_ignores_the_stored_map():
+    # the map built on construction stays out of equality, hashing and repr
     p = OutcomePartition.of([[2, 4], [1, 3]])
-    assert p.block_map() is p.block_map()
-    assert p.block_map().tolist() == [1, 0, 1, 0]
-    with pytest.raises(ValueError):
-        p.block_map()[0] = 0
-    # the stored map stays out of equality, hashing and repr
     q = OutcomePartition.of([[1, 3], [2, 4]])
     assert p != q and p == OutcomePartition.of([[4, 2], [3, 1]])
     assert hash(p) == hash(OutcomePartition.of([[4, 2], [3, 1]]))

@@ -29,12 +29,19 @@ from trm import (
     convergence_scan,
     transition_probabilities_nd,
     universal_probability_exact,
-    universal_probability_mc,
 )
 from trm.cells import MAX_CELLS, cell_fraction_in_regions
 import trm.universal as universal_module
 from trm.universal import MC_CHUNK_ROWS, mc_batch, mc_combine
 from conftest import enumerate_cellular, random_interior_state
+
+
+def sampled_average(x, n_cells, density_samples, point_samples, rng, partition=None):
+    """(probabilities, standard errors) of the sampled subset average, drawn
+    from rng in one mc_batch call."""
+    stats = mc_batch(x, n_cells, density_samples, point_samples, rng, partition)
+    return mc_combine(stats, density_samples)
+
 
 HALF = BarycentricVector((0.5, 0.5))
 SKEW = BarycentricVector((0.3, 0.7))
@@ -121,7 +128,7 @@ def test_mc_average_matches_state_within_bands(rng):
     for n in (3, 4, 5, 6):
         x = BarycentricVector(tuple(random_interior_state(rng, n)))
         n_c = 9 if n == 3 else 8
-        probs, errs = universal_probability_mc(x, n_c, 400, 400, rng)
+        probs, errs = sampled_average(x, n_c, 400, 400, rng)
         assert abs(probs.sum() - 1.0) < 1e-9
         assert (np.abs(probs - x.as_array()) <= 4 * errs + 1e-12).all(), (n, probs)
 
@@ -288,7 +295,7 @@ def test_exact_average_with_partition(rng):
 def test_mc_average_with_partition(rng):
     x = BarycentricVector(tuple(random_interior_state(rng, 4)))
     part = OutcomePartition.of([[1, 2], [3, 4]])
-    probs, errs = universal_probability_mc(x, 8, 400, 400, rng, part)
+    probs, errs = sampled_average(x, 8, 400, 400, rng, part)
     target = np.array(
         [x.components[0] + x.components[1], x.components[2] + x.components[3]]
     )
@@ -305,7 +312,7 @@ def test_mc_average_with_partition(rng):
 def test_mc_agrees_with_exact_two_outcomes(rng):
     x = BarycentricVector((0.3, 0.7))
     exact = universal_probability_exact(x, 5)
-    probs, errs = universal_probability_mc(x, 5, 600, 400, rng)
+    probs, errs = sampled_average(x, 5, 600, 400, rng)
     assert (np.abs(probs - exact) <= 4 * errs + 1e-12).all()
 
 
@@ -336,3 +343,6 @@ def test_convergence_scan_exact_and_mc():
         convergence_scan(x, [2], method="bogus")
     with pytest.raises(ValueError):
         convergence_scan(x, [2], method="mc")  # seed required
+    for sizes in ({"density_samples": 1}, {"point_samples": 0}):
+        with pytest.raises(ValueError, match="at least two density samples"):
+            convergence_scan(x, [2], seed=1, method="mc", **sizes)

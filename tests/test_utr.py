@@ -22,6 +22,7 @@ from trm import (
     run_batch,
     sequential_probability,
 )
+from trm.simplex import iter_partitions
 from trm.utr import _regions_at_break_point
 
 from conftest import random_interior_state
@@ -111,6 +112,17 @@ def test_run_batch_vertex_state_is_deterministic(rng):
     x = BarycentricVector((0.0, 0.0, 1.0, 0.0))
     counts = run_batch(x, COARSE, 1000, rng)
     assert counts.tolist() == [0, 1000]
+    # a vertex has one support column, so its one ratio never ties and every
+    # trial lands in the vertex's block, for every vertex and grouping
+    for n in (2, 3, 4, 5):
+        for j in range(1, n + 1):
+            x = BarycentricVector(tuple(float(i == j) for i in range(1, n + 1)))
+            for blocks in iter_partitions(n):
+                partition = OutcomePartition(blocks)
+                counts = run_batch(x, partition, 300, rng)
+                expected = [0] * partition.n_blocks
+                expected[partition.block_of(j) - 1] = 300
+                assert counts.tolist() == expected, (j, blocks)
 
 
 def test_sequential_two_step_identity(rng):

@@ -17,8 +17,9 @@ trials included (gtr.frequency_plus_1d), lives in the library.  _PARAMS
 lists the params each kind and mode reads; any other field, at any level of
 the document, is a schema error.
 
-Exit codes: 0 success, 1 oracle comparison failure, 2 malformed config,
-3 well-formed config with out-of-range values or a non-finite result.
+Exit codes: 0 success, 1 oracle comparison failure, 2 malformed config or
+an unwritable --out file, 3 well-formed config with out-of-range values or
+a non-finite result.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .gtr import (
 from .hilbert import correspondence_batch
 from .shards import block_rng, run_sharded
 from .simplex import BarycentricVector, OutcomePartition
-from .sphere import BlochVector, counterexample_bundle, kolmogorov_counterexample, sequential_joint
+from .sphere import BlochVector, counterexample_bundle, sequential_joint
 from .universal import convergence_scan
 from .utr import outcome_probabilities, run_batch
 
@@ -264,26 +265,25 @@ def _run_universal(params: Mapping[str, Any], seed: int, workers: int) -> tuple[
 
 def _run_sphere(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
     if params["mode"] == "counterexample":
-        eps = params["epsilon"]
-        rep = kolmogorov_counterexample(eps)
-        bundle = counterexample_bundle(eps)
+        bundle = counterexample_bundle(params["epsilon"])
         verdicts = classify(bundle)
+        (joint,) = verdicts["joints"]
+        joints = [joint["p_vw"], joint["p_uw"], joint["p_ucv"]]
+        violated = not joint["satisfied"]
         result = {
             "mode": "counterexample",
-            "epsilon": rep.epsilon,
-            "joints": list(rep.joints),
-            "margin": rep.margin,
-            "classical_violation": rep.violated,
+            "epsilon": params["epsilon"],
+            "joints": joints,
+            "margin": joint["margin"],
+            "classical_violation": violated,
             "bundle": bundle,
             "classical_ok": verdicts["classical_ok"],
             "qubit_ok": verdicts["qubit_ok"],
         }
         rows = [
-            {"quantity": "J1", "value": rep.joints[0]},
-            {"quantity": "J2", "value": rep.joints[1]},
-            {"quantity": "J3", "value": rep.joints[2]},
-            {"quantity": "margin", "value": rep.margin},
-            {"quantity": "classical_violation", "value": float(rep.violated)},
+            *({"quantity": f"J{i}", "value": j} for i, j in enumerate(joints, 1)),
+            {"quantity": "margin", "value": joint["margin"]},
+            {"quantity": "classical_violation", "value": float(violated)},
         ]
         return result, rows
     steps = [(step["direction"], step["sign"]) for step in params["steps"]]
@@ -309,7 +309,7 @@ def _run_classify(params: Mapping[str, Any], seed: int, workers: int) -> tuple[d
 
 
 def _run_oracle(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
-    dims, states, inject = params["dims"], params["states"], params["inject_fault"]
+    dims, states = params["dims"], params["states"]
     rows = []
     worst = 0.0
     for d_i, n in enumerate(dims):
@@ -321,16 +321,12 @@ def _run_oracle(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
             amps = raw[:, 0] + 1j * raw[:, 1]
             amps /= np.linalg.norm(amps, axis=1, keepdims=True)
             dim_worst = max(dim_worst, float(correspondence_batch(amps).max()))
-        if inject and d_i == 0:
-            # test hook: the first dimension reports a 1e-3 Born deviation
-            dim_worst = max(dim_worst, 1e-3)
         rows.append({"dim": n, "states": states, "max_deviation": dim_worst})
         worst = max(worst, dim_worst)
     result = {
         "dims": dims,
         "states_per_dim": states,
         "tolerance": params["tolerance"],
-        "fault_injected": inject,
         "max_deviation": worst,
         "ok": worst <= params["tolerance"],
     }
@@ -495,19 +491,11 @@ def main(argv: list[str] | None = None) -> int:
             help="parallel workers (results do not depend on this)",
         )
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        if name == "oracle-compare":
-            sp.add_argument(
-                "--inject-fault",
-                action="store_true",
-                help="self-test hook: report a deviation of at least 1e-3",
-            )
     args = parser.parse_args(argv)
     _keep_freed_memory()
 
     try:
         config, kind, seed, params = _load_config(args.config, forced[args.command])
-        if kind == "oracle":
-            params["inject_fault"] = getattr(args, "inject_fault", False)
         result, rows = _RUNNERS[kind](params, seed, max(1, args.workers))
         canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
         payload = {
@@ -528,8 +516,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", newline="\n") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w", newline="\n") as f:
+                f.write(text)
+        except OSError as exc:
+            print(f"output error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     if kind == "oracle" and not result["ok"]:
         return 1
     return 0

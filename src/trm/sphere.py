@@ -12,11 +12,13 @@ With the Epsilon(e) density this gives the closed-form transition law of
 gtr.epsilon_probability; at e == 1 it is the squared-half-angle law.
 
 The module also builds the standard three-direction experiment (two steps
-of sequential measurement along w, v, u at angles pi/4 and pi/2) whose
-joint probabilities violate the single-probability-space inequality
-P(V and W) - P(U and W) <= P(not-U and V) for every e in (0, 1]:
-below e = sqrt(2)/2 the joints are exactly (1, 0, 1/2) with margin 1/2,
-and at e = 1 they are the squared-half-angle values, still violating with
+of sequential measurement along w, v, u at angles pi/4 and pi/2) as a
+bundle for checker.classify, which decides whether its joint probabilities
+fit the single-probability-space inequality
+P(V and W) - P(U and W) <= P(not-U and V).  They violate it for every e in
+(0, 1]: up to e = sqrt(2)/2 the joints are exactly (1, 0, 1/2) with margin
+1/2, and at e = 1 they are the squared-half-angle values
+((1 + c)/2, (1 - c)/2, (1 + c)/4) with c = cos(pi/4), still violating with
 margin (3*sqrt(2) - 2)/8.
 """
 
@@ -28,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .checker import JointTriple, kolmogorov_check
 from .gtr import (
     DensitySpec,
     Epsilon,
@@ -38,14 +39,12 @@ from .gtr import (
 
 __all__ = [
     "BlochVector",
-    "CounterexampleReport",
     "MeasureResult",
     "RADIUS",
     "SequentialRecord",
     "counterexample_bundle",
     "counterexample_directions",
     "fall",
-    "kolmogorov_counterexample",
     "measure",
     "sequential_joint",
     "transition_probability",
@@ -154,45 +153,27 @@ def counterexample_directions() -> tuple[BlochVector, BlochVector, BlochVector]:
     return w, v, u
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    epsilon: float
-    joints: tuple[float, float, float]
-    margin: float
-    violated: bool
-
-
-def kolmogorov_counterexample(epsilon: float) -> CounterexampleReport:
-    """Joint probabilities of the three-direction experiment under Epsilon.
+def counterexample_bundle(epsilon: float) -> dict:
+    """The three-direction experiment under Epsilon, as a bundle document
+    for checker.classify.
 
     The three joints, all starting from state w, are
 
         J1 = P(+w then +v)   J2 = P(+w then +u)   J3 = P(+v then -u)
 
-    A single probability space would force J1 - J2 <= J3; the report's
-    margin is J1 - J2 - J3 and `violated` says the inequality fails, both
-    as checker.kolmogorov_check decides them.
+    and a single probability space would force J1 - J2 <= J3.  The bundle
+    also carries the pairwise transition probabilities (w->v, v->u, w->u).
     """
     density = Epsilon(epsilon)
     w, v, u = counterexample_directions()
-    j1 = sequential_joint(w, [(w, 1), (v, 1)], density).probability
-    j2 = sequential_joint(w, [(w, 1), (u, 1)], density).probability
-    j3 = sequential_joint(w, [(v, 1), (u, -1)], density).probability
-    verdict = kolmogorov_check(JointTriple(j1, j2, j3))
-    return CounterexampleReport(
-        float(epsilon), (j1, j2, j3), verdict.margin, not verdict.satisfied
-    )
-
-
-def counterexample_bundle(epsilon: float) -> dict:
-    """The same experiment packaged for the model checker: the three joints
-    plus the pairwise transition probabilities (w->v, v->u, w->u)."""
-    density = Epsilon(epsilon)
-    w, v, u = counterexample_directions()
-    rep = kolmogorov_counterexample(epsilon)
-    j1, j2, j3 = rep.joints
     return {
-        "joints": [{"p_vw": j1, "p_uw": j2, "p_ucv": j3}],
+        "joints": [
+            {
+                "p_vw": sequential_joint(w, [(w, 1), (v, 1)], density).probability,
+                "p_uw": sequential_joint(w, [(w, 1), (u, 1)], density).probability,
+                "p_ucv": sequential_joint(w, [(v, 1), (u, -1)], density).probability,
+            }
+        ],
         "transitions": [
             {
                 "p_ab": transition_probability(w, v, density)[0],

@@ -18,15 +18,16 @@ from trm import (
     BarycentricVector,
     OutcomePartition,
     PairwiseTransitions,
+    classify,
     collapse,
     complementary_mc,
     complementary_probabilities,
     convergence_scan,
+    counterexample_bundle,
     epsilon_probability,
     height,
     is_product_state,
     kolmogorov_check,
-    kolmogorov_counterexample,
     outcome_probabilities,
     qubit_embeddable,
     region_measure,
@@ -143,13 +144,13 @@ def test_c05_joint_probabilities_escape_classical_models():
     deterministic regime and always breaks the set inequality; the margin at
     the regime edge is exactly one half."""
     for eps in np.linspace(1e-9, math.sqrt(2) / 2, 20):
-        rep = kolmogorov_counterexample(float(eps))
-        assert abs(rep.joints[0] - 1.0) < 1e-12
-        assert abs(rep.joints[1] - 0.0) < 1e-12
-        assert abs(rep.joints[2] - 0.5) < 1e-12
-        assert rep.violated
-    edge = kolmogorov_counterexample(math.sqrt(2) / 2)
-    verdict = kolmogorov_check(JointTriple(*edge.joints))
+        (joint,) = classify(counterexample_bundle(float(eps)))["joints"]
+        assert abs(joint["p_vw"] - 1.0) < 1e-12
+        assert abs(joint["p_uw"] - 0.0) < 1e-12
+        assert abs(joint["p_ucv"] - 0.5) < 1e-12
+        assert not joint["satisfied"]
+    (edge,) = classify(counterexample_bundle(math.sqrt(2) / 2))["joints"]
+    verdict = kolmogorov_check(JointTriple(edge["p_vw"], edge["p_uw"], edge["p_ucv"]))
     assert not verdict.satisfied
     assert abs(verdict.margin - 0.5) < 1e-12
 

@@ -420,11 +420,27 @@ def test_oracle_compare_passes_and_fault_injection_fails(tmp_path):
     result = json.loads(ok.stdout)["result"]
     assert result["ok"] is True and result["max_deviation"] < 1e-12
 
-    bad = run_cli("oracle-compare", cfg, "--inject-fault")
-    assert bad.returncode == 1
+    # a tolerance below the rounding floor of the Born comparison fails
+    strict = write_config(
+        tmp_path,
+        "strict.json",
+        {"kind": "oracle", "seed": 5,
+         "params": {"dims": [2, 3], "states": 10, "tolerance": 1e-300}},
+    )
+    bad = run_cli("oracle-compare", strict)
+    assert bad.returncode == 1, bad.stderr
     result = json.loads(bad.stdout)["result"]
     assert result["ok"] is False
-    assert result["max_deviation"] >= 1e-3 - 1e-9
+    assert result["max_deviation"] > result["tolerance"]
+
+
+@pytest.mark.parametrize("where", ["missing/out.json", "."], ids=["no-directory", "directory"])
+def test_unwritable_output_is_a_one_line_error(tmp_path, utr_config, where):
+    out = tmp_path / where
+    proc = run_cli("run", utr_config, "--out", out)
+    assert_rejected(proc, 2)
+    assert proc.stderr.startswith(f"output error: cannot write {out}")
+    assert not (tmp_path / "missing").exists()
 
 
 def run_main(*args):

@@ -67,7 +67,7 @@ GOLDEN = {
     ),
     "oracle": (
         {"kind": "oracle", "seed": 17, "params": {"dims": [2, 3, 4, 5], "states": 40}},
-        "43c6bf4aaf1c0092f5a2f09871d1fbf185ce2095fa7017e8be7fe702461c146b",
+        "17fea29fabe3528764565dab015083c240c4c95e7e602cf000d5ab2025b68675",
     ),
     "sphere_counterexample_eps_0_3": (
         {"kind": "sphere", "seed": 20, "params": {"mode": "counterexample", "epsilon": 0.3}},

@@ -79,7 +79,6 @@ PUBLIC = [
     "height",
     "is_product_state",
     "kolmogorov_check",
-    "kolmogorov_counterexample",
     "measure",
     "outcome_probabilities",
     "product_probability_check",
@@ -117,6 +116,8 @@ REMOVED = [
     ("universal", "ENUMERATION_LIMIT"),
     ("universal", "universal_probability_mc"),
     ("hilbert", "CorrespondenceReport"),
+    ("sphere", "kolmogorov_counterexample"),
+    ("sphere", "CounterexampleReport"),
 ]
 
 

@@ -12,14 +12,20 @@ from trm import (
     Epsilon,
     PointBreak,
     Uniform,
+    classify,
     counterexample_bundle,
     counterexample_directions,
-    kolmogorov_counterexample,
     measure,
     sequential_joint,
     transition_probability,
 )
 from trm.sphere import RADIUS, fall
+
+
+def counterexample_joint(eps):
+    """classify's entry for the counterexample's one joint triple."""
+    (joint,) = classify(counterexample_bundle(eps))["joints"]
+    return joint
 
 
 def test_bloch_norm_is_enforced():
@@ -76,43 +82,51 @@ def test_small_epsilon_joints_are_extremal():
     """Below the geometric threshold the three joints freeze at (1, 0, 1/2)
     and the inequality fails by exactly one half."""
     for eps in np.linspace(1e-6, math.sqrt(2) / 2, 20):
-        rep = kolmogorov_counterexample(eps)
-        np.testing.assert_allclose(rep.joints, [1.0, 0.0, 0.5], atol=1e-12)
-        assert abs(rep.margin - 0.5) < 1e-12
-        assert rep.violated
+        joint = counterexample_joint(eps)
+        np.testing.assert_allclose(
+            [joint["p_vw"], joint["p_uw"], joint["p_ucv"]], [1.0, 0.0, 0.5], atol=1e-12
+        )
+        assert abs(joint["margin"] - 0.5) < 1e-12
+        assert not joint["satisfied"]
 
 
 def test_born_regime_still_violates():
-    rep = kolmogorov_counterexample(1.0)
+    joint = counterexample_joint(1.0)
     expected = (3 * math.sqrt(2) - 2) / 8
-    assert abs(rep.margin - expected) < 1e-12
-    assert rep.violated
+    assert abs(joint["margin"] - expected) < 1e-12
+    assert not joint["satisfied"]
     # J1: measuring w on state w is certain, then w -> v costs cos^2(pi/8)
     c = math.cos(math.pi / 4)
-    assert abs(rep.joints[0] - (1 + c) / 2) < 1e-12
+    assert abs(joint["p_vw"] - (1 + c) / 2) < 1e-12
     # J2: then w -> u costs cos^2(3pi/8) = (1 - c)/2
-    assert abs(rep.joints[1] - (1 - c) / 2) < 1e-12
+    assert abs(joint["p_uw"] - (1 - c) / 2) < 1e-12
     # J3: w -> +v again costs (1 + c)/2, then the minus branch of a right
     # angle halves it
-    assert abs(rep.joints[2] - (1 + c) / 4) < 1e-12
+    assert abs(joint["p_ucv"] - (1 + c) / 4) < 1e-12
 
 
 def test_violation_region_boundary():
     # between sqrt(2)/2 and 1 the margin shrinks but stays positive
-    margins = [kolmogorov_counterexample(e).margin for e in np.linspace(0.72, 1.0, 8)]
+    margins = [counterexample_joint(e)["margin"] for e in np.linspace(0.72, 1.0, 8)]
     assert all(m > 0 for m in margins)
     assert margins == sorted(margins, reverse=True)
 
 
 def test_bundle_shape_and_consistency():
-    bundle = counterexample_bundle(0.9)
-    rep = kolmogorov_counterexample(0.9)
-    (joint,) = bundle["joints"]
-    assert abs(joint["p_vw"] - rep.joints[0]) < 1e-15
-    assert abs(joint["p_uw"] - rep.joints[1]) < 1e-15
-    assert abs(joint["p_ucv"] - rep.joints[2]) < 1e-15
-    (tr,) = bundle["transitions"]
-    assert set(tr) == {"p_ab", "p_bc", "p_ac"}
+    """The joints are products of the bundle's own transitions, exactly:
+    measuring w on w is certain and the minus branch of v -> u has
+    probability 1 - p_bc.  classify finds the joints non-classical at every
+    band width."""
+    for eps in [*np.linspace(0.0025, 1.0, 400), math.sqrt(2) / 2, 1.0]:
+        bundle = counterexample_bundle(float(eps))
+        (joint,) = bundle["joints"]
+        (tr,) = bundle["transitions"]
+        assert set(joint) == {"p_vw", "p_uw", "p_ucv"}
+        assert set(tr) == {"p_ab", "p_bc", "p_ac"}
+        assert joint["p_vw"] == tr["p_ab"]
+        assert joint["p_uw"] == tr["p_ac"]
+        assert joint["p_ucv"] == tr["p_ab"] * (1 - tr["p_bc"])
+        assert classify(bundle)["classical_ok"] is False
 
 
 def test_measure_collapses_to_signed_direction(rng):

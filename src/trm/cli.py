@@ -399,26 +399,10 @@ def _load_config(path: Path, forced_kind: str | None) -> tuple[dict, str, int, d
     return config, kind, seed, object_field(params, f"{kind} params", spec)
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
 def _render(payload: dict, rows: list[dict], fmt: str) -> str:
     """The output text; a non-finite number anywhere is a ValueError."""
     if fmt == "json":
-        return json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     buf.write(
         f"# trm={payload['version']} seed={payload['seed']} "

@@ -21,7 +21,10 @@ break and by frequency_plus_1d, the sharded Monte Carlo frequency, for many.
 Variants: Uniform (the full-interval uniform law), Epsilon(e) (uniform on
 the central fraction e of the interval), PointBreak (a single atom),
 DoublePoint (atoms at both ends, giving state-independent outcomes),
-PiecewiseConstant1D, and CellularDensity for any outcome count.
+PiecewiseConstant1D, and CellularDensity for any outcome count.  Each
+one-dimensional variant is a short list of (lo, hi, mass) pieces, mass
+spread uniformly over [lo, hi] or an atom where lo == hi; cdf, atom and the
+one-dimensional sampler read those pieces and nothing else of the variant.
 
 transition_probabilities_nd gives the law of a density on the full outcome
 simplex.  For a cellular density on three or more outcomes it samples each
@@ -145,7 +148,9 @@ class DoublePoint:
 class PiecewiseConstant1D:
     """Piecewise-constant density: breakpoints z_0 < ... < z_k inside the
     interval and one probability mass per sub-interval (normalized on
-    construction; zero density outside [z_0, z_k])."""
+    construction; zero density outside [z_0, z_k]).  Breakpoints up to
+    1e-12 outside the interval are clamped onto it; they must still increase
+    strictly after that."""
 
     breakpoints: tuple[float, ...]
     masses: tuple[float, ...]
@@ -157,10 +162,11 @@ class PiecewiseConstant1D:
             raise ValueError("need at least two breakpoints")
         if len(ms) != len(bp) - 1:
             raise ValueError(f"{len(ms)} masses for {len(bp) - 1} sub-intervals")
-        if not all(q > p for p, q in zip(bp, bp[1:])):
-            raise ValueError(f"breakpoints must increase strictly: {bp}")
         if not (bp[0] >= -Z_MAX - 1e-12 and bp[-1] <= Z_MAX + 1e-12):
             raise ValueError(f"breakpoints must lie within [-{Z_MAX}, {Z_MAX}]")
+        bp = tuple(np.clip(bp, -Z_MAX, Z_MAX).tolist())
+        if not all(q > p for p, q in zip(bp, bp[1:])):
+            raise ValueError(f"breakpoints must increase strictly once clamped: {bp}")
         if not all(m >= 0.0 for m in ms):
             raise ValueError(f"negative or NaN mass in {ms}")
         total = math.fsum(ms)
@@ -172,53 +178,39 @@ class PiecewiseConstant1D:
 
 DensitySpec = Uniform | Epsilon | PointBreak | DoublePoint | PiecewiseConstant1D | CellularDensity
 
-_ONE_D = (Uniform, Epsilon, PointBreak, DoublePoint, PiecewiseConstant1D)
+
+def _pieces(density: DensitySpec) -> tuple[tuple[float, float, float], ...]:
+    """The break law of a one-dimensional density as (lo, hi, mass) pieces:
+    mass spread uniformly over [lo, hi], or an atom at lo when lo == hi."""
+    if isinstance(density, Uniform):
+        return ((-Z_MAX, Z_MAX, 1.0),)
+    if isinstance(density, Epsilon):
+        half = density.epsilon * Z_MAX
+        return ((-half, half, 1.0),)
+    if isinstance(density, PointBreak):
+        return ((density.z0, density.z0, 1.0),)
+    if isinstance(density, DoublePoint):
+        return ((Z_MAX, Z_MAX, density.a), (-Z_MAX, -Z_MAX, density.b))
+    if isinstance(density, PiecewiseConstant1D):
+        bp = density.breakpoints
+        return tuple(zip(bp, bp[1:], density.masses))
+    raise ValueError(f"{type(density).__name__} is not a one-dimensional density")
 
 
 def cdf(density: DensitySpec, z: float) -> float:
     """P(Z <= z) of a one-dimensional break density."""
-    if isinstance(density, Uniform):
-        return float(np.clip((z + Z_MAX) / (2.0 * Z_MAX), 0.0, 1.0))
-    if isinstance(density, Epsilon):
-        half = density.epsilon * Z_MAX
-        return float(np.clip((z + half) / (2.0 * half), 0.0, 1.0))
-    if isinstance(density, PointBreak):
-        return 1.0 if z >= density.z0 else 0.0
-    if isinstance(density, DoublePoint):
-        out = 0.0
-        if z >= -Z_MAX:
-            out += density.b
-        if z >= Z_MAX:
-            out += density.a
-        return out
-    if isinstance(density, PiecewiseConstant1D):
-        bp, ms = density.breakpoints, density.masses
-        if z < bp[0]:
-            return 0.0
-        acc = 0.0
-        for lo, hi, m in zip(bp, bp[1:], ms):
-            if z >= hi:
-                acc += m
-            else:
-                acc += m * (z - lo) / (hi - lo)
-                break
-        return min(acc, 1.0)
-    raise ValueError(f"{type(density).__name__} is not a one-dimensional density")
+    acc = 0.0
+    for lo, hi, m in _pieces(density):
+        if z >= hi:
+            acc += m
+        elif z > lo:
+            acc += m * (z - lo) / (hi - lo)
+    return min(acc, 1.0)
 
 
 def atom(density: DensitySpec, z: float) -> float:
     """Point mass P(Z == z); zero for the continuous variants."""
-    if isinstance(density, PointBreak):
-        return 1.0 if z == density.z0 else 0.0
-    if isinstance(density, DoublePoint):
-        if z == Z_MAX:
-            return density.a
-        if z == -Z_MAX:
-            return density.b
-        return 0.0
-    if isinstance(density, _ONE_D):
-        return 0.0
-    raise ValueError(f"{type(density).__name__} is not a one-dimensional density")
+    return sum((m for lo, hi, m in _pieces(density) if lo == hi == z), 0.0)
 
 
 def _landing(cos_theta: float, density: DensitySpec) -> float:
@@ -227,8 +219,7 @@ def _landing(cos_theta: float, density: DensitySpec) -> float:
     c = float(cos_theta)
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"cos(theta) must lie in [-1, 1], got {c}")
-    if not isinstance(density, _ONE_D):
-        raise ValueError(f"{type(density).__name__} is not a one-dimensional density")
+    _pieces(density)
     return c * Z_MAX
 
 
@@ -359,34 +350,24 @@ def sample_break_point(
     """Draw break points from a density.
 
     One-dimensional variants return a float (or an array of them when size
-    is given) via inverse-CDF sampling; cellular densities return
+    is given) via inverse-CDF sampling over their pieces, one uniform per
+    break, atoms included; cellular densities return
     barycentric points, choosing a breakable cell uniformly (all cells have
     equal measure) and a uniform point inside it.
     """
     m = 1 if size is None else int(size)
-    if isinstance(density, Uniform):
-        z = (rng.random(m) * 2.0 - 1.0) * Z_MAX
-    elif isinstance(density, Epsilon):
-        z = (rng.random(m) * 2.0 - 1.0) * density.epsilon * Z_MAX
-    elif isinstance(density, PointBreak):
-        z = np.full(m, density.z0)
-    elif isinstance(density, DoublePoint):
-        z = np.where(rng.random(m) < density.a, Z_MAX, -Z_MAX)
-    elif isinstance(density, PiecewiseConstant1D):
-        cum = np.concatenate([[0.0], np.cumsum(density.masses)])
-        cum[-1] = 1.0
-        u = rng.random(m)
-        seg = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(density.masses) - 1)
-        bp = np.asarray(density.breakpoints)
-        frac = (u - cum[seg]) / (cum[seg + 1] - cum[seg])
-        z = bp[seg] + frac * (bp[seg + 1] - bp[seg])
-    elif isinstance(density, CellularDensity):
+    if isinstance(density, CellularDensity):
         cells = density.breakable_sorted - 1
         idx = cells[rng.integers(0, cells.size, m)]
         pts = sample_in_cells(density.n_outcomes, density.n_cells, idx, rng)
         return pts[0] if size is None else pts
-    else:
-        raise ValueError(f"unknown density {type(density).__name__}")
+    lo, hi, mass = (np.array(col) for col in zip(*_pieces(density)))
+    cum = np.concatenate([[0.0], np.cumsum(mass)])
+    cum[-1] = 1.0
+    u = rng.random(m)
+    seg = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, mass.size - 1)
+    frac = (u - cum[seg]) / (cum[seg + 1] - cum[seg])
+    z = lo[seg] + frac * (hi[seg] - lo[seg])
     return float(z[0]) if size is None else z
 
 

@@ -32,6 +32,18 @@ GOLDEN = {
                                 "masses": [0.3, 0.7]}}},
         "36183abdb9d5cd852572f280f6e2706416556ef2f8f4b56e69853ef1c693b185",
     ),
+    "gtr_1d_double_point_trials": (
+        {"kind": "gtr", "seed": 24,
+         "params": {"mode": "1d", "cos_theta": 1.0, "trials": 100000,
+                    "density": {"type": "double_point", "a": 0.3, "b": 0.7}}},
+        "0de616bd9c541dae5c57c4cecd4a6fc623ca0edc6d5e79574fb78a3ad4163fc4",
+    ),
+    "gtr_1d_epsilon_trials": (
+        {"kind": "gtr", "seed": 25,
+         "params": {"mode": "1d", "cos_theta": -0.2, "trials": 100000,
+                    "density": {"type": "epsilon", "epsilon": 0.6}}},
+        "e190bf47e2951a33b2185089e15ec018623831d6cd41cffaf9475f7731c9884c",
+    ),
     "gtr_nd_n3": (
         {"kind": "gtr", "seed": 14,
          "params": {"mode": "nd", "x": [0.2, 0.3, 0.5], "blocks": [[1, 3], [2]],

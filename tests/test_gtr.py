@@ -112,6 +112,17 @@ def test_piecewise_validation():
         PiecewiseConstant1D((-Z_MAX, Z_MAX), (0.4,))  # mass 0.4 != 1
     with pytest.raises(ValueError):
         PiecewiseConstant1D((-1.0, 1.0), (1.0,))  # outside the interval
+    with pytest.raises(ValueError):
+        PiecewiseConstant1D((-Z_MAX, Z_MAX, Z_MAX + 5e-13), (0.5, 0.5))  # clamped to nothing
+
+
+def test_piecewise_breakpoints_are_clamped_onto_the_interval():
+    # sqrt(0.5) is one ulp above Z_MAX: accepted, and clamped so that the
+    # density reaches exactly the interval's ends
+    d = PiecewiseConstant1D((-math.sqrt(0.5), math.sqrt(0.5)), (1.0,))
+    assert d.breakpoints == (-Z_MAX, Z_MAX)
+    assert transition_probabilities_1d(1.0, d) == (1.0, 0.0)
+    assert transition_probabilities_1d(-1.0, d) == (0.0, 1.0)
 
 
 NAN = float("nan")
@@ -151,12 +162,25 @@ def test_cdf_is_monotone_and_normalized():
 
 
 def test_sampler_matches_cdf(rng):
-    # Kolmogorov-Smirnov style bound: empirical CDF near analytic CDF
-    for d in [Uniform(), Epsilon(0.6), PiecewiseConstant1D((-Z_MAX, 0.0, Z_MAX), (0.7, 0.3))]:
+    # Kolmogorov-Smirnov style bound: empirical CDF near analytic CDF on a
+    # grid that holds both ends of the interval, and the empirical point
+    # mass at every atom near the analytic one
+    cases = [
+        (Uniform(), []),
+        (Epsilon(0.6), []),
+        (PiecewiseConstant1D((-Z_MAX, 0.0, Z_MAX), (0.7, 0.3)), []),
+        (PiecewiseConstant1D((-Z_MAX, -0.2, 0.1, Z_MAX), (0.4, 0.0, 0.6)), []),
+        (PointBreak(0.1), [0.1]),
+        (DoublePoint(0.25, 0.75), [Z_MAX, -Z_MAX]),
+    ]
+    for d, atoms in cases:
         z = sample_break_point(d, rng, size=20_000)
         for q in np.linspace(-Z_MAX, Z_MAX, 9):
             emp = (z <= q).mean()
             assert abs(emp - cdf(d, q)) < 0.02, (d, q)
+        for q in atoms:
+            assert atom(d, q) > 0.0
+            assert abs((z == q).mean() - atom(d, q)) < 0.02, (d, q)
 
 
 def test_sampler_point_masses(rng):

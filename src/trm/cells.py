@@ -30,13 +30,16 @@ increasing coordinate; triangle cells row by row from the edge opposite
 vertex 3, upward triangle before the downward one to its right.
 
 sample_in_cells draws uniform points inside given cells and writes them
-into one (m, n) array.  A triangle cell's column, row and orientation are
-decoded in closed form (the decoding triangle_vertices uses too) into the
-smallest unsigned type that holds k, and each chart coordinate is computed
-in place in its output column from those corners, so no (m, 3, 2) corner
-tensor is made and the scratch beside the output is two (m,) float arrays.
-A slab inverts the lam_1 CDF inside the cell and spreads the remainder with
-the simplex sampler's row normaliser.
+into one column-major (m, n) array, so each column regions_of_batch reads
+is contiguous.  A triangle cell's column, row and orientation are decoded
+in closed form (the decoding triangle_vertices uses too) into the smallest
+unsigned type that holds k.  The cell is one half of a 1/k square of the
+chart, so a unit-square uniform folded into that half and added to the
+square's corner gives the point: each chart coordinate is computed in
+place in its output column, no (m, 3, 2) corner tensor is made and the
+only float array beside the output is the (m, 2) uniform.  A slab inverts
+the lam_1 CDF inside the cell and spreads the remainder with the simplex
+sampler's row normaliser.
 
 region_counts_in_cells is the one sampling kernel of the cellular routes
 (gtr.transition_probabilities_nd and universal.mc_batch): it draws one
@@ -230,9 +233,9 @@ def sample_in_cells(
 ) -> np.ndarray:
     """Uniform points inside the given cells (0-based indices), one each.
 
-    Returns an (m, n_outcomes) array of barycentric points.  Raises
-    ValueError for a subdivision check_subdivision refuses or a cell index
-    outside 0..n_cells-1.
+    Returns a column-major (m, n_outcomes) array of barycentric points.
+    Raises ValueError for a subdivision check_subdivision refuses or a cell
+    index outside 0..n_cells-1.
     """
     check_subdivision(n_outcomes, n_cells)
     idx = np.asarray(cell_idx, dtype=np.intp)
@@ -241,7 +244,7 @@ def sample_in_cells(
         raise ValueError(f"cell indices must lie in 0..{n_cells - 1}")
     if n_outcomes == 3:
         return _sample_in_triangles(math.isqrt(n_cells), idx, rng)
-    out = np.empty((m, n_outcomes))
+    out = np.empty((n_outcomes, m)).T
     p = rng.random(m)
     p += idx
     p /= n_cells
@@ -254,31 +257,22 @@ def sample_in_cells(
 def _sample_in_triangles(k: int, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """(m, 3) uniform points in the triangle cells idx of the k*k subdivision.
 
-    Each point folds a uniform (r0, r1) of the unit square into the half
-    below r0 + r1 = 1 and maps it to a + r0 (b - a) + r1 (c - a) over its
-    cell's chart corners a, b, c.  Each chart coordinate is computed in
-    place in its column of the output, in that operation order, with two
-    (m,) scratch arrays beside the compact cell decoding.
+    Cell (i, j, down) is one half of the square [i, i+1] x [j, j+1] in units
+    of 1/k: an upward cell the half below its diagonal, a downward cell the
+    half above it.  A uniform r of the unit square is folded into that half
+    as q = |s - r|, where s = (r0 + r1 > 1) XOR down, so q is exactly r or
+    1 - r, and the chart point is (u, v) = ((i + q0)/k, (j + q1)/k) with
+    lam_1 = 1 - (u + v).  Each coordinate is computed in place in its
+    output column, the first of which holds r0 + r1 on the way, so r is the
+    only float array beside the output and r itself is never written.
     """
     i, j, down = _triangle_cells(k, idx)
-    m = idx.shape[0]
-    out = np.empty((m, 3))
-    r = rng.random((m, 2))
-    r0, r1 = r[:, 0], r[:, 1]
-    np.subtract(1.0, r, out=r, where=(r0 + r1 > 1.0)[:, None])
-    along_b, along_c = np.empty(m), np.empty(m)
-
-    def chart(col: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        np.divide(a, k, out=col)
-        np.subtract(np.divide(b, k, out=along_b), col, out=along_b)
-        np.multiply(r0, along_b, out=along_b)
-        np.subtract(np.divide(c, k, out=along_c), col, out=along_c)
-        np.multiply(r1, along_c, out=along_c)
-        np.add(col, along_b, out=col)
-        np.add(col, along_c, out=col)
-
-    chart(out[:, 1], i + down, i + 1, i)
-    chart(out[:, 2], j, j + down, j + 1)
+    out = np.empty((3, idx.shape[0])).T
+    r = rng.random((idx.shape[0], 2))
+    s = np.not_equal(np.add(r[:, 0], r[:, 1], out=out[:, 0]) > 1.0, down)
+    for col, corner in ((1, i), (2, j)):
+        q = np.abs(np.subtract(s, r[:, col - 1], out=out[:, col]), out=out[:, col])
+        np.divide(np.add(corner, q, out=q), k, out=q)
     np.add(out[:, 1], out[:, 2], out=out[:, 0])
     np.subtract(1.0, out[:, 0], out=out[:, 0])
     return out

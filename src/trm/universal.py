@@ -24,8 +24,9 @@ stratified route, which draws a tie-resolved break point in every picked
 cell and counts the per-density block hits.  A chunk holds up to
 MC_CHUNK_ROWS = 8192 break points, so a shard block of UNIVERSAL_BLOCK
 densities of 64 points is two kernel calls; the chunk keeps only its cell
-indices beside the kernel's scratch, which peaks near 82 bytes per break
-point for three outcomes.
+indices, in the smallest unsigned type that holds n_c - 1, beside the
+kernel's scratch, which peaks near 71 bytes per break point for three
+outcomes.
 convergence_scan tabulates either route against the uniform law over a
 range of cell counts.
 """
@@ -51,9 +52,9 @@ UNIVERSAL_BLOCK = 256
 
 # Break points (densities x point_samples) and subset bits (densities x
 # n_cells) that mc_batch draws per chunk.  A chunk's scratch peaks at about
-# 82 bytes per break point for three outcomes (tracemalloc, 256 densities of
-# 64 points on 25 cells), so about 0.7 MB per chunk; the test suite bounds
-# it at 96 bytes.  A chunk holds at least one density, whose subset has at
+# 71 bytes per break point for three outcomes (tracemalloc, 256 densities of
+# 64 points on 25 cells), so about 0.6 MB per chunk; the test suite bounds
+# it at 80 bytes.  A chunk holds at least one density, whose subset has at
 # most cells.MAX_CELLS bits; a density with more points than this draws them
 # in chunks of this size.
 MC_CHUNK_ROWS = 8192
@@ -113,6 +114,8 @@ def _draw_subsets(
 ) -> tuple[np.ndarray, np.ndarray]:
     """m breakable subsets, uniform among the nonempty ones, as (order, k):
     row r's k[r] breakable cells (0-based) are order[r, :k[r]], in cell order.
+    order comes in the smallest unsigned type that holds n_cells - 1, and so
+    do the cell indices picked from it.
 
     Only the empty rows of the bitmask are drawn again.
     """
@@ -121,7 +124,8 @@ def _draw_subsets(
     while empty.size:
         bits[empty] = rng.random((empty.size, n_cells)) < 0.5
         empty = empty[~bits[empty].any(axis=1)]
-    return np.argsort(~bits, axis=1, kind="stable"), bits.sum(axis=1)
+    order = np.argsort(~bits, axis=1, kind="stable")
+    return order.astype(np.min_scalar_type(n_cells - 1)), bits.sum(axis=1)
 
 
 def _block_counts(

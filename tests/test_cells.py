@@ -218,13 +218,18 @@ def test_sample_in_cells_triangle_membership(rng):
 
 
 def _vertex_tensor_triangles(k, idx, rng):
-    """The triangle sampler over an (m, 3, 2) tensor of cell corners."""
+    """The triangle sampler over the (m, 3, 2) vertex tensor: each cell's
+    lower-left square corner read off its vertices, and a unit-square
+    uniform folded into the cell's half of that square."""
     tris = triangle_vertices(k, idx)
+    corner = np.rint(tris.min(axis=1) * k)
+    # in units of 1/k the vertex coordinates of an upward cell add up to
+    # 3 (i + j) + 2, those of a downward cell to 3 (i + j) + 4
+    down = np.rint(tris.sum(axis=(1, 2)) * k) - 3 * corner.sum(axis=1) == 4
     r = rng.random((idx.size, 2))
-    flip = r.sum(axis=1) > 1.0
-    r[flip] = 1.0 - r[flip]
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    uv = a + r[:, :1] * (b - a) + r[:, 1:] * (c - a)
+    flip = (r.sum(axis=1) > 1.0) != down
+    q = np.where(flip[:, None], 1.0 - r, r)
+    uv = (corner + q) / k
     return np.column_stack([1.0 - uv.sum(axis=1), uv])
 
 
@@ -242,6 +247,30 @@ def test_triangle_sampler_keeps_the_bits_of_the_vertex_tensor(k):
     idx = np.random.default_rng(k).integers(0, k * k, 5000)
     pts = sample_in_cells(3, k * k, idx, np.random.default_rng(1))
     assert np.array_equal(pts, _vertex_tensor_triangles(k, idx, np.random.default_rng(1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_triangle_sampler_is_uniform_on_each_cell(k):
+    # every cell splits at its edge midpoints into four triangles of equal
+    # area; k >= 2 has downward cells as well as upward ones
+    n = 10000
+    idx = np.repeat(np.arange(k * k), n)
+    pts = sample_in_cells(3, k * k, idx, np.random.default_rng(k))
+    t = triangle_vertices(k)[idx]
+    edges = np.stack([t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]], axis=2)
+    a, b = np.linalg.solve(edges, (pts[:, 1:] - t[:, 0])[..., None])[..., 0].T
+    # the corner triangles at t0, t1 and t2, then the middle one
+    sub = np.select([a + b < 0.5, a > 0.5, b > 0.5], [0, 1, 2], 3)
+    counts = np.bincount(idx * 4 + sub, minlength=4 * k * k)
+    assert (np.abs(counts - n / 4) <= 4 * np.sqrt(n * 3 / 16)).all(), counts
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sample_in_cells_columns_are_contiguous(n):
+    n_c = 9
+    pts = sample_in_cells(n, n_c, np.arange(n_c).repeat(10), np.random.default_rng(n))
+    assert pts.shape == (10 * n_c, n)
+    assert all(pts[:, j].flags.c_contiguous for j in range(n))
 
 
 @pytest.mark.parametrize("n", [2, 4, 5, 6])

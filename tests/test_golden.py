@@ -63,7 +63,7 @@ GOLDEN = {
         {"kind": "universal", "seed": 16,
          "params": {"method": "mc", "x": [0.2, 0.3, 0.5], "blocks": [[1], [2, 3]],
                     "cell_counts": [4, 9], "density_samples": 300, "point_samples": 40}},
-        "b470b54be3367fad0294c544d0239b4ee96e644debe3586251931087e380dbe2",
+        "64f925e34d3309f79ccadb9af53e9a2f1aa678749e4cec886f2b82ab94780861",
     ),
     "universal_mc_n4_slabs": (
         {"kind": "universal", "seed": 18,

@@ -221,7 +221,7 @@ def test_mc_batch_memory_is_bounded_by_the_chunk(m, p_pts, n_c):
 def test_mc_batch_at_the_bench_shape_makes_two_kernel_calls_in_bounded_scratch(monkeypatch):
     # 256 densities of 64 points on 25 triangle cells, one shard block of
     # the universal_mc benchmark: two chunks of MC_CHUNK_ROWS break points,
-    # each one call of the cell-sampling kernel, in at most 96 bytes of
+    # each one call of the cell-sampling kernel, in at most 80 bytes of
     # scratch per break point
     x = BarycentricVector((0.2, 0.3, 0.5))
     m, p_pts, n_c = 256, 64, 25
@@ -232,7 +232,7 @@ def test_mc_batch_at_the_bench_shape_makes_two_kernel_calls_in_bounded_scratch(m
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 96 * MC_CHUNK_ROWS, peak
+    assert peak <= 80 * MC_CHUNK_ROWS, peak
     sizes = []
     kernel = universal_module.region_counts_in_cells
 

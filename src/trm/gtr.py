@@ -277,7 +277,7 @@ def epsilon_probability(cos_theta: float, epsilon: float) -> tuple[float, float]
     """
     c = float(cos_theta)
     e = float(epsilon)
-    if e <= 0.0 or e > 1.0:
+    if not 0.0 < e <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {e}")
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"cos(theta) must lie in [-1, 1], got {c}")

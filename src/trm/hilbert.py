@@ -12,10 +12,10 @@ independent, and returns each state's largest deviation; the CLI oracle
 holds it against its configured tolerance.  The Hilbert route works on
 amplitudes only: eigenbasis coordinates, squared moduli summed by a
 block-indicator matrix, and projection, renormalization and re-measurement
-for each collapse.  The simplex route is the library's own code,
-OutcomePartition.aggregate for the block probabilities and utr.restrict for
-the collapses, applied to the squared moduli.  Only the outcome grouping,
-which both routes need, is shared.
+for each collapse.  The simplex route is the library's own collapse code,
+one utr.restrict call over every (partition, block) pair that gives both the
+block probabilities and the collapses of the squared moduli.  Only the
+outcome grouping, which both routes need, is shared.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class HilbertObservable:
     """Projective measurement: an orthonormal eigenbasis, a grouping of the
     basis indices into outcome blocks, and one eigenvalue per block.
 
-    basis[i] is the i-th eigenvector; block eigenvalues must be pairwise
-    distinct, otherwise two blocks would describe the same outcome.
+    basis[i] is the i-th eigenvector; block eigenvalues must be finite and
+    pairwise distinct, otherwise two blocks would describe the same outcome.
     """
 
     basis: tuple[tuple[complex, ...], ...]
@@ -109,8 +109,8 @@ class HilbertObservable:
             raise ValueError(
                 f"{len(eigs)} eigenvalues for {self.partition.n_blocks} blocks"
             )
-        if len(set(eigs)) != len(eigs):
-            raise ValueError(f"block eigenvalues must be distinct, got {eigs}")
+        if not all(map(math.isfinite, eigs)) or len(set(eigs)) != len(eigs):
+            raise ValueError(f"block eigenvalues must be finite and distinct, got {eigs}")
         object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "eigenvalues", eigs)
 
@@ -214,17 +214,16 @@ def product_state(
 
 
 @functools.lru_cache(maxsize=None)
-def _groupings(n: int) -> tuple[tuple[OutcomePartition, ...], np.ndarray]:
-    """Every partition of 1..n and the (pairs, n) block masks of all its
-    (partition, block) pairs, in partition then block order.
+def _groupings(n: int) -> np.ndarray:
+    """The (pairs, n) block masks of every (partition, block) pair of 1..n,
+    in partition then block order.
 
-    Built on first use per dimension and kept; the mask array is read-only
+    Built on first use per dimension and kept; the array is read-only
     because every caller shares it.
     """
-    partitions = tuple(OutcomePartition(blocks) for blocks in iter_partitions(n))
-    masks = np.concatenate([p.block_masks() for p in partitions])
+    masks = np.concatenate([OutcomePartition(b).block_masks() for b in iter_partitions(n)])
     masks.setflags(write=False)
-    return partitions, masks
+    return masks
 
 
 def correspondence_batch(
@@ -255,7 +254,7 @@ def correspondence_batch(
     off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if off.size:
         raise ValueError(f"state norm {norms[off[0]]} of row {off[0]} is not 1 within {NORM_TOL}")
-    partitions, masks = _groupings(n)
+    masks = _groupings(n)
 
     # Hilbert route: coordinates c = <a_i|psi> and Born block sums of |c|^2.
     coords = (amps / norms[:, None]) @ base.conj().T
@@ -263,10 +262,10 @@ def correspondence_batch(
     born = moduli @ masks.T.astype(float)
     collapse_gap = _collapsed_moduli(coords, masks, born, base)
 
-    # Simplex route on x: block sums and restrictions from the library.
+    # Simplex route on x: block weights and restrictions from the library.
     x = moduli / moduli.sum(axis=1, keepdims=True)
-    law = np.concatenate([p.aggregate(x) for p in partitions], axis=1)
-    collapse_gap -= restrict(x[:, None, :], masks)[1]
+    law, post = restrict(x[:, None, :], masks)
+    collapse_gap -= post
 
     np.abs(collapse_gap, out=collapse_gap)
     # a block the simplex route gives zero weight cannot fire: no collapse

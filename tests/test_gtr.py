@@ -73,6 +73,9 @@ def test_epsilon_domain():
         Epsilon(1.5)
     with pytest.raises(ValueError):
         epsilon_probability(2.0, 0.5)
+    for bad in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            epsilon_probability(0.3, bad)
 
 
 def test_point_break_is_deterministic_with_split_atom():

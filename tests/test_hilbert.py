@@ -21,11 +21,11 @@ from trm import (
     product_state,
     tensor,
 )
-from trm import cli
-from trm.hilbert import NORM_TOL, collapse, correspondence_batch
+from trm import cli, hilbert
+from trm.hilbert import NORM_TOL, _groupings, collapse, correspondence_batch
 from trm.simplex import iter_partitions
 from trm.utr import collapse as utr_collapse
-from trm.utr import outcome_probabilities
+from trm.utr import outcome_probabilities, restrict
 
 
 def random_state(rng, n):
@@ -97,6 +97,20 @@ def test_observable_requires_orthonormal_rows():
             OutcomePartition.singletons(2),
             (1.0, 2.0),
         )
+
+
+def test_observable_refuses_bad_eigenvalues():
+    eye = ((1.0, 0.0), (0.0, 1.0))
+    singletons = OutcomePartition.singletons(2)
+    assert HilbertObservable(eye, singletons, (1, 2)).eigenvalues == (1.0, 2.0)
+    for eigs in [(1.0,), (1.0, 2.0, 3.0), (1.0, 1.0)]:
+        with pytest.raises(ValueError, match="eigenvalues"):
+            HilbertObservable(eye, singletons, eigs)
+    nan, inf = float("nan"), float("inf")
+    # two separate NaN objects are distinct members of a set
+    for eigs in [(float("nan"), float("nan")), (nan, 1.0), (inf, 1.0), (-inf, inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            HilbertObservable(eye, singletons, eigs)
 
 
 def test_born_probabilities_computational_basis():
@@ -256,3 +270,34 @@ def test_oracle_memory_is_bounded_by_its_chunk(tmp_path):
     assert code == 0
     assert json.loads((tmp_path / "out.json").read_text())["result"]["states_per_dim"] == states
     assert peak < 4 * 2**20, peak
+
+
+def test_one_restrict_call_gives_the_block_sums_of_aggregate(rng):
+    # the oracle's bytes rest on this: each block weight adds the same terms
+    # left to right as aggregate does, the masked ones as exact zeros
+    for n in (2, 3, 4, 5):
+        x = rng.exponential(size=(400, n))
+        x[::3, rng.integers(0, n)] = 0.0
+        x[::7, :-1] = 0.0
+        x /= x.sum(axis=1, keepdims=True)
+        law = restrict(x[:, None, :], _groupings(n))[0]
+        blocks = [OutcomePartition(b).aggregate(x) for b in iter_partitions(n)]
+        assert np.array_equal(law, np.concatenate(blocks, axis=1))
+
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_oracle_notices_a_wrong_simplex_route(rng, monkeypatch, part):
+    """Shifting one pair's block weight (part 0) or its restriction (part 1)
+    by delta in the simplex route shows up as a deviation of delta."""
+    delta = 1e-6
+
+    def shifted(x, mask):
+        out = restrict(x, mask)
+        out[part][:, mask.shape[0] // 2] += delta
+        return out
+
+    monkeypatch.setattr(hilbert, "restrict", shifted)
+    for n in (2, 3, 4, 5):
+        worst = correspondence_batch(random_amplitudes(rng, 50, n))
+        assert np.all(worst >= delta - 1e-12), worst.min()
+        assert np.all(worst <= delta + 1e-12), worst.max()

@@ -18,8 +18,10 @@ No route builds the 2^n_c - 1 densities one by one; the test suite keeps
 that enumeration as its oracle.  The sampling route of convergence_scan
 draws subsets and break points instead.  Its kernel, mc_batch, draws a
 chunk of densities at once: an (m, n_c) subset bitmask with the empty rows
-redrawn, each row's point cells picked among its set bits, and one call of
-the cell-sampling kernel cells.region_counts_in_cells, shared with gtr's
+redrawn and flattened, row by row, into the list of its set-bit columns;
+each point's cell picked from its row's stretch of that list with one
+uniform u, as entry floor(u k) of the row's k cells; and one call of the
+cell-sampling kernel cells.region_counts_in_cells, shared with gtr's
 stratified route, which draws a tie-resolved break point in every picked
 cell and counts the per-density block hits.  A chunk holds up to
 MC_CHUNK_ROWS = 8192 break points, so a shard block of UNIVERSAL_BLOCK
@@ -95,14 +97,14 @@ def mc_batch(
     partition = _grouping(x, partition)
     sums = np.zeros((2, partition.n_blocks))
     per_chunk = max(1, MC_CHUNK_ROWS // max(point_samples, n_cells))
-    for start in range(0, density_samples, per_chunk):
-        m = min(per_chunk, density_samples - start)
-        order, k = _draw_subsets(m, n_cells, rng)
+    for drawn in range(0, density_samples, per_chunk):
+        m = min(per_chunk, density_samples - drawn)
+        cells, start, k = _draw_subsets(m, n_cells, rng)
         counts = np.zeros((m, partition.n_blocks))
         # a density with more points than a chunk holds draws them in parts
         for done in range(0, point_samples, MC_CHUNK_ROWS):
             p = min(MC_CHUNK_ROWS, point_samples - done)
-            counts += _block_counts(xv, n_cells, order, k, p, partition, rng)
+            counts += _block_counts(xv, n_cells, cells, start, k, p, partition, rng)
         p_hat = counts / point_samples
         sums[0] += p_hat.sum(axis=0)
         sums[1] += (p_hat**2).sum(axis=0)
@@ -111,11 +113,12 @@ def mc_batch(
 
 def _draw_subsets(
     m: int, n_cells: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """m breakable subsets, uniform among the nonempty ones, as (order, k):
-    row r's k[r] breakable cells (0-based) are order[r, :k[r]], in cell order.
-    order comes in the smallest unsigned type that holds n_cells - 1, and so
-    do the cell indices picked from it.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m breakable subsets, uniform among the nonempty ones, as (cells,
+    start, k): row r's k[r] breakable cells (0-based) are
+    cells[start[r]:start[r] + k[r]], in cell order.  cells comes in the
+    smallest unsigned type that holds n_cells - 1, and so do the cell
+    indices picked from it.
 
     Only the empty rows of the bitmask are drawn again.
     """
@@ -124,25 +127,50 @@ def _draw_subsets(
     while empty.size:
         bits[empty] = rng.random((empty.size, n_cells)) < 0.5
         empty = empty[~bits[empty].any(axis=1)]
-    order = np.argsort(~bits, axis=1, kind="stable")
-    return order.astype(np.min_scalar_type(n_cells - 1)), bits.sum(axis=1)
+    # row-major order lists each row's set bits in cell order
+    cells = np.nonzero(bits)[1].astype(np.min_scalar_type(n_cells - 1))
+    k = bits.sum(axis=1)
+    return cells, np.cumsum(k) - k, k
+
+
+def _pick_cells(
+    cells: np.ndarray, start: np.ndarray, k: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """(m, points) cells picked from the m subsets (cells, start, k) by the
+    uniforms u in [0, 1): u[r, j] picks cells[start[r] + floor(u[r, j] k[r])].
+
+    floor(u k) stays below k for every u < 1 and k < 2^53: the largest u,
+    1 - 2^-53, gives k - k 2^-53, which is a float when k is a power of two
+    and otherwise lies more than half an ulp below k, so round-to-nearest
+    never lifts it to k.  The floor comes before the row start is added,
+    since start + u k could round up to start + k, the next row's first
+    cell.  u takes the 2^53 values i 2^-53; the grid and the rounding of
+    the product each move a bin edge by at most one of them, so every cell
+    of a row is picked with probability 1/k within a relative error of
+    2k 2^-53.
+    """
+    pos = (u * k[:, None]).astype(np.intp)
+    pos += start[:, None]
+    return cells.take(pos)
 
 
 def _block_counts(
     xv: np.ndarray,
     n_cells: int,
-    order: np.ndarray,
+    cells: np.ndarray,
+    start: np.ndarray,
     k: np.ndarray,
     points: int,
     partition: OutcomePartition,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """(m, n_blocks) outcome-block counts of `points` break points drawn from
-    each of the m subsets (order, k), each point in a uniformly picked
-    breakable cell of its row."""
+    each of the m subsets (cells, start, k), each point in a uniformly
+    picked breakable cell of its row."""
     m = k.size
-    # the picks die with the call, so only the cell indices stay alive
-    idx = np.take_along_axis(order, rng.integers(0, k[:, None], (m, points)), axis=1)
+    # the uniforms and positions die with the pick, so only the cell
+    # indices stay alive
+    idx = _pick_cells(cells, start, k, rng.random((m, points)))
     return region_counts_in_cells(xv, n_cells, idx.ravel(), partition, m, rng)
 
 

@@ -256,8 +256,8 @@ def test_c09_fixed_break_point_law():
 def test_c10_cli_output_is_worker_invariant(tmp_path):
     """Identical config and seed give byte-identical CLI output at 1, 4,
     and 16 workers, for every sharded Monte Carlo route: utr trials, the
-    sampled universal average, gtr 1d trials and gtr nd strata over several
-    blocks."""
+    sampled universal average on triangle and on slab cells, gtr 1d trials
+    and gtr nd strata over several blocks."""
     configs = [
         {
             "kind": "utr",
@@ -269,6 +269,13 @@ def test_c10_cli_output_is_worker_invariant(tmp_path):
             "seed": SEED,
             "params": {"x": [0.2, 0.3, 0.5], "cell_counts": [9], "method": "mc",
                        "density_samples": 500, "point_samples": 200},
+        },
+        {
+            # four outcomes on slab cells; 700 densities leave a short last block
+            "kind": "universal",
+            "seed": SEED,
+            "params": {"x": [0.1, 0.2, 0.3, 0.4], "cell_counts": [5, 8], "method": "mc",
+                       "density_samples": 700, "point_samples": 100},
         },
         {
             "kind": "gtr",

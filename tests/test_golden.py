@@ -63,13 +63,13 @@ GOLDEN = {
         {"kind": "universal", "seed": 16,
          "params": {"method": "mc", "x": [0.2, 0.3, 0.5], "blocks": [[1], [2, 3]],
                     "cell_counts": [4, 9], "density_samples": 300, "point_samples": 40}},
-        "64f925e34d3309f79ccadb9af53e9a2f1aa678749e4cec886f2b82ab94780861",
+        "ff5c667b18cfecb81b23ad90ac8e73c5e088d1397e2107c76ebdf775e6b94895",
     ),
     "universal_mc_n4_slabs": (
         {"kind": "universal", "seed": 18,
          "params": {"method": "mc", "x": [0.1, 0.2, 0.3, 0.4], "blocks": [[1, 4], [2, 3]],
                     "cell_counts": [5, 16], "density_samples": 300, "point_samples": 40}},
-        "1c6c430d53cfbf41b9f21964863a70ea33826043539c235e7127929c1b6998e1",
+        "62abf0483d2dff9fe12804691352e0783a14f1fccd46c1202e0723b70a2bacad",
     ),
     "utr_n6": (
         {"kind": "utr", "seed": 19,

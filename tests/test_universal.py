@@ -22,6 +22,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, norm
 
 from trm import (
     BarycentricVector,
@@ -178,6 +179,52 @@ def test_mc_batch_draws_within_each_subset(p_pts, m):
     sums = mc_batch(HALF, 2, m, p_pts, np.random.default_rng(11))
     assert abs(sums[0, 0] / m - 0.5) <= 4 * math.sqrt((moment[0] - 0.25) / m)
     assert abs(sums[1, 0] / m - moment[0]) <= 4 * sigma
+
+
+def test_cell_pick_cannot_leave_its_row():
+    # row r lists the cells r..2r (k = r + 1, every k up to MAX_CELLS) of a
+    # list whose entries are their own positions, so a pick that left its
+    # row would read the next row's first entry, start + k
+    k = np.arange(1, MAX_CELLS + 1)
+    start = k - 1
+    cells = np.arange(2 * MAX_CELLS)
+    u = np.tile([0.0, np.nextafter(1.0, 0.0)], (k.size, 1))
+    np.testing.assert_array_equal(
+        universal_module._pick_cells(cells, start, k, u),
+        np.stack([start, start + k - 1], axis=1),
+    )
+
+
+def test_cell_pick_is_uniform_over_each_subset():
+    n_cells, points = 25, 50_000
+    gen = np.random.default_rng(31)
+    subsets = [np.sort(gen.choice(n_cells, size, replace=False)) for size in (1, 2, 3, 7, 25)]
+    k = np.array([s.size for s in subsets])
+    cells = np.concatenate(subsets).astype(np.uint8)
+    picks = universal_module._pick_cells(
+        cells, np.cumsum(k) - k, k, np.random.default_rng(32).random((k.size, points))
+    )
+    # the chi-square quantile with the false-alarm rate of a two-sided 4 sigma gate
+    alpha = 2 * norm.sf(4)
+    for subset, row in zip(subsets, picks):
+        counts = np.bincount(row, minlength=n_cells)
+        assert counts[np.setdiff1d(np.arange(n_cells), subset)].sum() == 0, subset
+        expected = points / subset.size
+        stat = ((counts[subset] - expected) ** 2 / expected).sum()
+        if subset.size > 1:
+            assert stat <= chi2.isf(alpha, subset.size - 1), (subset, stat)
+
+
+def test_a_full_row_picks_only_its_own_cells():
+    # the row holding all MAX_CELLS cells is followed by a row whose one
+    # entry is MAX_CELLS, which only a pick that ran off the full row reads
+    cells = np.arange(MAX_CELLS + 1)
+    k = np.array([MAX_CELLS, 1])
+    u = np.random.default_rng(33).random((2, 100_000))
+    u[0, -1] = np.nextafter(1.0, 0.0)
+    picks = universal_module._pick_cells(cells, np.array([0, MAX_CELLS]), k, u)
+    assert picks[0].max() == MAX_CELLS - 1
+    assert (picks[1] == MAX_CELLS).all()
 
 
 def test_mc_batch_redraws_empty_subsets():

@@ -41,11 +41,10 @@ only float array beside the output is the (m, 2) uniform.  A slab inverts
 the lam_1 CDF inside the cell and spreads the remainder with the simplex
 sampler's row normaliser.
 
-region_counts_in_cells is the one sampling kernel of the cellular routes
-(gtr.transition_probabilities_nd and universal.mc_batch): it draws one
-point in each given cell with sample_in_cells, finds each point's outcome
-region with regions_of_batch, redrawing only the points that tie through
-resolve_ties, and tallies the regions per group of cells with
+region_counts_in_cells is the sampling kernel of universal.mc_batch: it
+draws one point in each given cell with sample_in_cells, finds each point's
+outcome region with regions_of_batch, redrawing only the points that tie
+through resolve_ties, and tallies the regions per sampled density with
 OutcomePartition.count.
 """
 
@@ -289,9 +288,8 @@ def region_counts_in_cells(
     """(groups, n_blocks) outcome-block counts of one uniform break point in
     each of the cells idx (0-based) against the state x.
 
-    idx holds `groups` equal runs of cells, one run per group (a sampled
-    density, or one stratum cell).  A point that ties on a region boundary
-    is drawn again in its own cell.
+    idx holds `groups` equal runs of cells, one run per sampled density.  A
+    point that ties on a region boundary is drawn again in its own cell.
     """
     hits = resolve_ties(
         idx.size,

@@ -142,7 +142,9 @@ _PARAMS: dict[tuple[str, str | None], dict[str, tuple[Check, Any]]] = {
     ("gtr", "nd"): {
         "density": (_echoed_density, REQUIRED),
         **_STATE,
-        "samples_per_cell": (_POSITIVE, 4096),
+        # read by nothing since the law is exact; still accepted because the
+        # bulk_mc benchmark config sends it, and goes when that config drops it
+        "samples_per_cell": (_POSITIVE, None),
     },
     ("universal", "exact"): {**_STATE, **_CELLS},
     ("universal", "mc"): {
@@ -173,7 +175,14 @@ def _run_utr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, 
     )
     probs = outcome_probabilities(x, partition)
     freqs = counts / trials
-    sigma = np.sqrt(probs * (1.0 - probs) / trials)
+    var = probs * (1.0 - probs) / trials
+    # below the normal range the product has lost digits or underflowed to
+    # 0 (p = 5e-324 gives sigma 0); the factored form keeps them
+    sigma = np.where(
+        var < np.finfo(float).tiny,
+        np.sqrt(probs) * np.sqrt(1.0 - probs) / math.sqrt(trials),
+        np.sqrt(var),
+    )
     dev = np.abs(freqs - probs)
     rows = [
         {
@@ -225,15 +234,9 @@ def _run_gtr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, 
         ]
         return result, rows
     x, partition = params["x"], _blocks(params)
-    probs, errs = transition_probabilities_nd(
-        x, partition, density, seed, params["samples_per_cell"], workers
-    )
+    probs = transition_probabilities_nd(x, partition, density)
     rows = [
-        {
-            "block_index": k + 1,
-            "probability": float(probs[k]),
-            "stderr": float(errs[k]),
-        }
+        {"block_index": k + 1, "probability": float(probs[k])}
         for k in range(partition.n_blocks)
     ]
     result = {
@@ -242,7 +245,6 @@ def _run_gtr(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, 
         "blocks": [sorted(b) for b in partition.blocks],
         "density": density_doc,
         "probabilities": [float(p) for p in probs],
-        "standard_errors": [float(e) for e in errs],
     }
     return result, rows
 

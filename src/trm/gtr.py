@@ -26,11 +26,10 @@ one-dimensional variant is a short list of (lo, hi, mass) pieces, mass
 spread uniformly over [lo, hi] or an atom where lo == hi; cdf, atom and the
 one-dimensional sampler read those pieces and nothing else of the variant.
 
-transition_probabilities_nd gives the law of a density on the full outcome
-simplex.  For a cellular density on three or more outcomes it samples each
-breakable cell equally often, sharded like the other sampled routes, and
-counts the regions with cells.region_counts_in_cells, the cell-sampling
-kernel it shares with universal.mc_batch.
+transition_probabilities_nd gives the exact law of a density on the full
+outcome simplex, for every outcome count: a cellular density gives each
+outcome the mean over the breakable cells of the cell's share of the
+outcome region, from cells.cell_fraction_in_regions.
 
 Every density has a canonical JSON form {"type": tag, ...parameters}.
 """
@@ -43,12 +42,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .cells import (
-    CellularDensity,
-    cell_fraction_in_regions,
-    region_counts_in_cells,
-    sample_in_cells,
-)
+from .cells import CellularDensity, cell_fraction_in_regions, sample_in_cells
 from .errors import (
     REQUIRED,
     Check,
@@ -58,7 +52,7 @@ from .errors import (
     number_field,
     object_field,
 )
-from .shards import BLOCK_SIZE, run_sharded
+from .shards import run_sharded
 from .simplex import BarycentricVector, OutcomePartition
 
 __all__ = [
@@ -86,6 +80,15 @@ Z_MAX = 1.0 / math.sqrt(2.0)
 MASS_TOL = 1e-9
 
 
+def _on_axis(z: float, what: str) -> float:
+    """A position on the axis: z, clamped onto [-Z_MAX, Z_MAX] when it lies
+    at most 1e-12 outside (sqrt(0.5) itself is one ulp above Z_MAX).
+    Anything farther out, or NaN, is refused."""
+    if not -Z_MAX - 1e-12 <= z <= Z_MAX + 1e-12:
+        raise ValueError(f"{what} must lie in [-{Z_MAX}, {Z_MAX}], got {z}")
+    return min(max(z, -Z_MAX), Z_MAX)
+
+
 @dataclass(frozen=True)
 class Uniform:
     """Break anywhere with equal density (the plain measurement law)."""
@@ -110,15 +113,13 @@ class Epsilon:
 
 @dataclass(frozen=True)
 class PointBreak:
-    """All break mass at a single coordinate z0: a deterministic membrane."""
+    """All break mass at a single coordinate z0: a deterministic membrane.
+    A z0 up to 1e-12 outside the interval is clamped onto it."""
 
     z0: float
 
     def __post_init__(self) -> None:
-        z = float(self.z0)
-        if not -Z_MAX <= z <= Z_MAX:
-            raise ValueError(f"z0 must lie in [-{Z_MAX}, {Z_MAX}], got {z}")
-        object.__setattr__(self, "z0", z)
+        object.__setattr__(self, "z0", _on_axis(float(self.z0), "z0"))
 
 
 @dataclass(frozen=True)
@@ -156,15 +157,12 @@ class PiecewiseConstant1D:
     masses: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        bp = tuple(float(z) for z in self.breakpoints)
+        bp = tuple(_on_axis(float(z), "breakpoint") for z in self.breakpoints)
         ms = tuple(float(m) for m in self.masses)
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints")
         if len(ms) != len(bp) - 1:
             raise ValueError(f"{len(ms)} masses for {len(bp) - 1} sub-intervals")
-        if not (bp[0] >= -Z_MAX - 1e-12 and bp[-1] <= Z_MAX + 1e-12):
-            raise ValueError(f"breakpoints must lie within [-{Z_MAX}, {Z_MAX}]")
-        bp = tuple(np.clip(bp, -Z_MAX, Z_MAX).tolist())
         if not all(q > p for p, q in zip(bp, bp[1:])):
             raise ValueError(f"breakpoints must increase strictly once clamped: {bp}")
         if not all(m >= 0.0 for m in ms):
@@ -290,30 +288,18 @@ def epsilon_probability(cos_theta: float, epsilon: float) -> tuple[float, float]
 
 
 def transition_probabilities_nd(
-    x: BarycentricVector,
-    partition: OutcomePartition,
-    density: DensitySpec,
-    seed: int | None = None,
-    samples_per_cell: int = 4096,
-    workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block probabilities under a density on the full outcome simplex.
+    x: BarycentricVector, partition: OutcomePartition, density: DensitySpec
+) -> np.ndarray:
+    """Exact block probabilities under a density on the full outcome simplex.
 
-    Returns (probabilities, standard_errors).  Uniform is exact (the block
-    sums of x).  Cellular densities are exact for two outcomes (the slab
-    cell law of cells.cell_fraction_in_regions, averaged over the breakable
-    cells) and stratified Monte Carlo within the breakable cells otherwise,
-    with per-cell binomial standard errors.
-
-    The stratified route needs a seed and draws samples_per_cell points in
-    each of the C breakable cells, sharded with run_sharded over blocks of
-    C * max(1, BLOCK_SIZE // C) points.  Every block holds a whole number of
-    points per cell, so block i draws that many in each cell from
-    block_rng(seed, i), and the estimates do not depend on `workers`.
+    Uniform gives the block sums of x.  A cellular density gives each
+    outcome the mean over its breakable cells of the cell's share of the
+    outcome region (cells.cell_fraction_in_regions), for every outcome count
+    and every subdivision.
     """
     partition.check_state(x.n)
     if isinstance(density, Uniform):
-        return partition.aggregate(x.as_array()), np.zeros(partition.n_blocks)
+        return partition.aggregate(x.as_array())
     if not isinstance(density, CellularDensity):
         raise ValueError(
             f"{type(density).__name__} does not define a break density on a "
@@ -323,25 +309,8 @@ def transition_probabilities_nd(
         raise ValueError(
             f"density subdivides a {density.n_outcomes}-outcome simplex, state has {x.n}"
         )
-    cells = density.breakable_sorted - 1
-    if x.n == 2:
-        fr = cell_fraction_in_regions(x.as_array(), 2, density.n_cells)
-        return partition.aggregate(fr[:, cells].mean(axis=1)), np.zeros(partition.n_blocks)
-    if seed is None:
-        raise ValueError("stratified sampling needs a seed")
-    if samples_per_cell < 2:
-        raise ValueError(f"need at least two samples per cell, got {samples_per_cell}")
-    m, c, xv = samples_per_cell, cells.size, x.as_array()
-
-    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-        idx = np.repeat(cells, rows // c)
-        return region_counts_in_cells(xv, density.n_cells, idx, partition, c, rng)
-
-    counts = run_sharded(c * m, seed, block, workers, block_size=c * max(1, BLOCK_SIZE // c))
-    frac = counts / m  # (cells, blocks)
-    probs = frac.mean(axis=0)
-    var = (frac * (1.0 - frac) / m).sum(axis=0) / c**2
-    return probs, np.sqrt(var)
+    fractions = cell_fraction_in_regions(x.as_array(), x.n, density.n_cells)
+    return partition.aggregate(fractions[:, density.breakable_sorted - 1].mean(axis=1))
 
 
 def sample_break_point(

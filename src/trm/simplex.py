@@ -325,7 +325,10 @@ def regions_of_batch(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != xv.size:
         raise ValueError(f"break points of width {pts.shape[-1]} for a {xv.size}-outcome state")
-    return _ratio_regions(np.flatnonzero(xv > 0.0), lambda j: pts[:, j] / xv[j])
+    # a subnormal x_j overflows the ratio to inf, which is right: that
+    # outcome never wins
+    with np.errstate(over="ignore"):
+        return _ratio_regions(np.flatnonzero(xv > 0.0), lambda j: pts[:, j] / xv[j])
 
 
 def resolve_ties(

@@ -21,9 +21,9 @@ chunk of densities at once: an (m, n_c) subset bitmask with the empty rows
 redrawn and flattened, row by row, into the list of its set-bit columns;
 each point's cell picked from its row's stretch of that list with one
 uniform u, as entry floor(u k) of the row's k cells; and one call of the
-cell-sampling kernel cells.region_counts_in_cells, shared with gtr's
-stratified route, which draws a tie-resolved break point in every picked
-cell and counts the per-density block hits.  A chunk holds up to
+cell-sampling kernel cells.region_counts_in_cells, which draws a
+tie-resolved break point in every picked cell and counts the per-density
+block hits.  A chunk holds up to
 MC_CHUNK_ROWS = 8192 break points, so a shard block of UNIVERSAL_BLOCK
 densities of 64 points is two kernel calls; the chunk keeps only its cell
 indices, in the smallest unsigned type that holds n_c - 1, beside the

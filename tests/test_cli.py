@@ -4,6 +4,7 @@ in-process where a test replaces one of its parts."""
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -284,6 +285,55 @@ def test_gtr_one_dimensional_tie_is_a_fair_coin(tmp_path):
     result = json.loads(proc.stdout)["result"]
     assert result["p_plus"] == 0.5
     assert abs(result["mc_frequency_plus"] - 0.5) <= 4 * 0.5 / 100_000**0.5
+
+
+def test_gtr_point_at_the_pole_is_clamped(tmp_path):
+    # sqrt(0.5) is one ulp above Z_MAX; piecewise breakpoints clamp it too
+    cfg = write_config(
+        tmp_path,
+        "pole.json",
+        {
+            "kind": "gtr",
+            "seed": 5,
+            "params": {"mode": "1d", "cos_theta": 1.0,
+                       "density": {"type": "point", "z0": 0.7071067811865476}},
+        },
+    )
+    proc = run_cli("run", cfg)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["p_plus"] == 0.5
+
+
+def test_gtr_nd_ignores_samples_per_cell(tmp_path):
+    # the nd law is exact; the field is still accepted and changes nothing
+    params = {"mode": "nd", "x": [0.1, 0.2, 0.3, 0.4], "blocks": [[1, 4], [2], [3]],
+              "density": {"type": "cellular", "n_outcomes": 4, "n_cells": 8,
+                          "breakable": [1, 2, 5, 8]}}
+    outputs = []
+    for extra in ({}, {"samples_per_cell": 65536}):
+        doc = {"kind": "gtr", "seed": 15, "params": {**params, **extra}}
+        proc = run_cli("run", write_config(tmp_path, "nd.json", doc))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0]["result"] == outputs[1]["result"]
+    assert outputs[0]["config_sha256"] != outputs[1]["config_sha256"]
+    assert "standard_errors" not in outputs[0]["result"]
+
+
+def test_utr_subnormal_probability_keeps_its_sigma(tmp_path):
+    # p(1 - p)/trials underflows to 0 at p = 5e-324; no warning either
+    cfg = write_config(
+        tmp_path,
+        "tiny.json",
+        {"kind": "utr", "seed": 1, "params": {"x": [5e-324, 0.5, 0.5], "trials": 1000}},
+    )
+    proc = run_cli("run", cfg, "--format", "json")
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["counts"][0] == 0
+    assert result["within_four_sigma"] is True
+    rows = run_cli("run", cfg, "--format", "csv").stdout.splitlines()
+    assert float(rows[2].split(",")[3]) == math.sqrt(5e-324) / math.sqrt(1000)
 
 
 def test_universal_scan_csv(tmp_path):

@@ -67,7 +67,7 @@ BASES = [
                          "masses": [0.4, 0.6]}}),
     ("gtr", {"cos_theta": -0.2, "density": {"type": "double_point", "a": 0.3, "b": 0.7}}),
     ("gtr", {"cos_theta": 0.1, "density": {"type": "point", "z0": 0.1}}),
-    ("gtr", {"mode": "nd", "x": [0.2, 0.3, 0.5], "samples_per_cell": 8,
+    ("gtr", {"mode": "nd", "x": [0.2, 0.3, 0.5],
              "density": {"type": "cellular", "n_outcomes": 3, "n_cells": 4,
                          "breakable": [1, 2]}}),
     ("gtr", {"mode": "nd", "x": [0.4, 0.6], "density": {"type": "uniform"}}),

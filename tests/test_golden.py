@@ -47,17 +47,16 @@ GOLDEN = {
     "gtr_nd_n3": (
         {"kind": "gtr", "seed": 14,
          "params": {"mode": "nd", "x": [0.2, 0.3, 0.5], "blocks": [[1, 3], [2]],
-                    "samples_per_cell": 2000,
                     "density": {"type": "cellular", "n_outcomes": 3, "n_cells": 9,
                                 "breakable": [1, 3, 4, 8]}}},
-        "3747aecc7fedc96524665a5821038624cda532b88df12ac62400c71ac4cbe142",
+        "7c126eabb6c75325feec7e344b9f81ac6e4df334044f7aec98095df6d83a083f",
     ),
     "gtr_nd_n4": (
         {"kind": "gtr", "seed": 15,
-         "params": {"mode": "nd", "x": [0.1, 0.2, 0.3, 0.4], "samples_per_cell": 1000,
+         "params": {"mode": "nd", "x": [0.1, 0.2, 0.3, 0.4],
                     "density": {"type": "cellular", "n_outcomes": 4, "n_cells": 8,
                                 "breakable": [1, 2, 5, 8]}}},
-        "c4287221690b99f17681df9f96537cbdbdaa012721b23eb1f33089b3ab986e84",
+        "534049bfd60c3034b4a71aa5c613d27eb410d731c5e499b9e53df00e49a9b666",
     ),
     "universal_mc_n3_blocks": (
         {"kind": "universal", "seed": 16,

@@ -1,7 +1,6 @@
 """Break densities: CDFs, atoms, transition laws, sampling, JSON forms."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,14 +20,13 @@ from trm import (
     density_from_json,
     density_to_json,
     epsilon_probability,
+    regions_of_batch,
     sample_break_point,
     transition_probabilities_1d,
     transition_probabilities_nd,
 )
-import trm.cells as cells_module
-from trm.cells import cell_fraction_in_regions, slab_bounds, triangle_vertices
+from trm.cells import slab_bounds, triangle_vertices
 from trm.gtr import Z_MAX, atom, cdf, frequency_plus_1d, sample_outcomes_1d
-from trm.shards import BLOCK_SIZE
 from conftest import random_interior_state
 
 
@@ -131,6 +129,19 @@ def test_piecewise_breakpoints_are_clamped_onto_the_interval():
 NAN = float("nan")
 
 
+def test_point_break_clamps_the_pole_like_piecewise():
+    # both variants that take a position clamp sqrt(0.5), one ulp above
+    # Z_MAX, onto the interval's end, and both refuse anything farther out
+    assert PointBreak(math.sqrt(0.5)).z0 == Z_MAX
+    assert PointBreak(-math.sqrt(0.5)).z0 == -Z_MAX
+    assert transition_probabilities_1d(1.0, PointBreak(math.sqrt(0.5))) == (0.5, 0.5)
+    for z in (Z_MAX + 2e-12, -Z_MAX - 2e-12, NAN):
+        with pytest.raises(ValueError):
+            PointBreak(z)
+        with pytest.raises(ValueError):
+            PiecewiseConstant1D((-Z_MAX, z) if z > 0 else (z, Z_MAX), (1.0,))
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -227,33 +238,44 @@ def test_frequency_plus_1d_is_worker_invariant():
 def test_nd_uniform_is_exact_block_sums(rng):
     x = BarycentricVector((0.1, 0.2, 0.3, 0.4))
     part = OutcomePartition.of([[1, 2], [3, 4]])
-    probs, errs = transition_probabilities_nd(x, part, Uniform())
+    probs = transition_probabilities_nd(x, part, Uniform())
     np.testing.assert_allclose(probs, [0.3, 0.7], atol=1e-15)
-    assert (errs == 0).all()
 
 
 def test_nd_cellular_two_outcomes_exact():
     x = BarycentricVector((0.3, 0.7))
     full = CellularDensity(2, 5, frozenset(range(1, 6)))
-    probs, errs = transition_probabilities_nd(x, OutcomePartition.singletons(2), full)
+    probs = transition_probabilities_nd(x, OutcomePartition.singletons(2), full)
     np.testing.assert_allclose(probs, [0.3, 0.7], atol=1e-12)
-    assert (errs == 0).all()
     # only the top cell breakable: the break always lands above x1 = 0.3,
     # inside region 2's half... region 1 is lam_1 < x_1
     top = CellularDensity(2, 5, frozenset({5}))
-    probs, _ = transition_probabilities_nd(x, OutcomePartition.singletons(2), top)
+    probs = transition_probabilities_nd(x, OutcomePartition.singletons(2), top)
     np.testing.assert_allclose(probs, [0.0, 1.0], atol=1e-12)
 
 
-def test_nd_cellular_three_outcomes_mc(rng):
-    x = BarycentricVector(tuple(random_interior_state(rng, 3)))
-    d = CellularDensity(3, 16, frozenset(range(1, 17)))
-    probs, errs = transition_probabilities_nd(
-        x, OutcomePartition.singletons(3), d, 20260815, samples_per_cell=4000
-    )
+def _exact_law_matches_draws(rng, n, n_cells, breakable, blocks):
+    """The exact nd law of a cellular density against 2e5 break points drawn
+    from it with sample_break_point, within 4 sigma per block."""
+    x = BarycentricVector(tuple(random_interior_state(rng, n)))
+    d = CellularDensity(n, n_cells, frozenset(breakable))
+    part = OutcomePartition.of(blocks)
+    probs = transition_probabilities_nd(x, part, d)
     assert abs(probs.sum() - 1.0) < 1e-12
-    # fully breakable equals the uniform law up to MC noise
-    assert (np.abs(probs - x.as_array()) <= 4 * errs + 1e-3).all()
+    m = 200_000
+    hits, ties = regions_of_batch(x, sample_break_point(d, rng, size=m))
+    assert not ties.any()
+    freqs = part.count(hits)[0] / m
+    sigma = np.sqrt(probs * (1.0 - probs) / m)
+    assert (np.abs(freqs - probs) <= 4 * sigma).all(), (freqs, probs)
+
+
+def test_nd_cellular_three_outcomes_mc(rng):
+    _exact_law_matches_draws(rng, 3, 9, {1, 3, 4, 8}, [[1, 3], [2]])
+
+
+def test_nd_cellular_four_outcomes_mc(rng):
+    _exact_law_matches_draws(rng, 4, 8, {1, 2, 5, 8}, [[1, 4], [2], [3]])
 
 
 def _cells_of(points, n, n_cells):
@@ -295,68 +317,6 @@ def test_sample_break_point_in_a_cellular_density(rng, n, n_cells, breakable):
     counts = np.bincount(first, minlength=cells.size)
     p = 1.0 / cells.size
     assert (np.abs(counts - m * p) <= 4 * math.sqrt(m * p * (1 - p))).all(), counts
-
-
-def test_nd_requires_rng_for_mc():
-    # the stratified route draws from a seed and refuses to run without one
-    x = BarycentricVector((0.2, 0.3, 0.5))
-    d = CellularDensity(3, 4, frozenset({1}))
-    with pytest.raises(ValueError):
-        transition_probabilities_nd(x, OutcomePartition.singletons(3), d)
-
-
-@pytest.mark.parametrize(
-    "n,n_cells,breakable",
-    [(3, 16, (2, 7, 11)), (4, 16, (1, 3, 4, 8, 9, 13, 16))],
-    ids=["n3-C3", "n4-C7"],
-)
-def test_nd_strata_are_sharded_exact_and_worker_invariant(monkeypatch, n, n_cells, breakable):
-    rng = np.random.default_rng(n)
-    x = BarycentricVector(tuple(random_interior_state(rng, n)))
-    d = CellularDensity(n, n_cells, frozenset(breakable))
-    part = OutcomePartition.singletons(n)
-    c = len(breakable)
-    # c does not divide BLOCK_SIZE; m fills two whole blocks and part of a third
-    assert BLOCK_SIZE % c
-    m = 2 * (BLOCK_SIZE // c) + 1000
-
-    calls = []
-    sample = cells_module.sample_in_cells
-
-    def recording(n_outcomes, n_c, cell_idx, gen):
-        calls.append(np.array(cell_idx))
-        return sample(n_outcomes, n_c, cell_idx, gen)
-
-    monkeypatch.setattr(cells_module, "sample_in_cells", recording)
-    probs, errs = transition_probabilities_nd(x, part, d, 5, m, workers=1)
-    monkeypatch.undo()
-
-    assert len(calls) >= 3
-    assert max(idx.size for idx in calls) <= BLOCK_SIZE
-    per_cell = np.bincount(np.concatenate(calls), minlength=n_cells)
-    expected = np.zeros(n_cells, dtype=per_cell.dtype)
-    expected[np.array(breakable) - 1] = m
-    np.testing.assert_array_equal(per_cell, expected)
-
-    exact = cell_fraction_in_regions(x.as_array(), n, n_cells)[:, np.array(breakable) - 1]
-    assert (np.abs(probs - exact.mean(axis=1)) <= 4 * errs).all(), (probs, errs)
-
-    two = transition_probabilities_nd(x, part, d, 5, m, workers=2)
-    np.testing.assert_array_equal(two[0], probs)
-    np.testing.assert_array_equal(two[1], errs)
-
-
-def test_nd_memory_is_bounded_by_the_block():
-    # the benchmark's density: 8 of the 32 slab cells of four outcomes
-    x = BarycentricVector((0.1, 0.2, 0.3, 0.4))
-    d = CellularDensity(4, 32, frozenset(range(1, 33, 4)))
-    tracemalloc.start()
-    try:
-        transition_probabilities_nd(x, OutcomePartition.singletons(4), d, 1, 65536, workers=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20, peak
 
 
 def test_json_roundtrip_all_families():

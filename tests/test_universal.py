@@ -73,8 +73,7 @@ def test_hand_enumerated_subset_laws(x, n_c, oracle):
     part = OutcomePartition.singletons(2)
     seen = {}
     for density in enumerate_cellular(2, n_c):
-        probs, errs = transition_probabilities_nd(x, part, density)
-        assert (errs == 0).all()
+        probs = transition_probabilities_nd(x, part, density)
         seen[density.breakable] = probs[0]
     assert set(seen) == set(oracle)
     for cells, expected in oracle.items():

@@ -125,6 +125,13 @@ def test_run_batch_vertex_state_is_deterministic(rng):
                 assert counts.tolist() == expected, (j, blocks)
 
 
+def test_run_batch_subnormal_component_raises_no_warning(rng):
+    # lam_1 / 1e-320 overflows to inf, which only says that outcome 1 never
+    # wins; the suite turns a RuntimeWarning into an error
+    counts = run_batch(BarycentricVector((1e-320, 1.0)), OutcomePartition.singletons(2), 1000, rng)
+    assert counts.tolist() == [0, 1000]
+
+
 def test_sequential_two_step_identity(rng):
     """Chaining the two interleaved pairings isolates a single outcome:
     the product of block weights telescopes to the bare component."""

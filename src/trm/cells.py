@@ -171,8 +171,10 @@ def cell_fraction_in_regions(x: np.ndarray, n_outcomes: int, n_cells: int) -> np
         # both differences of m-th powers, x_1 (t_a^m - t_b^m) with
         # t = (1 - lam_1/x_1)_+ and the slab measure (1-a)^m - (1-b)^m, are
         # factored as (u - w) * sum_k u^k w^(m-1-k), so no subtraction of
-        # nearby powers loses digits
-        t_a, t_b = (np.clip(1.0 - s / x1, 0.0, None) for s in (a, b))
+        # nearby powers loses digits; a subnormal x_1 overflows s / x_1 to
+        # inf, whose clipped t is the right 0
+        with np.errstate(over="ignore"):
+            t_a, t_b = (np.clip(1.0 - s / x1, 0.0, None) for s in (a, b))
         inside = np.clip(np.minimum(b, x1) - a, 0.0, None)
         f1 = inside * _power_sum(t_a, t_b, m) / ((b - a) * _power_sum(1.0 - a, 1.0 - b, m))
     rest = xv[1:] / (1.0 - x1) if x1 < 1.0 else np.zeros(m)

@@ -253,7 +253,7 @@ def _run_universal(params: Mapping[str, Any], seed: int, workers: int) -> tuple[
     x, partition, method = params["x"], _blocks(params), params["method"]
     sizes = {k: params[k] for k in ("density_samples", "point_samples") if k in params}
     rows = convergence_scan(
-        x, params["cell_counts"], seed, method, partition=partition, workers=workers, **sizes
+        x, params["cell_counts"], seed, method, partition=partition, **sizes
     )
     result = {
         "x": list(x.components),
@@ -474,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
             "--workers",
             type=int,
             default=os.cpu_count() or 1,
-            help="parallel workers (results do not depend on this)",
+            help="parallel workers for utr and gtr 1d trials (results do not depend on this)",
         )
         sp.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args(argv)

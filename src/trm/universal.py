@@ -24,13 +24,16 @@ uniform u, as entry floor(u k) of the row's k cells; and one call of the
 cell-sampling kernel cells.region_counts_in_cells, which draws a
 tie-resolved break point in every picked cell and counts the per-density
 block hits.  A chunk holds up to
-MC_CHUNK_ROWS = 8192 break points, so a shard block of UNIVERSAL_BLOCK
-densities of 64 points is two kernel calls; the chunk keeps only its cell
+MC_CHUNK_ROWS = 16384 break points, so a shard block of UNIVERSAL_BLOCK
+densities of 64 points is one kernel call; the chunk keeps only its cell
 indices, in the smallest unsigned type that holds n_c - 1, beside the
 kernel's scratch, which peaks near 71 bytes per break point for three
-outcomes.
+outcomes, about 1.2 MB per chunk.
 convergence_scan tabulates either route against the uniform law over a
-range of cell counts.
+range of cell counts.  Its sampling route runs its shard blocks on the
+calling thread: a chunk is dozens of numpy calls of tens of microseconds
+each, too short for two threads to overlap, so a second thread would only
+wait for the interpreter lock.
 """
 
 from __future__ import annotations
@@ -55,11 +58,11 @@ UNIVERSAL_BLOCK = 256
 # Break points (densities x point_samples) and subset bits (densities x
 # n_cells) that mc_batch draws per chunk.  A chunk's scratch peaks at about
 # 71 bytes per break point for three outcomes (tracemalloc, 256 densities of
-# 64 points on 25 cells), so about 0.6 MB per chunk; the test suite bounds
+# 64 points on 25 cells), so about 1.2 MB per chunk; the test suite bounds
 # it at 80 bytes.  A chunk holds at least one density, whose subset has at
 # most cells.MAX_CELLS bits; a density with more points than this draws them
 # in chunks of this size.
-MC_CHUNK_ROWS = 8192
+MC_CHUNK_ROWS = 16384
 
 
 def universal_probability_exact(
@@ -197,7 +200,6 @@ def convergence_scan(
     density_samples: int = 1000,
     point_samples: int = 1000,
     partition: OutcomePartition | None = None,
-    workers: int = 1,
 ) -> list[dict[str, float | int]]:
     """Average-vs-uniform-law deviation per cell count and outcome.
 
@@ -211,9 +213,9 @@ def convergence_scan(
     from point_samples breaks, and averages; the standard error is the
     spread of the per-density estimates over sqrt(density_samples).  It
     shards mc_batch over blocks of UNIVERSAL_BLOCK densities, running every
-    cell count from `seed`, so the rows do not depend on `workers`.  It
-    refuses fewer than two densities, which leave no spread to report, and
-    a density without a point.
+    cell count from `seed`, and runs the blocks on the calling thread (see
+    the module docstring).  It refuses fewer than two densities, which
+    leave no spread to report, and a density without a point.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
@@ -234,7 +236,6 @@ def convergence_scan(
                 density_samples,
                 seed,
                 lambda rng, m, n_c=n_c: mc_batch(x, n_c, m, point_samples, rng, partition),
-                workers,
                 block_size=UNIVERSAL_BLOCK,
             )
             probs, errs = mc_combine(stats, density_samples)

@@ -257,8 +257,11 @@ def test_c10_cli_output_is_worker_invariant(tmp_path):
     """Identical config and seed give byte-identical CLI output at 1, 4,
     and 16 workers, for every sharded Monte Carlo route: utr trials, the
     sampled universal average on triangle and on slab cells and gtr 1d
-    trials; the exact gtr nd law, on slab and on triangle cells, draws
-    nothing and must not depend on the worker count either."""
+    trials.  The universal route runs its shard blocks on the calling
+    thread at any worker count, so its two configs check that --workers
+    reaches none of its draws; the exact gtr nd law, on slab and on
+    triangle cells, draws nothing and must not depend on the worker count
+    either."""
     configs = [
         {
             "kind": "utr",

@@ -153,6 +153,8 @@ def _edge_states(n):
     rest = np.full(n - 1, 1.0 / (n - 1))
     yield np.concatenate([[0.0], rest])
     yield np.concatenate([[1e-300], rest * (1.0 - 1e-300)])
+    # the slab law divides by x_1, which overflows for a subnormal x_1
+    yield np.concatenate([[5e-324], rest])
     yield np.eye(n)[0]
     yield np.eye(n)[-1]
     yield np.concatenate([[0.5], np.zeros(n - 2), [0.5]])

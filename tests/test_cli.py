@@ -336,6 +336,31 @@ def test_utr_subnormal_probability_keeps_its_sigma(tmp_path):
     assert float(rows[2].split(",")[3]) == math.sqrt(5e-324) / math.sqrt(1000)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "universal", "params": {"x": [5e-324, 0.2, 0.3, 0.5], "method": "exact",
+                                         "cell_counts": [3]}},
+        {"kind": "universal", "params": {"x": [5e-324, 1.0], "method": "exact",
+                                         "cell_counts": [1, 4]}},
+        {"kind": "gtr", "params": {"mode": "nd", "x": [5e-324, 0.2, 0.3, 0.5],
+                                   "density": {"type": "cellular", "n_outcomes": 4,
+                                               "n_cells": 8, "breakable": [1, 2, 5, 8]}}},
+    ],
+    ids=["universal-n4", "universal-n2", "gtr-nd-n4"],
+)
+def test_subnormal_first_component_on_slab_cells_warns_nothing(tmp_path, doc):
+    # the slab law divides by x_1; the overflow to inf gives the right 0,
+    # and must not print a RuntimeWarning
+    proc = run_cli("run", write_config(tmp_path, "sub.json", {"seed": 1, **doc}))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    if doc["kind"] == "gtr":
+        assert result["probabilities"][0] < 1e-300
+    else:
+        assert result["max_abs_deviation"] <= 1e-12
+
+
 def test_universal_scan_csv(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -380,7 +405,14 @@ def test_universal_scan_with_blocks(tmp_path):
     assert result["max_abs_deviation"] < 1e-12
 
 
-def test_universal_scan_mc_worker_invariance(tmp_path):
+def test_universal_scan_mc_worker_invariance(tmp_path, monkeypatch):
+    # the universal mc route runs its shard blocks on the calling thread at
+    # any --workers, so a thread pool that cannot be built changes nothing
+    class NoThreads:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the universal route started a thread pool")
+
+    monkeypatch.setattr(trm.shards, "ThreadPoolExecutor", NoThreads)
     cfg = write_config(
         tmp_path,
         "unimc.json",
@@ -394,8 +426,7 @@ def test_universal_scan_mc_worker_invariance(tmp_path):
     outs = []
     for workers in (1, 4, 16):
         out = tmp_path / f"u{workers}.json"
-        proc = run_cli("universal-scan", cfg, "--workers", workers, "--out", out)
-        assert proc.returncode == 0, proc.stderr
+        assert run_main("universal-scan", cfg, "--workers", workers, "--out", out) == (0, "", "")
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
     rows = json.loads(outs[0])["result"]["scan"]

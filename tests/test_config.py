@@ -1,10 +1,12 @@
 """Config documents run through trm.cli.main in-process: the README's
-examples, and fuzzed mutations of small valid configs."""
+examples, fuzzed mutations of small valid configs, and valid configs with
+numbers at the edges of floating point."""
 
 import contextlib
 import copy
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 
 from trm.cells import MAX_CELLS
 from trm.cli import main
+from trm.gtr import Z_MAX
+from trm.sphere import RADIUS
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -135,3 +139,94 @@ def test_mutated_configs_exit_cleanly(config_path, doc):
         assert len(err.splitlines()) == 1, err
     else:
         assert strict_json(out)["kind"] == doc["kind"]
+
+
+# The smallest, a middle and the largest subnormal, and the largest double
+# below one.
+SUBNORMALS = [5e-324, 2.0**-1050, 2.0**-1022 - 5e-324]
+BELOW_ONE = 1.0 - 2.0**-53
+
+
+@st.composite
+def edge_state(draw, x):
+    """x with one component moved to a subnormal, to 1 - 2^-53 or to -0.0,
+    and the others rescaled to make up the rest of the unit sum."""
+    i = draw(st.integers(0, len(x) - 1))
+    value = draw(st.sampled_from([*SUBNORMALS, BELOW_ONE, -0.0]))
+    others = math.fsum(x) - x[i]
+    return [value if j == i else v * (1.0 - abs(value)) / others for j, v in enumerate(x)]
+
+
+@st.composite
+def mass_pair(draw):
+    t = draw(st.sampled_from([*SUBNORMALS, BELOW_ONE]))
+    return [t, 1.0 - t]
+
+
+@st.composite
+def edge_bloch(draw):
+    """A Bloch vector of norm RADIUS along an axis, signs and -0.0 drawn, or
+    one tilted off an axis by a subnormal."""
+    axis = draw(st.integers(0, 2))
+    vec = [draw(st.sampled_from([0.0, -0.0])) for _ in range(3)]
+    vec[axis] = draw(st.sampled_from([RADIUS, -RADIUS]))
+    if draw(st.booleans()):
+        vec[(axis + 1) % 3] = draw(st.sampled_from(SUBNORMALS))
+    return vec
+
+
+# Field -> strategy of its edge values, for each field of the BASES that
+# carries a number; a and b, the two masses of double_point, move together.
+# Cell counts are squares, which every outcome count accepts.
+CELLS = st.sampled_from([1, 4, 64])
+EDGES = {
+    "x": edge_state,
+    "cos_theta": st.sampled_from([1.0, -1.0, -0.0, BELOW_ONE, -BELOW_ONE, *SUBNORMALS]),
+    "epsilon": st.sampled_from([1.0, BELOW_ONE, *SUBNORMALS]),
+    "z0": st.sampled_from([Z_MAX, -Z_MAX, -0.0, *SUBNORMALS]),
+    "a": mass_pair(),
+    "masses": mass_pair(),
+    "breakpoints": st.sampled_from([[-Z_MAX, -0.0, Z_MAX], [-Z_MAX, 5e-324, Z_MAX]]),
+    "initial": edge_bloch(),
+    "direction": edge_bloch(),
+    "trials": st.sampled_from([1, 10**4]),
+    "cell_counts": st.lists(CELLS, min_size=1, max_size=3),
+    "n_cells": CELLS,
+    "density_samples": st.sampled_from([2, 64]),
+    "point_samples": st.sampled_from([1, 64]),
+    **{p: st.sampled_from([0.0, -0.0, 1.0, BELOW_ONE, *SUBNORMALS])
+       for p in ("p_vw", "p_uw", "p_ucv", "p_ab", "p_bc", "p_ac")},
+}
+
+
+@st.composite
+def edge_configs(draw):
+    kind, params = draw(st.sampled_from(BASES))
+    doc = {"kind": kind, "seed": 1, "params": copy.deepcopy(params)}
+    for container, key in list(slots(doc)):
+        if key not in EDGES or not draw(st.booleans()):
+            continue
+        edge = EDGES[key]
+        value = draw(edge(container[key]) if key == "x" else edge)
+        if key == "a":
+            container["a"], container["b"] = value
+        else:
+            container[key] = value
+        if key == "n_cells":
+            container["breakable"] = sorted({1, value})
+    return doc
+
+
+@given(edge_configs())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_edge_values_run_quietly_and_exactly(config_path, doc):
+    """Valid documents whose numbers sit at the edges of floating point run:
+    exit 0, nothing on stderr, strict JSON out, and the exact universal
+    average within 1e-12 of x."""
+    config_path.write_text(json.dumps(doc))
+    code, out, err = run_main(config_path)
+    assert (code, err) == (0, "")
+    payload = strict_json(out)
+    if doc["kind"] == "universal" and doc["params"]["method"] == "exact":
+        assert payload["result"]["max_abs_deviation"] <= 1e-12

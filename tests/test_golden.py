@@ -62,13 +62,13 @@ GOLDEN = {
         {"kind": "universal", "seed": 16,
          "params": {"method": "mc", "x": [0.2, 0.3, 0.5], "blocks": [[1], [2, 3]],
                     "cell_counts": [4, 9], "density_samples": 300, "point_samples": 40}},
-        "ff5c667b18cfecb81b23ad90ac8e73c5e088d1397e2107c76ebdf775e6b94895",
+        "51c87eebbe314655220ad83c4f0957b4e423a8b8c28efd3489e1b066bfdcd293",
     ),
     "universal_mc_n4_slabs": (
         {"kind": "universal", "seed": 18,
          "params": {"method": "mc", "x": [0.1, 0.2, 0.3, 0.4], "blocks": [[1, 4], [2, 3]],
                     "cell_counts": [5, 16], "density_samples": 300, "point_samples": 40}},
-        "62abf0483d2dff9fe12804691352e0783a14f1fccd46c1202e0723b70a2bacad",
+        "486a649c2abb9b88a15658e8c146c4582d80248c684ec4fb1e98b5c5fbac93d4",
     ),
     "utr_n6": (
         {"kind": "utr", "seed": 19,
@@ -115,4 +115,5 @@ def test_output_bytes_are_pinned(tmp_path, name):
     cfg, out = tmp_path / "config.json", tmp_path / "out.json"
     cfg.write_text(json.dumps(doc))
     assert cli.main(["run", str(cfg), "--workers", "1", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    computed = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert computed == digest, f"golden {name!r} now hashes to {computed}"

@@ -237,7 +237,7 @@ def test_mc_batch_redraws_empty_subsets():
 
 def test_mc_batch_is_deterministic_across_chunks():
     x = BarycentricVector((0.2, 0.3, 0.5))
-    m, p_pts = 600, 64
+    m, p_pts = 1200, 64
     assert m * p_pts > 4 * MC_CHUNK_ROWS
     first = mc_batch(x, 9, m, p_pts, np.random.default_rng(13))
     again = mc_batch(x, 9, m, p_pts, np.random.default_rng(13))
@@ -264,11 +264,11 @@ def test_mc_batch_memory_is_bounded_by_the_chunk(m, p_pts, n_c):
     assert peak < 2 * 2**20, peak
 
 
-def test_mc_batch_at_the_bench_shape_makes_two_kernel_calls_in_bounded_scratch(monkeypatch):
+def test_mc_batch_at_the_bench_shape_makes_one_kernel_call_in_bounded_scratch(monkeypatch):
     # 256 densities of 64 points on 25 triangle cells, one shard block of
-    # the universal_mc benchmark: two chunks of MC_CHUNK_ROWS break points,
-    # each one call of the cell-sampling kernel, in at most 80 bytes of
-    # scratch per break point
+    # the universal_mc benchmark: one chunk of MC_CHUNK_ROWS break points,
+    # one call of the cell-sampling kernel, in at most 80 bytes of scratch
+    # per break point
     x = BarycentricVector((0.2, 0.3, 0.5))
     m, p_pts, n_c = 256, 64, 25
     mc_batch(x, n_c, m, p_pts, np.random.default_rng(15))
@@ -288,7 +288,7 @@ def test_mc_batch_at_the_bench_shape_makes_two_kernel_calls_in_bounded_scratch(m
 
     monkeypatch.setattr(universal_module, "region_counts_in_cells", recording)
     mc_batch(x, n_c, m, p_pts, np.random.default_rng(15))
-    assert sizes == [MC_CHUNK_ROWS] * 2
+    assert sizes == [MC_CHUNK_ROWS]
 
 
 def _enumerated_subset_average(fractions, n_cells):

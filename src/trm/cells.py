@@ -40,12 +40,6 @@ place in its output column, no (m, 3, 2) corner tensor is made and the
 only float array beside the output is the (m, 2) uniform.  A slab inverts
 the lam_1 CDF inside the cell and spreads the remainder with the simplex
 sampler's row normaliser.
-
-region_counts_in_cells is the sampling kernel of universal.mc_batch: it
-draws one point in each given cell with sample_in_cells, finds each point's
-outcome region with regions_of_batch, redrawing only the points that tie
-through resolve_ties, and tallies the regions per sampled density with
-OutcomePartition.count.
 """
 
 from __future__ import annotations
@@ -56,14 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDensityError
-from .simplex import OutcomePartition, _normalise_rows, regions_of_batch, resolve_ties
+from .simplex import _normalise_rows
 
 __all__ = [
     "CellularDensity",
     "MAX_CELLS",
     "cell_fraction_in_regions",
     "check_subdivision",
-    "region_counts_in_cells",
     "sample_in_cells",
     "slab_bounds",
     "triangle_vertices",
@@ -278,26 +271,3 @@ def _sample_in_triangles(k: int, idx: np.ndarray, rng: np.random.Generator) -> n
     np.subtract(1.0, out[:, 0], out=out[:, 0])
     return out
 
-
-def region_counts_in_cells(
-    x: np.ndarray,
-    n_cells: int,
-    idx: np.ndarray,
-    partition: OutcomePartition,
-    groups: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """(groups, n_blocks) outcome-block counts of one uniform break point in
-    each of the cells idx (0-based) against the state x.
-
-    idx holds `groups` equal runs of cells, one run per sampled density.  A
-    point that ties on a region boundary is drawn again in its own cell.
-    """
-    hits = resolve_ties(
-        idx.size,
-        lambda rows, count: regions_of_batch(
-            x, sample_in_cells(x.size, n_cells, idx[rows], rng)
-        ),
-        "in cellular sampling",
-    )
-    return partition.count(hits, groups)

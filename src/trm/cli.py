@@ -9,9 +9,10 @@ Experiments are described by a JSON config::
 and run with `trm run config.json`.  The kind-specific subcommands
 (universal-scan, sphere, classify, oracle-compare) are the same runner with
 the kind pinned.  The TRM_SEED environment variable overrides the config
-seed; a seed the config gives is still checked.  Monte Carlo work is
-sharded into fixed-size blocks with one RNG substream per block, so output
-bytes depend only on the config and seed, never on --workers.  Each runner
+seed; a seed the config gives is still checked.  utr and gtr 1d trials are
+sharded into fixed-size blocks with one RNG substream per block, and the
+universal mc route draws on the calling thread, so output bytes depend
+only on the config and seed, never on --workers.  Each runner
 is a thin layer over library calls: the sampling itself, the gtr 1d
 trials included (gtr.frequency_plus_1d), lives in the library.  _PARAMS
 lists the params each kind and mode reads; any other field, at any level of

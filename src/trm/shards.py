@@ -3,7 +3,7 @@
 Work is split into fixed-size blocks of trials.  Block i always draws from
 the generator seeded with (seed, spawn_key=i), and block results are
 reduced in index order, so the final numbers are byte-identical for a given
-(seed, block size) no matter how many workers run the blocks or in which
+(seed, BLOCK_SIZE) no matter how many workers run the blocks or in which
 order they finish.
 """
 
@@ -29,9 +29,9 @@ def run_sharded(
     seed: int,
     block_fn: Callable[[np.random.Generator, int], np.ndarray],
     workers: int = 1,
-    block_size: int = BLOCK_SIZE,
 ) -> np.ndarray:
-    """Sum of block_fn(rng_i, count_i) over fixed-size blocks covering `total`.
+    """Sum of block_fn(rng_i, count_i) over blocks of BLOCK_SIZE trials
+    covering `total`.
 
     block_fn must depend only on its arguments; the reduction happens in
     block-index order regardless of completion order.  At most
@@ -41,11 +41,7 @@ def run_sharded(
     """
     if total <= 0:
         raise ValueError(f"need a positive total, got {total}")
-    if block_size <= 0:
-        raise ValueError(f"need a positive block size, got {block_size}")
-    counts = [
-        min(block_size, total - start) for start in range(0, total, block_size)
-    ]
+    counts = [min(BLOCK_SIZE, total - start) for start in range(0, total, BLOCK_SIZE)]
 
     def one(i: int) -> np.ndarray:
         return np.asarray(block_fn(block_rng(seed, i), counts[i]))

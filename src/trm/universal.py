@@ -20,20 +20,21 @@ draws subsets and break points instead.  Its kernel, mc_batch, draws a
 chunk of densities at once: an (m, n_c) subset bitmask with the empty rows
 redrawn and flattened, row by row, into the list of its set-bit columns;
 each point's cell picked from its row's stretch of that list with one
-uniform u, as entry floor(u k) of the row's k cells; and one call of the
-cell-sampling kernel cells.region_counts_in_cells, which draws a
-tie-resolved break point in every picked cell and counts the per-density
-block hits.  A chunk holds up to
-MC_CHUNK_ROWS = 16384 break points, so a shard block of UNIVERSAL_BLOCK
-densities of 64 points is one kernel call; the chunk keeps only its cell
-indices, in the smallest unsigned type that holds n_c - 1, beside the
-kernel's scratch, which peaks near 71 bytes per break point for three
-outcomes, about 1.2 MB per chunk.
+uniform u, as entry floor(u k) of the row's k cells; then one
+cells.sample_in_cells draw of a break point in every picked cell, whose
+outcome regions regions_of_batch finds (resolve_ties redraws only the
+points that tie) and OutcomePartition.count tallies per density.  A chunk
+holds up to MC_CHUNK_ROWS = 16384 break points, so 256 densities of 64
+points are one chunk; the chunk keeps only its cell indices, in the
+smallest unsigned type that holds n_c - 1, beside the kernels' scratch,
+which peaks near 71 bytes per break point for three outcomes, about 1.2 MB
+per chunk.
 convergence_scan tabulates either route against the uniform law over a
-range of cell counts.  Its sampling route runs its shard blocks on the
-calling thread: a chunk is dozens of numpy calls of tens of microseconds
-each, too short for two threads to overlap, so a second thread would only
-wait for the interpreter lock.
+range of cell counts.  Its sampling route draws each cell count from one
+generator seeded with the scan's seed, on the calling thread: a chunk is
+dozens of numpy calls of tens of microseconds each, too short for two
+threads to overlap, so a second thread would only wait for the
+interpreter lock.
 """
 
 from __future__ import annotations
@@ -42,18 +43,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .cells import cell_fraction_in_regions, check_subdivision, region_counts_in_cells
-from .shards import run_sharded
-from .simplex import BarycentricVector, OutcomePartition
+from .cells import cell_fraction_in_regions, check_subdivision, sample_in_cells
+from .simplex import BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
 
 __all__ = [
     "convergence_scan",
     "universal_probability_exact",
 ]
-
-# Densities per shard block of convergence_scan's sampling route; a density
-# sample is much heavier than a utr trial.
-UNIVERSAL_BLOCK = 256
 
 # Break points (densities x point_samples) and subset bits (densities x
 # n_cells) that mc_batch draws per chunk.  A chunk's scratch peaks at about
@@ -89,12 +85,15 @@ def mc_batch(
     partition: OutcomePartition | None = None,
 ) -> np.ndarray:
     """Accumulated (2, n_blocks) array of per-density estimate sums and sums
-    of squares, the reducible building block of convergence_scan's sampling
-    route.
+    of squares of density_samples sampled densities, drawn from rng in
+    chunks of up to MC_CHUNK_ROWS break points; convergence_scan's sampling
+    route makes one call per cell count.
 
     Block aggregation happens per density, before squaring, so the combined
     standard errors account for within-block correlations.
     """
+    if point_samples < 1:
+        raise ValueError(f"need at least one point sample, got {point_samples}")
     xv = x.as_array()
     check_subdivision(x.n, n_cells)
     partition = _grouping(x, partition)
@@ -107,10 +106,25 @@ def mc_batch(
         # a density with more points than a chunk holds draws them in parts
         for done in range(0, point_samples, MC_CHUNK_ROWS):
             p = min(MC_CHUNK_ROWS, point_samples - done)
-            counts += _block_counts(xv, n_cells, cells, start, k, p, partition, rng)
+            # the uniforms and positions die with the pick, so only the cell
+            # indices stay alive beside the kernels' scratch
+            idx = _pick_cells(cells, start, k, rng.random((m, p))).ravel()
+            counts += partition.count(
+                resolve_ties(
+                    idx.size,
+                    lambda rows, count: regions_of_batch(
+                        xv, sample_in_cells(x.n, n_cells, idx[rows], rng)
+                    ),
+                    "in cellular sampling",
+                ),
+                m,
+            )
         p_hat = counts / point_samples
         sums[0] += p_hat.sum(axis=0)
         sums[1] += (p_hat**2).sum(axis=0)
+        # nothing of a chunk outlives it: an array kept into the next chunk
+        # splits the freed heap, and that chunk's scratch then grows it
+        del cells, start, k, idx, counts, p_hat
     return sums
 
 
@@ -157,26 +171,6 @@ def _pick_cells(
     return cells.take(pos)
 
 
-def _block_counts(
-    xv: np.ndarray,
-    n_cells: int,
-    cells: np.ndarray,
-    start: np.ndarray,
-    k: np.ndarray,
-    points: int,
-    partition: OutcomePartition,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """(m, n_blocks) outcome-block counts of `points` break points drawn from
-    each of the m subsets (cells, start, k), each point in a uniformly
-    picked breakable cell of its row."""
-    m = k.size
-    # the uniforms and positions die with the pick, so only the cell
-    # indices stay alive
-    idx = _pick_cells(cells, start, k, rng.random((m, points)))
-    return region_counts_in_cells(xv, n_cells, idx.ravel(), partition, m, rng)
-
-
 def _grouping(x: BarycentricVector, partition: OutcomePartition | None) -> OutcomePartition:
     """The partition (singletons when None), checked against the state."""
     partition = partition or OutcomePartition.singletons(x.n)
@@ -211,11 +205,12 @@ def convergence_scan(
     The mc route draws breakable subsets uniformly among the nonempty ones
     (rejection on the empty draw), estimates each density's outcome law
     from point_samples breaks, and averages; the standard error is the
-    spread of the per-density estimates over sqrt(density_samples).  It
-    shards mc_batch over blocks of UNIVERSAL_BLOCK densities, running every
-    cell count from `seed`, and runs the blocks on the calling thread (see
-    the module docstring).  It refuses fewer than two densities, which
-    leave no spread to report, and a density without a point.
+    spread of the per-density estimates over sqrt(density_samples).  Each
+    cell count is one mc_batch call on a fresh generator seeded with
+    `seed`, so its rows do not depend on the other counts listed; it runs
+    on the calling thread (see the module docstring).  It refuses fewer
+    than two densities, which leave no spread to report, and a density
+    without a point.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
@@ -232,11 +227,8 @@ def convergence_scan(
             probs = universal_probability_exact(x, n_c, partition)
             errs = np.zeros(len(xv))
         else:
-            stats = run_sharded(
-                density_samples,
-                seed,
-                lambda rng, m, n_c=n_c: mc_batch(x, n_c, m, point_samples, rng, partition),
-                block_size=UNIVERSAL_BLOCK,
+            stats = mc_batch(
+                x, n_c, density_samples, point_samples, np.random.default_rng(seed), partition
             )
             probs, errs = mc_combine(stats, density_samples)
         for i in range(len(xv)):

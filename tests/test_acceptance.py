@@ -255,9 +255,9 @@ def test_c09_fixed_break_point_law():
 
 def test_c10_cli_output_is_worker_invariant(tmp_path):
     """Identical config and seed give byte-identical CLI output at 1, 4,
-    and 16 workers, for every sharded Monte Carlo route: utr trials, the
-    sampled universal average on triangle and on slab cells and gtr 1d
-    trials.  The universal route runs its shard blocks on the calling
+    and 16 workers, for every Monte Carlo route: utr trials, the sampled
+    universal average on triangle and on slab cells and gtr 1d trials.  The
+    universal route draws each cell count from one generator on the calling
     thread at any worker count, so its two configs check that --workers
     reaches none of its draws; the exact gtr nd law, on slab and on
     triangle cells, draws nothing and must not depend on the worker count

@@ -406,8 +406,8 @@ def test_universal_scan_with_blocks(tmp_path):
 
 
 def test_universal_scan_mc_worker_invariance(tmp_path, monkeypatch):
-    # the universal mc route runs its shard blocks on the calling thread at
-    # any --workers, so a thread pool that cannot be built changes nothing
+    # the universal mc route draws on the calling thread at any --workers,
+    # so a thread pool that cannot be built changes nothing
     class NoThreads:
         def __init__(self, *args, **kwargs):
             raise AssertionError("the universal route started a thread pool")

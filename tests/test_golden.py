@@ -62,13 +62,13 @@ GOLDEN = {
         {"kind": "universal", "seed": 16,
          "params": {"method": "mc", "x": [0.2, 0.3, 0.5], "blocks": [[1], [2, 3]],
                     "cell_counts": [4, 9], "density_samples": 300, "point_samples": 40}},
-        "51c87eebbe314655220ad83c4f0957b4e423a8b8c28efd3489e1b066bfdcd293",
+        "b46a33003b122c4127ec204bbfed585f04d5ed124c46539afddb05cf5ec4a15e",
     ),
     "universal_mc_n4_slabs": (
         {"kind": "universal", "seed": 18,
          "params": {"method": "mc", "x": [0.1, 0.2, 0.3, 0.4], "blocks": [[1, 4], [2, 3]],
                     "cell_counts": [5, 16], "density_samples": 300, "point_samples": 40}},
-        "486a649c2abb9b88a15658e8c146c4582d80248c684ec4fb1e98b5c5fbac93d4",
+        "2be39a594dbd121164e4dcf36dd14d0dc4b591a766cfc134a062452908baa0c7",
     ),
     "utr_n6": (
         {"kind": "utr", "seed": 19,

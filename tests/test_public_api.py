@@ -118,6 +118,8 @@ REMOVED = [
     ("hilbert", "CorrespondenceReport"),
     ("sphere", "kolmogorov_counterexample"),
     ("sphere", "CounterexampleReport"),
+    ("universal", "UNIVERSAL_BLOCK"),
+    ("cells", "region_counts_in_cells"),
 ]
 
 

@@ -22,8 +22,8 @@ def test_block_rng_is_deterministic_per_index():
 
 
 def test_blocks_cover_total_exactly():
-    total = 3 * 1000 + 77
-    out = run_sharded(total, 1, counting_fn, workers=2, block_size=1000)
+    total = 3 * BLOCK_SIZE + 77
+    out = run_sharded(total, 1, counting_fn, workers=2)
     assert out[0] == total
 
 
@@ -47,11 +47,13 @@ def test_different_seeds_differ():
     assert not np.array_equal(a, b)
 
 
-def test_block_size_is_part_of_the_contract():
+def test_block_size_is_part_of_the_contract(monkeypatch):
     # changing the block layout legitimately changes the stream
     fn = counting_fn
-    a = run_sharded(5000, 9, fn, block_size=1000)
-    b = run_sharded(5000, 9, fn, block_size=500)
+    monkeypatch.setattr(trm.shards, "BLOCK_SIZE", 1000)
+    a = run_sharded(5000, 9, fn)
+    monkeypatch.setattr(trm.shards, "BLOCK_SIZE", 500)
+    b = run_sharded(5000, 9, fn)
     assert a[0] == b[0] == 5000
     assert a[1] != b[1]
 
@@ -59,8 +61,6 @@ def test_block_size_is_part_of_the_contract():
 def test_input_validation():
     with pytest.raises(ValueError):
         run_sharded(0, 1, counting_fn)
-    with pytest.raises(ValueError):
-        run_sharded(10, 1, counting_fn, block_size=0)
 
 
 def test_threads_never_outnumber_blocks(monkeypatch):
@@ -72,10 +72,10 @@ def test_threads_never_outnumber_blocks(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(trm.shards, "ThreadPoolExecutor", Recorder)
-    three = run_sharded(2500, 3, counting_fn, workers=16, block_size=1000)
+    three = run_sharded(2 * BLOCK_SIZE + 500, 3, counting_fn, workers=16)
     assert asked == [3]
-    one = run_sharded(800, 3, counting_fn, workers=16, block_size=1000)
+    one = run_sharded(BLOCK_SIZE - 200, 3, counting_fn, workers=16)
     assert asked == [3]
     monkeypatch.undo()
-    np.testing.assert_array_equal(three, run_sharded(2500, 3, counting_fn, block_size=1000))
-    np.testing.assert_array_equal(one, run_sharded(800, 3, counting_fn, block_size=1000))
+    np.testing.assert_array_equal(three, run_sharded(2 * BLOCK_SIZE + 500, 3, counting_fn))
+    np.testing.assert_array_equal(one, run_sharded(BLOCK_SIZE - 200, 3, counting_fn))

@@ -164,14 +164,18 @@ def test_half_binomial_moments_match_the_binomial_sum(p_pts):
 
 
 @pytest.mark.parametrize(
-    "p_pts,m", [(8, 4000), (2 * MC_CHUNK_ROWS, 500)], ids=["small", "split-density"]
+    "p_pts,m,chunk",
+    [(8, 4000, MC_CHUNK_ROWS), (2 * 1024, 500, 1024)],
+    ids=["small", "split-density"],
 )
-def test_mc_batch_draws_within_each_subset(p_pts, m):
+def test_mc_batch_draws_within_each_subset(monkeypatch, p_pts, m, chunk):
     # x = (1/2, 1/2) on two cells: the subsets {1}, {2} and {1, 2} give the
     # per-density laws (1, 0), (0, 1) and Bin(P, 1/2)/P, so E[p_1^2] is
     # (1 + 1/4 + 1/(4P))/3; cells picked outside the subset would give
     # about 1/4.  With more points than a chunk, each density's points are
-    # drawn in parts that must share the density's subset.
+    # drawn in parts that must share the density's subset; a small chunk
+    # splits a density without drawing millions of points.
+    monkeypatch.setattr(universal_module, "MC_CHUNK_ROWS", chunk)
     moment = [(1 + mu) / 3 for mu in _half_binomial_moments(p_pts)]
     sigma = math.sqrt((moment[1] - moment[0] ** 2) / m)
     assert abs(moment[0] - 0.25) > 8 * sigma
@@ -265,10 +269,9 @@ def test_mc_batch_memory_is_bounded_by_the_chunk(m, p_pts, n_c):
 
 
 def test_mc_batch_at_the_bench_shape_makes_one_kernel_call_in_bounded_scratch(monkeypatch):
-    # 256 densities of 64 points on 25 triangle cells, one shard block of
-    # the universal_mc benchmark: one chunk of MC_CHUNK_ROWS break points,
-    # one call of the cell-sampling kernel, in at most 80 bytes of scratch
-    # per break point
+    # 256 densities of 64 points on 25 triangle cells, one chunk of the
+    # universal_mc benchmark: MC_CHUNK_ROWS break points, one call of the
+    # cell-sampling kernel, in at most 80 bytes of scratch per break point
     x = BarycentricVector((0.2, 0.3, 0.5))
     m, p_pts, n_c = 256, 64, 25
     mc_batch(x, n_c, m, p_pts, np.random.default_rng(15))
@@ -280,13 +283,13 @@ def test_mc_batch_at_the_bench_shape_makes_one_kernel_call_in_bounded_scratch(mo
         tracemalloc.stop()
     assert peak <= 80 * MC_CHUNK_ROWS, peak
     sizes = []
-    kernel = universal_module.region_counts_in_cells
+    kernel = universal_module.sample_in_cells
 
-    def recording(xv, n_cells, idx, partition, groups, rng):
+    def recording(n_outcomes, n_cells, idx, rng):
         sizes.append(idx.size)
-        return kernel(xv, n_cells, idx, partition, groups, rng)
+        return kernel(n_outcomes, n_cells, idx, rng)
 
-    monkeypatch.setattr(universal_module, "region_counts_in_cells", recording)
+    monkeypatch.setattr(universal_module, "sample_in_cells", recording)
     mc_batch(x, n_c, m, p_pts, np.random.default_rng(15))
     assert sizes == [MC_CHUNK_ROWS]
 
@@ -353,6 +356,8 @@ def test_mc_average_with_partition(rng):
         mc_batch(x, 8, 4, 4, rng, OutcomePartition.singletons(3))
     with pytest.raises(ValueError):
         mc_batch(x, MAX_CELLS + 1, 4, 4, rng)
+    with pytest.raises(ValueError, match="at least one point sample"):
+        mc_batch(x, 8, 4, 0, rng)
 
 
 def test_mc_agrees_with_exact_two_outcomes(rng):
@@ -392,3 +397,14 @@ def test_convergence_scan_exact_and_mc():
     for sizes in ({"density_samples": 1}, {"point_samples": 0}):
         with pytest.raises(ValueError, match="at least two density samples"):
             convergence_scan(x, [2], seed=1, method="mc", **sizes)
+
+
+def test_convergence_scan_mc_starts_every_cell_count_from_the_seed():
+    # each cell count draws from its own generator seeded with `seed`, so
+    # its rows do not depend on the other counts listed
+    x = BarycentricVector((0.2, 0.3, 0.5))
+    sizes = {"seed": 5, "method": "mc", "density_samples": 300, "point_samples": 50}
+    both = convergence_scan(x, [4, 9], **sizes)
+    alone = convergence_scan(x, [9], **sizes)
+    assert [r for r in both if r["n_c"] == 9] == alone
+    assert convergence_scan(x, [9], **sizes) == alone

@@ -87,8 +87,9 @@ def check_subdivision(n_outcomes: int, n_cells: int) -> None:
 class CellularDensity:
     """Uniform break density restricted to a subset of equal-measure cells.
 
-    breakable holds 1-based cell indices; it must be a nonempty subset of
-    {1..n_cells}.  For three outcomes n_cells must be a perfect square.
+    breakable holds 1-based cell indices, each listed once; it must be a
+    nonempty subset of {1..n_cells}.  For three outcomes n_cells must be a
+    perfect square.
     """
 
     n_outcomes: int
@@ -97,7 +98,10 @@ class CellularDensity:
 
     def __post_init__(self) -> None:
         check_subdivision(self.n_outcomes, self.n_cells)
-        cells = frozenset(int(c) for c in self.breakable)
+        listed = [int(c) for c in self.breakable]
+        cells = frozenset(listed)
+        if len(cells) != len(listed):
+            raise ValueError(f"breakable cells {listed} list a cell twice")
         if not cells:
             raise DegenerateDensityError("no breakable cells: density has no support")
         if min(cells) < 1 or max(cells) > self.n_cells:

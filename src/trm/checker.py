@@ -17,7 +17,11 @@ prescribed pairwise angles exist exactly when the angles satisfy the
 spherical triangle inequalities: each angle at most the sum of the other
 two, and the perimeter at most 2*pi.
 
-classify runs both checks over a bundle document of observed statistics.
+Both checks return their verdict first, then its witnesses, as
+utr.product_probability_check does: kolmogorov_check gives
+(satisfied, margin) and qubit_embeddable gives (embeddable, deficit,
+angles).  classify runs both checks over a bundle document of observed
+statistics.
 """
 
 from __future__ import annotations
@@ -30,9 +34,7 @@ from .errors import REQUIRED, Check, array_field, number_field, object_field
 
 __all__ = [
     "JointTriple",
-    "KolmogorovVerdict",
     "PairwiseTransitions",
-    "QubitVerdict",
     "classify",
     "kolmogorov_check",
     "qubit_embeddable",
@@ -79,35 +81,26 @@ class PairwiseTransitions:
             object.__setattr__(self, name, _check_probability(name, getattr(self, name)))
 
 
-@dataclass(frozen=True)
-class KolmogorovVerdict:
-    satisfied: bool
-    margin: float
-
-
-@dataclass(frozen=True)
-class QubitVerdict:
-    embeddable: bool
-    deficit: float
-    angles: tuple[float, float, float]
-
-
-def kolmogorov_check(triple: JointTriple) -> KolmogorovVerdict:
-    """Whether the three joints fit in a single probability space.
+def kolmogorov_check(triple: JointTriple) -> tuple[bool, float]:
+    """(satisfied, margin): whether the three joints fit in a single
+    probability space.
 
     margin = p_vw - p_uw - p_ucv; a margin above KOLMOGOROV_TOL is a
     violation.
     """
     margin = triple.p_vw - triple.p_uw - triple.p_ucv
-    return KolmogorovVerdict(margin <= KOLMOGOROV_TOL, margin)
+    return margin <= KOLMOGOROV_TOL, margin
 
 
-def qubit_embeddable(transitions: PairwiseTransitions) -> QubitVerdict:
-    """Whether the transition probabilities are squared overlaps of three
-    pure two-dimensional states.
+def qubit_embeddable(
+    transitions: PairwiseTransitions,
+) -> tuple[bool, float, tuple[float, float, float]]:
+    """(embeddable, deficit, angles): whether the transition probabilities
+    are squared overlaps of three pure two-dimensional states.
 
     deficit is the largest violation among the spherical triangle
-    inequalities (0.0 when embeddable within QUBIT_TOL).
+    inequalities (0.0 when embeddable within QUBIT_TOL); angles are the
+    sphere angles (t_ab, t_bc, t_ac) the probabilities fix.
     """
     t_ab = 2.0 * math.acos(math.sqrt(transitions.p_ab))
     t_bc = 2.0 * math.acos(math.sqrt(transitions.p_bc))
@@ -119,7 +112,7 @@ def qubit_embeddable(transitions: PairwiseTransitions) -> QubitVerdict:
         t_ab + t_bc + t_ac - 2.0 * math.pi,
     )
     worst = max(gaps)
-    return QubitVerdict(worst <= QUBIT_TOL, max(worst, 0.0), (t_ab, t_bc, t_ac))
+    return worst <= QUBIT_TOL, max(worst, 0.0), (t_ab, t_bc, t_ac)
 
 
 def _triple(*fields: str) -> Check:
@@ -145,18 +138,13 @@ def classify(bundle: Mapping[str, Any]) -> dict[str, Any]:
     doc = object_field(bundle, "bundle", _BUNDLE)
     joints = []
     for entry in doc["joints"]:
-        verdict = kolmogorov_check(JointTriple(**entry))
-        joints.append({**entry, "satisfied": verdict.satisfied, "margin": verdict.margin})
+        satisfied, margin = kolmogorov_check(JointTriple(**entry))
+        joints.append({**entry, "satisfied": satisfied, "margin": margin})
     transitions = []
     for entry in doc["transitions"]:
-        verdict = qubit_embeddable(PairwiseTransitions(**entry))
+        embeddable, deficit, angles = qubit_embeddable(PairwiseTransitions(**entry))
         transitions.append(
-            {
-                **entry,
-                "embeddable": verdict.embeddable,
-                "deficit": verdict.deficit,
-                "angles": list(verdict.angles),
-            }
+            {**entry, "embeddable": embeddable, "deficit": deficit, "angles": list(angles)}
         )
 
     warnings = []

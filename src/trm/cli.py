@@ -290,15 +290,13 @@ def _run_sphere(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
         ]
         return result, rows
     steps = [(step["direction"], step["sign"]) for step in params["steps"]]
-    record = sequential_joint(params["initial"], steps, params["density"])
+    probability = sequential_joint(params["initial"], steps, params["density"])
     result = {
         "mode": "sequential",
-        "probability": record.probability,
-        "steps": [
-            {"direction": list(d.coords), "sign": s} for d, s in record.steps
-        ],
+        "probability": probability,
+        "steps": [{"direction": list(d.coords), "sign": s} for d, s in steps],
     }
-    return result, [{"quantity": "probability", "value": record.probability}]
+    return result, [{"quantity": "probability", "value": probability}]
 
 
 def _run_classify(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:

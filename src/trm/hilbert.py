@@ -16,6 +16,9 @@ for each collapse.  The simplex route is the library's own collapse code,
 one utr.restrict call over every (partition, block) pair that gives both the
 block probabilities and the collapses of the squared moduli.  Only the
 outcome grouping, which both routes need, is shared.
+
+is_product_state returns (is_product, determinant_residual, law_residuals):
+the verdict first, then its witnesses, as the checker functions do.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .utr import PRODUCT_TOL, product_relation_residuals, restrict
 __all__ = [
     "HilbertObservable",
     "HilbertState",
-    "ProductCheck",
     "born_probabilities",
     "collapse",
     "correspondence_batch",
@@ -173,29 +175,22 @@ def tensor(a: HilbertState, b: HilbertState) -> HilbertState:
     return HilbertState(tuple(np.kron(a.as_array(), b.as_array())))
 
 
-@dataclass(frozen=True)
-class ProductCheck:
-    """Verdict on whether a two-qubit state factors, with both witnesses:
-    the amplitude determinant and the four probability product residuals."""
+def is_product_state(
+    state: HilbertState,
+) -> tuple[bool, float, tuple[float, float, float, float]]:
+    """(is_product, determinant_residual, law_residuals) of a four-amplitude
+    state.
 
-    is_product: bool
-    determinant_residual: float
-    law_residuals: tuple[float, float, float, float]
-
-
-def is_product_state(state: HilbertState) -> ProductCheck:
-    """A four-amplitude state factors exactly when psi1*psi4 == psi2*psi3;
-    the verdict allows a determinant of PRODUCT_TOL.
-
-    The probability residuals are reported alongside: they vanish for every
-    product state but, unlike the determinant, cannot see phases.
+    The state factors exactly when psi1*psi4 == psi2*psi3; the verdict
+    allows a determinant |psi1*psi4 - psi2*psi3| of PRODUCT_TOL.  The four
+    probability product residuals are reported alongside: they vanish for
+    every product state but, unlike the determinant, cannot see phases.
     """
     if state.n != 4:
         raise ValueError(f"product structure is defined for four amplitudes, not {state.n}")
     a1, a2, a3, a4 = state.amplitudes
     det = abs(a1 * a4 - a2 * a3)
-    residuals = product_relation_residuals(state.moduli_squared())
-    return ProductCheck(det <= PRODUCT_TOL, det, residuals)
+    return det <= PRODUCT_TOL, det, product_relation_residuals(state.moduli_squared())
 
 
 def product_state(

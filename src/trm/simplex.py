@@ -27,8 +27,7 @@ exponentials divided by their sum are uniform on the simplex.  The utr and
 complementary trials never divide: since a region depends only on the
 direction of a row, they compare the raw exponentials, drawn outcome-major
 by _exponential_break_points so that every column the region pass reads is
-contiguous, and P(i) = x_i still holds exactly.  This revision changed the
-utr and complementary random streams accordingly.
+contiguous, and P(i) = x_i still holds exactly.
 
 sample_uniform_batch remains the public normalised sampler, with no caller
 in the library.  It draws one (m, n) array and divides it in place by row
@@ -117,7 +116,8 @@ class BarycentricVector:
 
 @dataclass(frozen=True)
 class OutcomePartition:
-    """Disjoint blocks of outcome indices covering {1..n}.
+    """Disjoint blocks of outcome indices covering {1..n}; a block that is
+    empty or lists an outcome twice is refused.
 
     Grouping outcomes into blocks turns the n-outcome measurement into a
     coarser one: a block fires when any of its members does.  The partition
@@ -130,11 +130,14 @@ class OutcomePartition:
     _map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        blocks = tuple(frozenset(int(i) for i in b) for b in self.blocks)
+        listed = tuple(tuple(int(i) for i in b) for b in self.blocks)
+        blocks = tuple(frozenset(b) for b in listed)
         if not blocks:
             raise ValueError("a partition needs at least one block")
         if any(not b for b in blocks):
             raise ValueError("empty block in partition")
+        if any(len(b) != len(set(b)) for b in listed):
+            raise ValueError(f"a block of {list(map(list, listed))} lists an outcome twice")
         n = sum(len(b) for b in blocks)
         if set().union(*blocks) != set(range(1, n + 1)):
             raise ValueError(f"blocks {blocks} do not partition 1..{n}")
@@ -151,7 +154,7 @@ class OutcomePartition:
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[int]]) -> "OutcomePartition":
-        return cls(tuple(frozenset(b) for b in blocks))
+        return cls(tuple(tuple(b) for b in blocks))
 
     @property
     def n(self) -> int:
@@ -259,10 +262,11 @@ def _ratio_regions(
     column j, np.inf where a row excludes it.
     The pass keeps three (m,) arrays: the smallest ratio so far, its index
     and the runner-up, so no (m, n) ratio matrix is ever built.  Of equal
-    minima the first column wins.  Returns 1-based indices and a boolean
-    tie mask.  A row ties when its two smallest ratios agree within
-    TIE_RTOL relatively, which is the break-on-boundary condition; a row
-    with one finite ratio has an infinite runner-up and never ties.
+    minima the first column wins.  Returns 1-based indices, in the smallest
+    integer type that holds the last one, and a boolean tie mask.  A row
+    ties when its two smallest ratios agree within TIE_RTOL relatively,
+    which is the break-on-boundary condition; a row with one finite ratio
+    has an infinite runner-up and never ties.
     """
     lo = ratio(cols[0])
     hi = np.full_like(lo, np.inf)
@@ -281,7 +285,7 @@ def _ratio_regions(
     with np.errstate(invalid="ignore"):
         tie = np.subtract(hi, lo, out=spare) <= np.multiply(hi, TIE_RTOL, out=lo)
     tie &= np.isfinite(hi)
-    return idx.astype(np.intp), tie
+    return idx, tie
 
 
 def region_of(
@@ -312,7 +316,8 @@ def regions_of_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized region_of for one state against many break points.
 
-    Returns (indices, ties); indices are 1-based and only meaningful where
+    Returns (indices, ties); indices are 1-based, in a small unsigned
+    integer type (one byte up to 255 outcomes), and only meaningful where
     ties is False.  One pass over the support columns of x divides each
     column of points by its positive x_j, so no column needs a zero mask,
     and keeps the running minimum, its index and the runner-up.  Both the

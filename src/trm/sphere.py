@@ -6,7 +6,9 @@ coordinate z_a = cos(theta)/sqrt(2) where theta is the angle between state
 and direction.  A one-dimensional break density on the diameter then decides
 the outcome: mass at or below the landing point contracts the state to +u,
 the rest to -u, with an atom exactly at the landing point splitting evenly.
-measure samples this rule through gtr.sample_outcomes_1d.
+measure samples this rule through gtr.sample_outcomes_1d, and
+sequential_joint returns the probability of a chain of signed outcomes as a
+float, as utr.sequential_probability does on the simplex.
 
 With the Epsilon(e) density this gives the closed-form transition law of
 gtr.epsilon_probability; at e == 1 it is the squared-half-angle law.
@@ -41,7 +43,6 @@ __all__ = [
     "BlochVector",
     "MeasureResult",
     "RADIUS",
-    "SequentialRecord",
     "counterexample_bundle",
     "counterexample_directions",
     "fall",
@@ -93,14 +94,6 @@ class MeasureResult:
     break_coordinate: float
 
 
-@dataclass(frozen=True)
-class SequentialRecord:
-    """A chain of (direction, sign) measurement outcomes and its probability."""
-
-    steps: tuple[tuple[BlochVector, int], ...]
-    probability: float
-
-
 def fall(w: BlochVector, u: BlochVector) -> float:
     """cos(theta) between state and direction: twice their dot product."""
     c = 2.0 * float(np.dot(w.as_array(), u.as_array()))
@@ -128,20 +121,18 @@ def sequential_joint(
     start: BlochVector,
     steps: Sequence[tuple[BlochVector, int]],
     density: DensitySpec,
-) -> SequentialRecord:
+) -> float:
     """Joint probability of a chain of signed outcomes, collapsing to +-u
     after each step and multiplying the conditional probabilities."""
     state = start
     prob = 1.0
-    norm_steps: list[tuple[BlochVector, int]] = []
     for direction, sign in steps:
         if sign not in (1, -1):
             raise ValueError(f"outcome sign must be +1 or -1, got {sign}")
         p_plus, p_minus = transition_probability(state, direction, density)
         prob *= p_plus if sign == 1 else p_minus
         state = direction if sign == 1 else -direction
-        norm_steps.append((direction, sign))
-    return SequentialRecord(tuple(norm_steps), prob)
+    return prob
 
 
 def counterexample_directions() -> tuple[BlochVector, BlochVector, BlochVector]:
@@ -169,9 +160,9 @@ def counterexample_bundle(epsilon: float) -> dict:
     return {
         "joints": [
             {
-                "p_vw": sequential_joint(w, [(w, 1), (v, 1)], density).probability,
-                "p_uw": sequential_joint(w, [(w, 1), (u, 1)], density).probability,
-                "p_ucv": sequential_joint(w, [(v, 1), (u, -1)], density).probability,
+                "p_vw": sequential_joint(w, [(w, 1), (v, 1)], density),
+                "p_uw": sequential_joint(w, [(w, 1), (u, 1)], density),
+                "p_ucv": sequential_joint(w, [(v, 1), (u, -1)], density),
             }
         ],
         "transitions": [

@@ -150,24 +150,24 @@ def test_c05_joint_probabilities_escape_classical_models():
         assert abs(joint["p_ucv"] - 0.5) < 1e-12
         assert not joint["satisfied"]
     (edge,) = classify(counterexample_bundle(math.sqrt(2) / 2))["joints"]
-    verdict = kolmogorov_check(JointTriple(edge["p_vw"], edge["p_uw"], edge["p_ucv"]))
-    assert not verdict.satisfied
-    assert abs(verdict.margin - 0.5) < 1e-12
+    satisfied, margin = kolmogorov_check(JointTriple(edge["p_vw"], edge["p_uw"], edge["p_ucv"]))
+    assert not satisfied
+    assert abs(margin - 0.5) < 1e-12
 
 
 def test_c06_transition_probabilities_escape_qubit_models():
     """(1, 1/2, 0) admits no three pure qubit states (angle deficit pi/2);
     the squared-half-angle triple sits exactly on the boundary and embeds."""
-    bad = qubit_embeddable(PairwiseTransitions(1.0, 0.5, 0.0))
-    assert not bad.embeddable
-    assert abs(bad.deficit - math.pi / 2) < 1e-9
-    boundary = qubit_embeddable(
+    embeddable, deficit, _ = qubit_embeddable(PairwiseTransitions(1.0, 0.5, 0.0))
+    assert not embeddable
+    assert abs(deficit - math.pi / 2) < 1e-9
+    embeddable, deficit, _ = qubit_embeddable(
         PairwiseTransitions(
             math.cos(math.pi / 8) ** 2, 0.5, math.cos(3 * math.pi / 8) ** 2
         )
     )
-    assert boundary.embeddable
-    assert boundary.deficit < 1e-9
+    assert embeddable
+    assert deficit < 1e-9
 
 
 def test_c07_universal_average_collapses_to_uniform_law():
@@ -229,10 +229,10 @@ def test_c08_hilbert_route_equals_simplex_route():
         worst = correspondence_batch(amps / np.linalg.norm(amps, axis=1, keepdims=True)).max()
         assert worst < 1e-12, (n, worst)
     singlet = HilbertState((0.0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0.0))
-    check = is_product_state(singlet)
-    assert not check.is_product
-    assert abs(check.law_residuals[0] - (-0.25)) < 1e-12
-    assert abs(check.determinant_residual - 0.5) < 1e-12
+    is_product, determinant_residual, law_residuals = is_product_state(singlet)
+    assert not is_product
+    assert abs(law_residuals[0] - (-0.25)) < 1e-12
+    assert abs(determinant_residual - 0.5) < 1e-12
 
 
 def test_c09_fixed_break_point_law():

@@ -28,6 +28,8 @@ def test_cellular_density_validation():
         CellularDensity(2, 3, frozenset({4}))  # cell index out of range
     with pytest.raises(ValueError):
         CellularDensity(2, 3, frozenset({0}))
+    with pytest.raises(ValueError, match="twice"):
+        CellularDensity(4, 4, [1, 1, 2])  # a repeated cell is not merged
     with pytest.raises(ValueError):
         CellularDensity(4, MAX_CELLS + 1, frozenset({1}))
 

@@ -63,52 +63,52 @@ def gram_min_eigenvalue(transitions):
 
 def test_kolmogorov_soundness_on_real_spaces(rng):
     for _ in range(10_000):
-        verdict = kolmogorov_check(random_space_joints(rng))
-        assert verdict.satisfied
-        assert verdict.margin <= 1e-12
+        satisfied, margin = kolmogorov_check(random_space_joints(rng))
+        assert satisfied
+        assert margin <= 1e-12
 
 
 def test_kolmogorov_detects_the_extremal_violation():
-    verdict = kolmogorov_check(JointTriple(1.0, 0.0, 0.5))
-    assert not verdict.satisfied
-    assert abs(verdict.margin - 0.5) < 1e-15
+    satisfied, margin = kolmogorov_check(JointTriple(1.0, 0.0, 0.5))
+    assert not satisfied
+    assert abs(margin - 0.5) < 1e-15
 
 
 def test_qubit_soundness_on_real_qubits(rng):
     for _ in range(10_000):
-        verdict = qubit_embeddable(random_qubit_transitions(rng))
-        assert verdict.embeddable, verdict
+        embeddable, *witnesses = qubit_embeddable(random_qubit_transitions(rng))
+        assert embeddable, witnesses
 
 
 def test_qubit_check_matches_gram_witness(rng):
     agreements = 0
     for _ in range(2_000):
         tr = PairwiseTransitions(*rng.random(3))
-        verdict = qubit_embeddable(tr)
+        embeddable, *witnesses = qubit_embeddable(tr)
         eig = gram_min_eigenvalue(tr)
         if abs(eig) < 1e-6:
             continue  # too close to the boundary to compare verdicts
-        assert verdict.embeddable == (eig > 0), (tr, verdict, eig)
+        assert embeddable == (eig > 0), (tr, witnesses, eig)
         agreements += 1
     assert agreements > 1_500
 
 
 def test_qubit_rejects_the_degenerate_triple():
-    verdict = qubit_embeddable(PairwiseTransitions(1.0, 0.5, 0.0))
-    assert not verdict.embeddable
-    assert abs(verdict.deficit - math.pi / 2) < 1e-9
-    np.testing.assert_allclose(verdict.angles, [0.0, math.pi / 2, math.pi], atol=1e-12)
+    embeddable, deficit, angles = qubit_embeddable(PairwiseTransitions(1.0, 0.5, 0.0))
+    assert not embeddable
+    assert abs(deficit - math.pi / 2) < 1e-9
+    np.testing.assert_allclose(angles, [0.0, math.pi / 2, math.pi], atol=1e-12)
 
 
 def test_qubit_accepts_the_boundary_triple():
     tr = PairwiseTransitions(
         math.cos(math.pi / 8) ** 2, 0.5, math.cos(3 * math.pi / 8) ** 2
     )
-    verdict = qubit_embeddable(tr)
-    assert verdict.embeddable
-    assert verdict.deficit == 0.0
+    embeddable, deficit, angles = qubit_embeddable(tr)
+    assert embeddable
+    assert deficit == 0.0
     # pi/4 + pi/2 equals 3pi/4: the triangle closes exactly
-    assert abs(sum(verdict.angles[:2]) - verdict.angles[2]) < 1e-9
+    assert abs(sum(angles[:2]) - angles[2]) < 1e-9
 
 
 def test_probability_validation():
@@ -123,8 +123,8 @@ def test_probability_validation():
 def test_kolmogorov_margin_formula(seed):
     gen = np.random.default_rng(seed)
     p = gen.random(3)
-    verdict = kolmogorov_check(JointTriple(*p))
-    assert abs(verdict.margin - (p[0] - p[1] - p[2])) < 1e-15
+    _, margin = kolmogorov_check(JointTriple(*p))
+    assert abs(margin - (p[0] - p[1] - p[2])) < 1e-15
 
 
 # the four verdict patterns -------------------------------------------------

@@ -206,6 +206,10 @@ def _gtr_nd(cellular):
         ("gtr", _gtr_nd({"n_outcomes": 4, "n_cells": MAX_CELLS + 1, "breakable": [1]}), 3),
         # n_cells is not a universal field: cell_counts gives every count
         ("universal", {"x": [0.5, 0.5], "n_cells": 4}, 2),
+        # a repeated index is refused, not merged; so is an empty block
+        ("utr", {"x": [0.5, 0.5], "blocks": [[1, 1], [2]], "trials": 10}, 3),
+        ("gtr", _gtr_nd({"n_outcomes": 4, "n_cells": 4, "breakable": [1, 1, 2]}), 3),
+        ("utr", {"x": [0.5, 0.5], "blocks": [[1], []], "trials": 10}, 3),
     ],
 )
 def test_malformed_values_are_rejected_without_output(tmp_path, kind, params, code):

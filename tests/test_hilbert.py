@@ -145,10 +145,10 @@ def test_tensor_orders_amplitudes_row_major():
 
 def test_product_state_closed_form_factors():
     s = product_state(0.3, 0.7, 0.6, 0.4, 0.1, 0.9, 0.2, 0.5)
-    check = is_product_state(s)
-    assert check.is_product
-    assert check.determinant_residual < 1e-15
-    assert max(abs(r) for r in check.law_residuals) < 1e-15
+    is_product, determinant_residual, law_residuals = is_product_state(s)
+    assert is_product
+    assert determinant_residual < 1e-15
+    assert max(abs(r) for r in law_residuals) < 1e-15
     sub_a = HilbertState(
         (math.sqrt(0.3) * cmath.exp(0.1j), math.sqrt(0.7) * cmath.exp(0.9j))
     )
@@ -163,20 +163,20 @@ def test_singlet_contradiction():
     product (all moduli relations fail by -1/4... the first one does), and
     the determinant witness reports 1/2, so the state cannot factor."""
     singlet = HilbertState((0.0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0.0))
-    check = is_product_state(singlet)
-    assert not check.is_product
-    assert abs(check.determinant_residual - 0.5) < 1e-12
-    assert abs(check.law_residuals[0] - (-0.25)) < 1e-12
+    is_product, determinant_residual, law_residuals = is_product_state(singlet)
+    assert not is_product
+    assert abs(determinant_residual - 0.5) < 1e-12
+    assert abs(law_residuals[0] - (-0.25)) < 1e-12
 
 
 def test_phase_blind_law_misses_entanglement():
     # moduli identical to (0.6, 0.8) (x) (0.6, 0.8), one sign flipped:
     # every probability residual vanishes yet the state is entangled
     s = HilbertState((0.36, 0.48, 0.48, -0.64))
-    check = is_product_state(s)
-    assert not check.is_product
-    assert check.determinant_residual > 0.4
-    assert max(abs(r) for r in check.law_residuals) < 1e-15
+    is_product, determinant_residual, law_residuals = is_product_state(s)
+    assert not is_product
+    assert determinant_residual > 0.4
+    assert max(abs(r) for r in law_residuals) < 1e-15
 
 
 def test_correspondence_computational_basis(rng):

@@ -52,12 +52,10 @@ PUBLIC = [
     "HilbertState",
     "ImpossibleOutcomeError",
     "JointTriple",
-    "KolmogorovVerdict",
     "OutcomePartition",
     "PairwiseTransitions",
     "PiecewiseConstant1D",
     "PointBreak",
-    "QubitVerdict",
     "SchemaError",
     "Uniform",
     "UnstableEquilibriumError",
@@ -120,6 +118,10 @@ REMOVED = [
     ("sphere", "CounterexampleReport"),
     ("universal", "UNIVERSAL_BLOCK"),
     ("cells", "region_counts_in_cells"),
+    ("checker", "KolmogorovVerdict"),
+    ("checker", "QubitVerdict"),
+    ("hilbert", "ProductCheck"),
+    ("sphere", "SequentialRecord"),
 ]
 
 

@@ -186,7 +186,7 @@ def test_region_kernel_matches_sort_reference(n, zeros, seed):
     ref_idx, ref_tie = _reference_regions(rows, xv)
     np.testing.assert_array_equal(tie, ref_tie)
     np.testing.assert_array_equal(idx[~tie], ref_idx[~tie])
-    assert idx.dtype == np.intp
+    assert idx.dtype == np.min_scalar_type(n)
 
 
 @given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 2**32 - 1))
@@ -324,6 +324,12 @@ def test_partition_validation():
         OutcomePartition.of([[1], [3]])  # gap
     with pytest.raises(ValueError):
         OutcomePartition.of([[0, 1], [2]])  # indices are 1-based
+    with pytest.raises(ValueError, match="twice"):
+        OutcomePartition.of([[1, 1], [2]])  # a repeated outcome is not merged
+    with pytest.raises(ValueError, match="twice"):
+        OutcomePartition(((1, 1), (2,)))
+    with pytest.raises(ValueError):
+        OutcomePartition.of([[1], []])  # empty block
     p = OutcomePartition.of([[2, 4], [1, 3]])
     assert p.n_blocks == 2
     assert p.block_of(4) == p.block_of(2)

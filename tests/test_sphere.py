@@ -71,11 +71,10 @@ def test_transition_probability_uniform_law():
 def test_sequential_joint_multiplies_conditionals():
     w, v, u = counterexample_directions()
     d = Epsilon(0.5)
-    rec = sequential_joint(w, [(v, 1), (u, -1)], d)
+    probability = sequential_joint(w, [(v, 1), (u, -1)], d)
     p1 = transition_probability(w, v, d)[0]
     p2 = transition_probability(v, u, d)[1]
-    assert abs(rec.probability - p1 * p2) < 1e-15
-    assert rec.steps[0][1] == 1 and rec.steps[1][1] == -1
+    assert abs(probability - p1 * p2) < 1e-15
 
 
 def test_small_epsilon_joints_are_extremal():

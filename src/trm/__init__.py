@@ -59,13 +59,7 @@ from .sphere import (
     sequential_joint,
     transition_probability,
 )
-from .checker import (
-    JointTriple,
-    PairwiseTransitions,
-    classify,
-    kolmogorov_check,
-    qubit_embeddable,
-)
+from .checker import classify, kolmogorov_check, qubit_embeddable
 from .shards import block_rng, run_sharded
 
 __version__ = "0.1.0"
@@ -81,9 +75,7 @@ __all__ = [
     "HilbertObservable",
     "HilbertState",
     "ImpossibleOutcomeError",
-    "JointTriple",
     "OutcomePartition",
-    "PairwiseTransitions",
     "PiecewiseConstant1D",
     "PointBreak",
     "SchemaError",

@@ -17,24 +17,23 @@ prescribed pairwise angles exist exactly when the angles satisfy the
 spherical triangle inequalities: each angle at most the sum of the other
 two, and the perimeter at most 2*pi.
 
-Both checks return their verdict first, then its witnesses, as
-utr.product_probability_check does: kolmogorov_check gives
-(satisfied, margin) and qubit_embeddable gives (embeddable, deficit,
-angles).  classify runs both checks over a bundle document of observed
-statistics.
+Both checks take their three probabilities as plain numbers, each
+refused outside [0, 1] beyond PROB_TOL and clamped into it, and return
+their verdict first, then its witnesses, as utr.product_probability_check
+does: kolmogorov_check(p_vw, p_uw, p_ucv) gives (satisfied, margin) and
+qubit_embeddable(p_ab, p_bc, p_ac) gives (embeddable, deficit, angles).
+classify runs both checks over a bundle document of observed statistics,
+passing each entry's fields by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .errors import REQUIRED, Check, array_field, number_field, object_field
 
 __all__ = [
-    "JointTriple",
-    "PairwiseTransitions",
     "classify",
     "kolmogorov_check",
     "qubit_embeddable",
@@ -55,56 +54,38 @@ def _check_probability(name: str, value: float) -> float:
     return min(max(v, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class JointTriple:
-    """P(V and W), P(U and W), P(not-U and V) from a two-step experiment."""
+def kolmogorov_check(p_vw: float, p_uw: float, p_ucv: float) -> tuple[bool, float]:
+    """(satisfied, margin): whether the joints P(V and W), P(U and W),
+    P(not-U and V) fit in a single probability space.
 
-    p_vw: float
-    p_uw: float
-    p_ucv: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_vw", "p_uw", "p_ucv"):
-            object.__setattr__(self, name, _check_probability(name, getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class PairwiseTransitions:
-    """One-step transition probabilities between three directions a, b, c."""
-
-    p_ab: float
-    p_bc: float
-    p_ac: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_ab", "p_bc", "p_ac"):
-            object.__setattr__(self, name, _check_probability(name, getattr(self, name)))
-
-
-def kolmogorov_check(triple: JointTriple) -> tuple[bool, float]:
-    """(satisfied, margin): whether the three joints fit in a single
-    probability space.
-
+    Each argument must lie in [0, 1] within PROB_TOL and is clamped to it.
     margin = p_vw - p_uw - p_ucv; a margin above KOLMOGOROV_TOL is a
     violation.
     """
-    margin = triple.p_vw - triple.p_uw - triple.p_ucv
+    margin = (
+        _check_probability("p_vw", p_vw)
+        - _check_probability("p_uw", p_uw)
+        - _check_probability("p_ucv", p_ucv)
+    )
     return margin <= KOLMOGOROV_TOL, margin
 
 
 def qubit_embeddable(
-    transitions: PairwiseTransitions,
+    p_ab: float, p_bc: float, p_ac: float
 ) -> tuple[bool, float, tuple[float, float, float]]:
-    """(embeddable, deficit, angles): whether the transition probabilities
-    are squared overlaps of three pure two-dimensional states.
+    """(embeddable, deficit, angles): whether the one-step transition
+    probabilities between directions a, b, c are squared overlaps of three
+    pure two-dimensional states.
 
+    Each argument must lie in [0, 1] within PROB_TOL and is clamped to it.
     deficit is the largest violation among the spherical triangle
     inequalities (0.0 when embeddable within QUBIT_TOL); angles are the
     sphere angles (t_ab, t_bc, t_ac) the probabilities fix.
     """
-    t_ab = 2.0 * math.acos(math.sqrt(transitions.p_ab))
-    t_bc = 2.0 * math.acos(math.sqrt(transitions.p_bc))
-    t_ac = 2.0 * math.acos(math.sqrt(transitions.p_ac))
+    t_ab, t_bc, t_ac = (
+        2.0 * math.acos(math.sqrt(_check_probability(name, p)))
+        for name, p in (("p_ab", p_ab), ("p_bc", p_bc), ("p_ac", p_ac))
+    )
     gaps = (
         t_ac - t_ab - t_bc,
         t_ab - t_bc - t_ac,
@@ -138,11 +119,11 @@ def classify(bundle: Mapping[str, Any]) -> dict[str, Any]:
     doc = object_field(bundle, "bundle", _BUNDLE)
     joints = []
     for entry in doc["joints"]:
-        satisfied, margin = kolmogorov_check(JointTriple(**entry))
+        satisfied, margin = kolmogorov_check(**entry)
         joints.append({**entry, "satisfied": satisfied, "margin": margin})
     transitions = []
     for entry in doc["transitions"]:
-        embeddable, deficit, angles = qubit_embeddable(PairwiseTransitions(**entry))
+        embeddable, deficit, angles = qubit_embeddable(**entry)
         transitions.append(
             {**entry, "embeddable": embeddable, "deficit": deficit, "angles": list(angles)}
         )

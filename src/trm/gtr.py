@@ -314,30 +314,27 @@ def transition_probabilities_nd(
 
 
 def sample_break_point(
-    density: DensitySpec, rng: np.random.Generator, size: int | None = None
-):
-    """Draw break points from a density.
+    density: DensitySpec, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Draw `size` break points from a density.
 
-    One-dimensional variants return a float (or an array of them when size
-    is given) via inverse-CDF sampling over their pieces, one uniform per
-    break, atoms included; cellular densities return
+    One-dimensional variants return a (size,) array of coordinates via
+    inverse-CDF sampling over their pieces, one uniform per break, atoms
+    included; cellular densities return a (size, n_outcomes) array of
     barycentric points, choosing a breakable cell uniformly (all cells have
     equal measure) and a uniform point inside it.
     """
-    m = 1 if size is None else int(size)
     if isinstance(density, CellularDensity):
         cells = density.breakable_sorted - 1
-        idx = cells[rng.integers(0, cells.size, m)]
-        pts = sample_in_cells(density.n_outcomes, density.n_cells, idx, rng)
-        return pts[0] if size is None else pts
+        idx = cells[rng.integers(0, cells.size, size)]
+        return sample_in_cells(density.n_outcomes, density.n_cells, idx, rng)
     lo, hi, mass = (np.array(col) for col in zip(*_pieces(density)))
     cum = np.concatenate([[0.0], np.cumsum(mass)])
     cum[-1] = 1.0
-    u = rng.random(m)
+    u = rng.random(size)
     seg = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, mass.size - 1)
     frac = (u - cum[seg]) / (cum[seg + 1] - cum[seg])
-    z = lo[seg] + frac * (hi[seg] - lo[seg])
-    return float(z[0]) if size is None else z
+    return lo[seg] + frac * (hi[seg] - lo[seg])
 
 
 # Canonical JSON form of each variant: {tag: (variant, {field: check})}.

@@ -1,10 +1,11 @@
 """Complex Hilbert-space oracle for the simplex measurement law.
 
-Finite-dimensional pure states and projective measurements with possibly
-degenerate eigenvalues.  The squared moduli of a state's coordinates in a
-measurement eigenbasis form a barycentric vector, and under that mapping the
-Born rule, degenerate block probabilities, and projective collapse agree
-with the uniform simplex law component by component.
+Finite-dimensional pure states and projective measurements whose outcomes
+may be degenerate, one block of eigenbasis indices per outcome.  The
+squared moduli of a state's coordinates in a measurement eigenbasis form a
+barycentric vector, and under that mapping the Born rule, degenerate block
+probabilities, and projective collapse agree with the uniform simplex law
+component by component.
 
 correspondence_batch checks that agreement for many states and every
 grouping of the basis indices at once, along two routes that stay
@@ -84,16 +85,16 @@ def _check_orthonormal(basis: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class HilbertObservable:
-    """Projective measurement: an orthonormal eigenbasis, a grouping of the
-    basis indices into outcome blocks, and one eigenvalue per block.
+    """Projective measurement: an orthonormal eigenbasis and a grouping of
+    the basis indices into outcome blocks.
 
-    basis[i] is the i-th eigenvector; block eigenvalues must be finite and
-    pairwise distinct, otherwise two blocks would describe the same outcome.
+    basis[i] is the i-th eigenvector and block k is outcome k; the
+    partition keeps the blocks disjoint, so no two describe the same
+    outcome.
     """
 
     basis: tuple[tuple[complex, ...], ...]
     partition: OutcomePartition
-    eigenvalues: tuple[float, ...]
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(complex(a) for a in row) for row in self.basis)
@@ -106,15 +107,7 @@ class HilbertObservable:
             raise ValueError(
                 f"grouping covers 1..{self.partition.n} but basis has {n} vectors"
             )
-        eigs = tuple(float(v) for v in self.eigenvalues)
-        if len(eigs) != self.partition.n_blocks:
-            raise ValueError(
-                f"{len(eigs)} eigenvalues for {self.partition.n_blocks} blocks"
-            )
-        if not all(map(math.isfinite, eigs)) or len(set(eigs)) != len(eigs):
-            raise ValueError(f"block eigenvalues must be finite and distinct, got {eigs}")
         object.__setattr__(self, "basis", rows)
-        object.__setattr__(self, "eigenvalues", eigs)
 
     @classmethod
     def standard(
@@ -123,12 +116,11 @@ class HilbertObservable:
         partition: OutcomePartition | None = None,
         basis: np.ndarray | None = None,
     ) -> "HilbertObservable":
-        """Observable on the computational basis (or a supplied one) with
-        eigenvalues 1..k."""
+        """Observable on the computational basis (or a supplied one), with
+        singleton outcomes unless a partition is given."""
         p = partition or OutcomePartition.singletons(n)
         b = np.eye(n, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
-        eigs = tuple(float(k) for k in range(1, p.n_blocks + 1))
-        return cls(tuple(tuple(row) for row in b), p, eigs)
+        return cls(tuple(tuple(row) for row in b), p)
 
     @property
     def n(self) -> int:

@@ -6,9 +6,10 @@ coordinate z_a = cos(theta)/sqrt(2) where theta is the angle between state
 and direction.  A one-dimensional break density on the diameter then decides
 the outcome: mass at or below the landing point contracts the state to +u,
 the rest to -u, with an atom exactly at the landing point splitting evenly.
-measure samples this rule through gtr.sample_outcomes_1d, and
-sequential_joint returns the probability of a chain of signed outcomes as a
-float, as utr.sequential_probability does on the simplex.
+measure samples this rule through gtr.sample_outcomes_1d and returns the
+plain tuple (sign, post_state, break_coordinate), and sequential_joint
+returns the probability of a chain of signed outcomes as a float, as
+utr.sequential_probability does on the simplex.
 
 With the Epsilon(e) density this gives the closed-form transition law of
 gtr.epsilon_probability; at e == 1 it is the squared-half-angle law.
@@ -41,7 +42,6 @@ from .gtr import (
 
 __all__ = [
     "BlochVector",
-    "MeasureResult",
     "RADIUS",
     "counterexample_bundle",
     "counterexample_directions",
@@ -87,13 +87,6 @@ class BlochVector:
         return BlochVector(tuple(-v for v in self.coords))
 
 
-@dataclass(frozen=True)
-class MeasureResult:
-    sign: int
-    post_state: BlochVector
-    break_coordinate: float
-
-
 def fall(w: BlochVector, u: BlochVector) -> float:
     """cos(theta) between state and direction: twice their dot product."""
     c = 2.0 * float(np.dot(w.as_array(), u.as_array()))
@@ -109,12 +102,13 @@ def transition_probability(
 
 def measure(
     w: BlochVector, u: BlochVector, density: DensitySpec, rng: np.random.Generator
-) -> MeasureResult:
+) -> tuple[int, BlochVector, float]:
     """Sample one measurement: draw a break coordinate and compare it with
-    the landing point.  The post state is +-u."""
+    the landing point.  Returns (sign, post_state, break_coordinate), where
+    the post state is sign * u."""
     z, plus = sample_outcomes_1d(density, fall(w, u), rng, 1)
     sign = 1 if plus[0] else -1
-    return MeasureResult(sign, u if sign == 1 else -u, float(z[0]))
+    return sign, u if sign == 1 else -u, float(z[0])
 
 
 def sequential_joint(

@@ -23,9 +23,10 @@ each point's cell picked from its row's stretch of that list with one
 uniform u, as entry floor(u k) of the row's k cells; then one
 cells.sample_in_cells draw of a break point in every picked cell, whose
 outcome regions regions_of_batch finds (resolve_ties redraws only the
-points that tie) and OutcomePartition.count tallies per density.  A chunk
-holds up to MC_CHUNK_ROWS = 16384 break points, so 256 densities of 64
-points are one chunk; the chunk keeps only its cell indices, in the
+points that tie) and OutcomePartition.count tallies per density; it
+returns the mean of the per-density estimates and their standard error.
+A chunk holds up to MC_CHUNK_ROWS = 16384 break points, so 256 densities
+of 64 points are one chunk; the chunk keeps only its cell indices, in the
 smallest unsigned type that holds n_c - 1, beside the kernels' scratch,
 which peaks near 71 bytes per break point for three outcomes, about 1.2 MB
 per chunk.
@@ -83,17 +84,23 @@ def mc_batch(
     point_samples: int,
     rng: np.random.Generator,
     partition: OutcomePartition | None = None,
-) -> np.ndarray:
-    """Accumulated (2, n_blocks) array of per-density estimate sums and sums
-    of squares of density_samples sampled densities, drawn from rng in
-    chunks of up to MC_CHUNK_ROWS break points; convergence_scan's sampling
-    route makes one call per cell count.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, stderr) per block of the outcome laws of density_samples
+    sampled densities, each estimated from point_samples break points,
+    drawn from rng in chunks of up to MC_CHUNK_ROWS break points;
+    convergence_scan's sampling route makes one call per cell count.
 
-    Block aggregation happens per density, before squaring, so the combined
-    standard errors account for within-block correlations.
+    stderr is the sample standard deviation (denominator density_samples
+    - 1) of the per-density estimates over sqrt(density_samples), so it
+    refuses fewer than two densities, which leave no spread, and a density
+    without a point.  Block aggregation happens per density, before
+    squaring, so the standard errors account for within-block correlations.
     """
-    if point_samples < 1:
-        raise ValueError(f"need at least one point sample, got {point_samples}")
+    if density_samples < 2 or point_samples < 1:
+        raise ValueError(
+            "need at least two density samples and at least one point sample, "
+            f"got {density_samples} and {point_samples}"
+        )
     xv = x.as_array()
     check_subdivision(x.n, n_cells)
     partition = _grouping(x, partition)
@@ -125,7 +132,9 @@ def mc_batch(
         # nothing of a chunk outlives it: an array kept into the next chunk
         # splits the freed heap, and that chunk's scratch then grows it
         del cells, start, k, idx, counts, p_hat
-    return sums
+    d = density_samples
+    var = np.clip((sums[1] - sums[0] ** 2 / d) / (d - 1), 0.0, None)
+    return sums[0] / d, np.sqrt(var / d)
 
 
 def _draw_subsets(
@@ -178,14 +187,6 @@ def _grouping(x: BarycentricVector, partition: OutcomePartition | None) -> Outco
     return partition
 
 
-def mc_combine(stats: np.ndarray, density_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Turn accumulated sums/sums-of-squares into (mean, standard error)."""
-    d = density_samples
-    mean = stats[0] / d
-    var = np.clip((stats[1] - stats[0] ** 2 / d) / (d - 1), 0.0, None)
-    return mean, np.sqrt(var / d)
-
-
 def convergence_scan(
     x: BarycentricVector,
     cell_counts: Sequence[int],
@@ -208,17 +209,14 @@ def convergence_scan(
     spread of the per-density estimates over sqrt(density_samples).  Each
     cell count is one mc_batch call on a fresh generator seeded with
     `seed`, so its rows do not depend on the other counts listed; it runs
-    on the calling thread (see the module docstring).  It refuses fewer
-    than two densities, which leave no spread to report, and a density
-    without a point.
+    on the calling thread (see the module docstring); mc_batch refuses
+    fewer than two densities, which leave no spread to report, and a
+    density without a point.
     """
     if method not in ("exact", "mc"):
         raise ValueError(f"method must be 'exact' or 'mc', got {method!r}")
-    if method == "mc":
-        if seed is None:
-            raise ValueError("the mc route needs a seed")
-        if density_samples < 2 or point_samples < 1:
-            raise ValueError("need at least two density samples and one point sample")
+    if method == "mc" and seed is None:
+        raise ValueError("the mc route needs a seed")
     partition = _grouping(x, partition)
     rows: list[dict[str, float | int]] = []
     xv = partition.aggregate(x.as_array())
@@ -227,10 +225,9 @@ def convergence_scan(
             probs = universal_probability_exact(x, n_c, partition)
             errs = np.zeros(len(xv))
         else:
-            stats = mc_batch(
+            probs, errs = mc_batch(
                 x, n_c, density_samples, point_samples, np.random.default_rng(seed), partition
             )
-            probs, errs = mc_combine(stats, density_samples)
         for i in range(len(xv)):
             rows.append(
                 {

@@ -17,7 +17,6 @@ import numpy as np
 from trm import (
     BarycentricVector,
     OutcomePartition,
-    PairwiseTransitions,
     classify,
     collapse,
     complementary_mc,
@@ -38,7 +37,6 @@ from trm import (
     transition_probabilities_nd,
     universal_probability_exact,
 )
-from trm.checker import JointTriple
 from trm.gtr import Z_MAX, Epsilon
 from trm.hilbert import HilbertState, correspondence_batch
 from trm.simplex import facet_measure
@@ -150,7 +148,7 @@ def test_c05_joint_probabilities_escape_classical_models():
         assert abs(joint["p_ucv"] - 0.5) < 1e-12
         assert not joint["satisfied"]
     (edge,) = classify(counterexample_bundle(math.sqrt(2) / 2))["joints"]
-    satisfied, margin = kolmogorov_check(JointTriple(edge["p_vw"], edge["p_uw"], edge["p_ucv"]))
+    satisfied, margin = kolmogorov_check(edge["p_vw"], edge["p_uw"], edge["p_ucv"])
     assert not satisfied
     assert abs(margin - 0.5) < 1e-12
 
@@ -158,13 +156,11 @@ def test_c05_joint_probabilities_escape_classical_models():
 def test_c06_transition_probabilities_escape_qubit_models():
     """(1, 1/2, 0) admits no three pure qubit states (angle deficit pi/2);
     the squared-half-angle triple sits exactly on the boundary and embeds."""
-    embeddable, deficit, _ = qubit_embeddable(PairwiseTransitions(1.0, 0.5, 0.0))
+    embeddable, deficit, _ = qubit_embeddable(1.0, 0.5, 0.0)
     assert not embeddable
     assert abs(deficit - math.pi / 2) < 1e-9
     embeddable, deficit, _ = qubit_embeddable(
-        PairwiseTransitions(
-            math.cos(math.pi / 8) ** 2, 0.5, math.cos(3 * math.pi / 8) ** 2
-        )
+        math.cos(math.pi / 8) ** 2, 0.5, math.cos(3 * math.pi / 8) ** 2
     )
     assert embeddable
     assert deficit < 1e-9

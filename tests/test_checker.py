@@ -11,8 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trm import (
-    JointTriple,
-    PairwiseTransitions,
     SchemaError,
     classify,
     counterexample_bundle,
@@ -24,33 +22,26 @@ FIXTURE = Path(__file__).parent / "data" / "kolmogorov_not_qubit.json"
 
 
 def random_space_joints(gen, atoms=8):
-    """Sample an actual finite probability space and read off the joints."""
+    """Sample an actual finite probability space and read off the joints
+    (p_vw, p_uw, p_ucv)."""
     p = gen.dirichlet(np.ones(atoms))
     u, v, w = (gen.random(atoms) < 0.5 for _ in range(3))
-    return JointTriple(
-        p_vw=float(p[v & w].sum()),
-        p_uw=float(p[u & w].sum()),
-        p_ucv=float(p[~u & v].sum()),
-    )
+    return float(p[v & w].sum()), float(p[u & w].sum()), float(p[~u & v].sum())
 
 
 def random_qubit_transitions(gen):
-    """Pairwise squared overlaps of three random pure qubit states."""
+    """Pairwise squared overlaps (p_ab, p_bc, p_ac) of three random pure
+    qubit states."""
     vecs = gen.normal(size=(3, 3))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     overlap = lambda a, b: (1.0 + float(np.dot(a, b))) / 2.0
-    return PairwiseTransitions(
-        p_ab=overlap(vecs[0], vecs[1]),
-        p_bc=overlap(vecs[1], vecs[2]),
-        p_ac=overlap(vecs[0], vecs[2]),
-    )
+    return overlap(vecs[0], vecs[1]), overlap(vecs[1], vecs[2]), overlap(vecs[0], vecs[2])
 
 
-def gram_min_eigenvalue(transitions):
+def gram_min_eigenvalue(p_ab, p_bc, p_ac):
     """Independent realizability witness: three unit vectors with the
     prescribed angles exist iff their would-be Gram matrix is PSD."""
-    t = [2.0 * math.acos(math.sqrt(p)) for p in
-         (transitions.p_ab, transitions.p_bc, transitions.p_ac)]
+    t = [2.0 * math.acos(math.sqrt(p)) for p in (p_ab, p_bc, p_ac)]
     g = np.array(
         [
             [1.0, math.cos(t[0]), math.cos(t[2])],
@@ -63,29 +54,29 @@ def gram_min_eigenvalue(transitions):
 
 def test_kolmogorov_soundness_on_real_spaces(rng):
     for _ in range(10_000):
-        satisfied, margin = kolmogorov_check(random_space_joints(rng))
+        satisfied, margin = kolmogorov_check(*random_space_joints(rng))
         assert satisfied
         assert margin <= 1e-12
 
 
 def test_kolmogorov_detects_the_extremal_violation():
-    satisfied, margin = kolmogorov_check(JointTriple(1.0, 0.0, 0.5))
+    satisfied, margin = kolmogorov_check(1.0, 0.0, 0.5)
     assert not satisfied
     assert abs(margin - 0.5) < 1e-15
 
 
 def test_qubit_soundness_on_real_qubits(rng):
     for _ in range(10_000):
-        embeddable, *witnesses = qubit_embeddable(random_qubit_transitions(rng))
+        embeddable, *witnesses = qubit_embeddable(*random_qubit_transitions(rng))
         assert embeddable, witnesses
 
 
 def test_qubit_check_matches_gram_witness(rng):
     agreements = 0
     for _ in range(2_000):
-        tr = PairwiseTransitions(*rng.random(3))
-        embeddable, *witnesses = qubit_embeddable(tr)
-        eig = gram_min_eigenvalue(tr)
+        tr = rng.random(3)
+        embeddable, *witnesses = qubit_embeddable(*tr)
+        eig = gram_min_eigenvalue(*tr)
         if abs(eig) < 1e-6:
             continue  # too close to the boundary to compare verdicts
         assert embeddable == (eig > 0), (tr, witnesses, eig)
@@ -94,17 +85,16 @@ def test_qubit_check_matches_gram_witness(rng):
 
 
 def test_qubit_rejects_the_degenerate_triple():
-    embeddable, deficit, angles = qubit_embeddable(PairwiseTransitions(1.0, 0.5, 0.0))
+    embeddable, deficit, angles = qubit_embeddable(1.0, 0.5, 0.0)
     assert not embeddable
     assert abs(deficit - math.pi / 2) < 1e-9
     np.testing.assert_allclose(angles, [0.0, math.pi / 2, math.pi], atol=1e-12)
 
 
 def test_qubit_accepts_the_boundary_triple():
-    tr = PairwiseTransitions(
+    embeddable, deficit, angles = qubit_embeddable(
         math.cos(math.pi / 8) ** 2, 0.5, math.cos(3 * math.pi / 8) ** 2
     )
-    embeddable, deficit, angles = qubit_embeddable(tr)
     assert embeddable
     assert deficit == 0.0
     # pi/4 + pi/2 equals 3pi/4: the triangle closes exactly
@@ -112,10 +102,11 @@ def test_qubit_accepts_the_boundary_triple():
 
 
 def test_probability_validation():
-    with pytest.raises(ValueError):
-        JointTriple(1.2, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        PairwiseTransitions(0.5, -0.2, 0.5)
+    # matched by message: math.sqrt(-0.2) would raise a ValueError of its own
+    with pytest.raises(ValueError, match="p_vw = 1.2 is not a probability"):
+        kolmogorov_check(1.2, 0.0, 0.0)
+    with pytest.raises(ValueError, match="p_bc = -0.2 is not a probability"):
+        qubit_embeddable(0.5, -0.2, 0.5)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -123,7 +114,7 @@ def test_probability_validation():
 def test_kolmogorov_margin_formula(seed):
     gen = np.random.default_rng(seed)
     p = gen.random(3)
-    _, margin = kolmogorov_check(JointTriple(*p))
+    _, margin = kolmogorov_check(*p)
     assert abs(margin - (p[0] - p[1] - p[2])) < 1e-15
 
 
@@ -135,8 +126,8 @@ def test_classify_both_ok(rng):
     t = random_qubit_transitions(rng)
     report = classify(
         {
-            "joints": [{"p_vw": j.p_vw, "p_uw": j.p_uw, "p_ucv": j.p_ucv}],
-            "transitions": [{"p_ab": t.p_ab, "p_bc": t.p_bc, "p_ac": t.p_ac}],
+            "joints": [dict(zip(("p_vw", "p_uw", "p_ucv"), j))],
+            "transitions": [dict(zip(("p_ab", "p_bc", "p_ac"), t))],
         }
     )
     assert report["classical_ok"] and report["qubit_ok"]
@@ -158,7 +149,7 @@ def test_classify_classical_but_not_qubit():
     assert report["qubit_ok"] == doc["expected"]["qubit_ok"]
     assert report["classical_ok"] and not report["qubit_ok"]
     # independent witness agrees that no three qubit states fit
-    assert gram_min_eigenvalue(PairwiseTransitions(**doc["transitions"][0])) < -1e-6
+    assert gram_min_eigenvalue(**doc["transitions"][0]) < -1e-6
 
 
 def test_classify_neither():

@@ -111,9 +111,23 @@ def test_malformed_json_is_a_schema_error(tmp_path):
     assert run_cli("run", p).returncode == 2
 
 
-def test_unknown_kind_is_a_schema_error(tmp_path):
-    cfg = write_config(tmp_path, "weird.json", {"kind": "weird", "seed": 1, "params": {}})
-    assert run_cli("run", cfg).returncode == 2
+@pytest.mark.parametrize(
+    "kind",
+    ["weird", [], {}, 1, None, True, "utr "],
+    ids=["weird", "list", "object", "number", "null", "true", "padded"],
+)
+def test_unknown_kind_is_a_schema_error(tmp_path, kind):
+    # a kind that is not a string must not reach a dict lookup, where a
+    # list or an object would raise TypeError (unhashable) as a traceback
+    cfg = write_config(tmp_path, "weird.json", {"kind": kind, "seed": 1, "params": {}})
+    assert_rejected(run_cli("run", cfg), 2)
+
+
+def test_non_string_mode_is_a_schema_error(tmp_path):
+    cfg = write_config(
+        tmp_path, "mode.json", {"kind": "gtr", "seed": 1, "params": {**_gtr_1d(), "mode": []}}
+    )
+    assert_rejected(run_cli("run", cfg), 2)
 
 
 def test_kind_subcommand_mismatch(tmp_path, utr_config):

@@ -301,8 +301,8 @@ def _cells_of(points, n, n_cells):
 )
 def test_sample_break_point_in_a_cellular_density(rng, n, n_cells, breakable):
     density = CellularDensity(n, n_cells, frozenset(breakable))
-    one = sample_break_point(density, rng)
-    assert one.shape == (n,)
+    one = sample_break_point(density, rng, 1)
+    assert one.shape == (1, n)
     m = 20000
     pts = sample_break_point(density, rng, size=m)
     assert pts.shape == (m, n)

@@ -95,22 +95,7 @@ def test_observable_requires_orthonormal_rows():
         HilbertObservable(
             ((1.0, 0.0), (1.0, 0.0)),
             OutcomePartition.singletons(2),
-            (1.0, 2.0),
         )
-
-
-def test_observable_refuses_bad_eigenvalues():
-    eye = ((1.0, 0.0), (0.0, 1.0))
-    singletons = OutcomePartition.singletons(2)
-    assert HilbertObservable(eye, singletons, (1, 2)).eigenvalues == (1.0, 2.0)
-    for eigs in [(1.0,), (1.0, 2.0, 3.0), (1.0, 1.0)]:
-        with pytest.raises(ValueError, match="eigenvalues"):
-            HilbertObservable(eye, singletons, eigs)
-    nan, inf = float("nan"), float("inf")
-    # two separate NaN objects are distinct members of a set
-    for eigs in [(float("nan"), float("nan")), (nan, 1.0), (inf, 1.0), (-inf, inf)]:
-        with pytest.raises(ValueError, match="finite"):
-            HilbertObservable(eye, singletons, eigs)
 
 
 def test_born_probabilities_computational_basis():

@@ -51,9 +51,7 @@ PUBLIC = [
     "HilbertObservable",
     "HilbertState",
     "ImpossibleOutcomeError",
-    "JointTriple",
     "OutcomePartition",
-    "PairwiseTransitions",
     "PiecewiseConstant1D",
     "PointBreak",
     "SchemaError",
@@ -122,6 +120,10 @@ REMOVED = [
     ("checker", "QubitVerdict"),
     ("hilbert", "ProductCheck"),
     ("sphere", "SequentialRecord"),
+    ("checker", "JointTriple"),
+    ("checker", "PairwiseTransitions"),
+    ("sphere", "MeasureResult"),
+    ("universal", "mc_combine"),
 ]
 
 

@@ -130,11 +130,11 @@ def test_bundle_shape_and_consistency():
 
 def test_measure_collapses_to_signed_direction(rng):
     w, v, _ = counterexample_directions()
-    out = measure(w, v, Uniform(), rng)
-    assert out.sign in (1, -1)
-    target = v.as_array() if out.sign == 1 else -v.as_array()
-    np.testing.assert_allclose(out.post_state.as_array(), target, atol=1e-15)
-    assert -RADIUS - 1e-12 <= out.break_coordinate <= RADIUS + 1e-12
+    sign, post_state, break_coordinate = measure(w, v, Uniform(), rng)
+    assert sign in (1, -1)
+    target = v.as_array() if sign == 1 else -v.as_array()
+    np.testing.assert_allclose(post_state.as_array(), target, atol=1e-15)
+    assert -RADIUS - 1e-12 <= break_coordinate <= RADIUS + 1e-12
 
 
 def test_measure_frequencies(rng):
@@ -142,7 +142,7 @@ def test_measure_frequencies(rng):
     d = Epsilon(0.8)
     p_plus = transition_probability(w, v, d)[0]
     trials = 20_000
-    hits = sum(measure(w, v, d, rng).sign == 1 for _ in range(trials))
+    hits = sum(measure(w, v, d, rng)[0] == 1 for _ in range(trials))
     sigma = math.sqrt(p_plus * (1 - p_plus) / trials)
     assert abs(hits / trials - p_plus) <= 4 * sigma
 
@@ -153,7 +153,7 @@ def test_measure_point_break_at_state_is_fair_coin(rng):
     w = BlochVector((RADIUS, 0.0, 0.0))
     v = BlochVector((0.0, RADIUS, 0.0))
     d = PointBreak(0.0)
-    signs = [measure(w, v, d, rng).sign for _ in range(2000)]
+    signs = [measure(w, v, d, rng)[0] for _ in range(2000)]
     frac = sum(s == 1 for s in signs) / len(signs)
     assert abs(frac - 0.5) < 0.05
 

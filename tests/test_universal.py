@@ -33,15 +33,8 @@ from trm import (
 )
 from trm.cells import MAX_CELLS, cell_fraction_in_regions
 import trm.universal as universal_module
-from trm.universal import MC_CHUNK_ROWS, mc_batch, mc_combine
+from trm.universal import MC_CHUNK_ROWS, mc_batch
 from conftest import enumerate_cellular, random_interior_state
-
-
-def sampled_average(x, n_cells, density_samples, point_samples, rng, partition=None):
-    """(probabilities, standard errors) of the sampled subset average, drawn
-    from rng in one mc_batch call."""
-    stats = mc_batch(x, n_cells, density_samples, point_samples, rng, partition)
-    return mc_combine(stats, density_samples)
 
 
 HALF = BarycentricVector((0.5, 0.5))
@@ -128,19 +121,22 @@ def test_mc_average_matches_state_within_bands(rng):
     for n in (3, 4, 5, 6):
         x = BarycentricVector(tuple(random_interior_state(rng, n)))
         n_c = 9 if n == 3 else 8
-        probs, errs = sampled_average(x, n_c, 400, 400, rng)
+        probs, errs = mc_batch(x, n_c, 400, 400, rng)
         assert abs(probs.sum() - 1.0) < 1e-9
         assert (np.abs(probs - x.as_array()) <= 4 * errs + 1e-12).all(), (n, probs)
 
 
-def test_mc_combine_is_mean_and_stderr():
-    estimates = np.array([[0.2, 0.8], [0.4, 0.6], [0.3, 0.7]])
-    stats = np.stack([estimates.sum(axis=0), (estimates**2).sum(axis=0)])
-    mean, err = mc_combine(stats, 3)
-    np.testing.assert_allclose(mean, estimates.mean(axis=0), atol=1e-15)
-    np.testing.assert_allclose(
-        err, estimates.std(axis=0, ddof=1) / np.sqrt(3), atol=1e-15
-    )
+def test_mc_batch_is_mean_and_stderr():
+    # x = (1/2, 1/2) on two cells with one point per density: each estimate
+    # is one-hot, (1, 0) or (0, 1), so with a fraction m of them on an
+    # outcome the mean is m and the sample standard deviation over sqrt(d)
+    # is sqrt(m (1 - m) / (d - 1)) exactly
+    d = 50
+    mean, err = mc_batch(HALF, 2, d, 1, np.random.default_rng(16))
+    np.testing.assert_allclose(mean * d, np.round(mean * d), atol=1e-15)
+    np.testing.assert_allclose(mean.sum(), 1.0, atol=1e-15)
+    assert 0.0 < mean[0] < 1.0
+    np.testing.assert_allclose(err, np.sqrt(mean * (1 - mean) / (d - 1)), atol=1e-15)
 
 
 def _half_binomial_moments(p_pts):
@@ -179,9 +175,11 @@ def test_mc_batch_draws_within_each_subset(monkeypatch, p_pts, m, chunk):
     moment = [(1 + mu) / 3 for mu in _half_binomial_moments(p_pts)]
     sigma = math.sqrt((moment[1] - moment[0] ** 2) / m)
     assert abs(moment[0] - 0.25) > 8 * sigma
-    sums = mc_batch(HALF, 2, m, p_pts, np.random.default_rng(11))
-    assert abs(sums[0, 0] / m - 0.5) <= 4 * math.sqrt((moment[0] - 0.25) / m)
-    assert abs(sums[1, 0] / m - moment[0]) <= 4 * sigma
+    mean, err = mc_batch(HALF, 2, m, p_pts, np.random.default_rng(11))
+    # E[p_1^2] over the densities, from the mean and the standard error
+    square = err[0] ** 2 * (m - 1) + mean[0] ** 2
+    assert abs(mean[0] - 0.5) <= 4 * math.sqrt((moment[0] - 0.25) / m)
+    assert abs(square - moment[0]) <= 4 * sigma
 
 
 def test_cell_pick_cannot_leave_its_row():
@@ -234,7 +232,7 @@ def test_mc_batch_redraws_empty_subsets():
     # one cell: half of the first subset draws are empty and must be redrawn
     x = BarycentricVector((0.3, 0.7))
     m = 2000
-    probs, errs = mc_combine(mc_batch(x, 1, m, 16, np.random.default_rng(12)), m)
+    probs, errs = mc_batch(x, 1, m, 16, np.random.default_rng(12))
     assert (errs > 0).all()
     assert (np.abs(probs - x.as_array()) <= 4 * errs).all()
 
@@ -344,7 +342,7 @@ def test_exact_average_with_partition(rng):
 def test_mc_average_with_partition(rng):
     x = BarycentricVector(tuple(random_interior_state(rng, 4)))
     part = OutcomePartition.of([[1, 2], [3, 4]])
-    probs, errs = sampled_average(x, 8, 400, 400, rng, part)
+    probs, errs = mc_batch(x, 8, 400, 400, rng, part)
     target = np.array(
         [x.components[0] + x.components[1], x.components[2] + x.components[3]]
     )
@@ -363,7 +361,7 @@ def test_mc_average_with_partition(rng):
 def test_mc_agrees_with_exact_two_outcomes(rng):
     x = BarycentricVector((0.3, 0.7))
     exact = universal_probability_exact(x, 5)
-    probs, errs = sampled_average(x, 5, 600, 400, rng)
+    probs, errs = mc_batch(x, 5, 600, 400, rng)
     assert (np.abs(probs - exact) <= 4 * errs + 1e-12).all()
 
 

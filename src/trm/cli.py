@@ -76,11 +76,16 @@ KINDS = ("utr", "gtr", "universal", "sphere", "classify", "oracle")
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD_MAX = 32 << 20
 
-# States the oracle draws and checks per correspondence_batch call.  The
-# batch holds about two complex (states, partition blocks, n) arrays at a
-# time, 24 kB per state at five outcomes, so this bounds its scratch memory
-# to about 1 MB for any `states`.
-ORACLE_CHUNK = 32
+# Scratch bytes the oracle gives each correspondence_batch call.  The batch
+# holds about three complex (states, 2^n - 1, n) arrays at a time, 7.4 kB
+# per state at five outcomes and 98 kB at eight, so chunks sized from this
+# keep its scratch near 1 MB for any `states`.
+ORACLE_BYTES = 1 << 20
+
+
+def _oracle_chunk(n: int) -> int:
+    """States per correspondence_batch call at n outcomes."""
+    return max(1, ORACLE_BYTES // (48 * n * ((1 << n) - 1)))
 
 
 def _document(value: Any, where: str) -> Any:
@@ -162,7 +167,7 @@ _PARAMS: dict[tuple[str, str | None], dict[str, tuple[Check, Any]]] = {
     },
     ("classify", None): {"bundle": (_document, REQUIRED)},
     ("oracle", None): {
-        "dims": (array_field(integer_in(2, 5), min_len=1), [2, 3, 4, 5]),
+        "dims": (array_field(integer_in(2, 8), min_len=1), [2, 3, 4, 5]),
         "states": (_POSITIVE, 100),
         "tolerance": (_tolerance, 1e-9),
     },
@@ -316,9 +321,10 @@ def _run_oracle(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dic
     for d_i, n in enumerate(dims):
         rng = block_rng(seed, d_i)
         dim_worst = 0.0
-        for start in range(0, states, ORACLE_CHUNK):
+        chunk = _oracle_chunk(n)
+        for start in range(0, states, chunk):
             # one state is n real parts, then n imaginary parts
-            raw = rng.normal(size=(min(ORACLE_CHUNK, states - start), 2, n))
+            raw = rng.normal(size=(min(chunk, states - start), 2, n))
             amps = raw[:, 0] + 1j * raw[:, 1]
             amps /= np.linalg.norm(amps, axis=1, keepdims=True)
             dim_worst = max(dim_worst, float(correspondence_batch(amps).max()))

@@ -8,15 +8,18 @@ probabilities, and projective collapse agree with the uniform simplex law
 component by component.
 
 correspondence_batch checks that agreement for many states and every
-grouping of the basis indices at once, along two routes that stay
-independent, and returns each state's largest deviation; the CLI oracle
-holds it against its configured tolerance.  The Hilbert route works on
-amplitudes only: eigenbasis coordinates, squared moduli summed by a
-block-indicator matrix, and projection, renormalization and re-measurement
-for each collapse.  The simplex route is the library's own collapse code,
-one utr.restrict call over every (partition, block) pair that gives both the
-block probabilities and the collapses of the squared moduli.  Only the
-outcome grouping, which both routes need, is shared.
+outcome block at once, along two routes that stay independent, and returns
+each state's largest deviation; the CLI oracle holds it against its
+configured tolerance.  A block's Born weight, its simplex weight and both
+of its collapses depend on the block alone, not on the partition it sits
+in, and every nonempty subset of the basis indices is a block of some
+partition; so checking the 2^n - 1 subsets once checks every partition.
+The Hilbert route works on amplitudes only: eigenbasis coordinates, squared
+moduli summed by a block-indicator matrix, and projection, renormalization
+and re-measurement for each collapse.  The simplex route is the library's
+own collapse code, one utr.restrict call over every subset that gives both
+the block probabilities and the collapses of the squared moduli.  Only the
+subset masks, which both routes need, are shared.
 
 is_product_state returns (is_product, determinant_residual, law_residuals):
 the verdict first, then its witnesses, as the checker functions do.
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImpossibleOutcomeError
-from .simplex import OutcomePartition, iter_partitions
+from .simplex import OutcomePartition
 from .utr import PRODUCT_TOL, product_relation_residuals, restrict
 
 __all__ = [
@@ -202,13 +205,13 @@ def product_state(
 
 @functools.lru_cache(maxsize=None)
 def _groupings(n: int) -> np.ndarray:
-    """The (pairs, n) block masks of every (partition, block) pair of 1..n,
-    in partition then block order.
+    """The (2^n - 1, n) masks of every nonempty subset of 1..n: row m - 1
+    holds the bits of m, outcome 1 the lowest.
 
     Built on first use per dimension and kept; the array is read-only
     because every caller shares it.
     """
-    masks = np.concatenate([OutcomePartition(b).block_masks() for b in iter_partitions(n)])
+    masks = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1 == 1
     masks.setflags(write=False)
     return masks
 
@@ -222,12 +225,13 @@ def correspondence_batch(
     norm must be 1 within NORM_TOL and is then renormalized.  basis (rows
     are the eigenvectors, default the computational basis) must be
     orthonormal within NORM_TOL.  A row's squared moduli in the eigenbasis
-    define a barycentric vector x.  For every partition of the basis
-    indices, the row's block Born probabilities must match the block sums
-    of x, and for every block of nonzero weight the squared moduli of the
-    collapsed state must match the renormalized restriction of x.  Returns
-    each row's largest absolute difference over all of these, an (S,)
-    array; judging it is the caller's call.
+    define a barycentric vector x.  For every nonempty subset of the basis
+    indices, which covers every block of every partition, the row's Born
+    probability of the subset must match the subset sum of x, and for a
+    subset of nonzero weight the squared moduli of the collapsed state must
+    match the renormalized restriction of x.  Returns each row's largest
+    absolute difference over all of these, an (S,) array; judging it is
+    the caller's call.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 2 or amps.shape[1] < 2:
@@ -263,12 +267,12 @@ def correspondence_batch(
 def _collapsed_moduli(
     coords: np.ndarray, masks: np.ndarray, born: np.ndarray, base: np.ndarray
 ) -> np.ndarray:
-    """(S, pairs, n) squared moduli, in the eigenbasis, of each state after
-    each (partition, block) pair fires: the coordinates projected onto the
-    block, renormalized, mapped back through the basis and measured again.
+    """(S, 2^n - 1, n) squared moduli, in the eigenbasis, of each state
+    after each subset fires as a block: the coordinates projected onto the
+    subset, renormalized, mapped back through the basis and measured again.
 
     A block of zero Born weight projects to zero.  Each step replaces the
-    previous array, which keeps two (S, pairs, n) arrays alive at most.
+    previous array, which keeps two (S, 2^n - 1, n) arrays alive at most.
     """
     post = np.where(masks, coords[:, None, :], 0.0)
     post /= np.sqrt(np.where(born == 0.0, 1.0, born))[..., None]

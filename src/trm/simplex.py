@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -62,7 +62,6 @@ __all__ = [
     "TIE_RTOL",
     "facet_measure",
     "height",
-    "iter_partitions",
     "region_measure",
     "region_of",
     "regions_of_batch",
@@ -405,27 +404,3 @@ def _normalise_rows(e: np.ndarray) -> np.ndarray:
         s += e[:, j]
     e /= s[:, None]
     return e
-
-
-def iter_partitions(n: int) -> Iterator[tuple[frozenset[int], ...]]:
-    """All set partitions of {1..n}, each as a tuple of frozensets.
-
-    Generated in restricted-growth order: element i either joins an existing
-    block or opens a new one.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-
-    def rec(i: int, blocks: list[list[int]]) -> Iterator[tuple[frozenset[int], ...]]:
-        if i > n:
-            yield tuple(frozenset(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    return rec(1, [])

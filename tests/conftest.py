@@ -1,3 +1,5 @@
+from typing import Iterator
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,28 @@ def enumerate_cellular(n_outcomes, n_cells):
     for mask in range(1, 1 << n_cells):
         cells = frozenset(c + 1 for c in range(n_cells) if mask >> c & 1)
         yield CellularDensity(n_outcomes, n_cells, cells)
+
+
+def iter_partitions(n: int) -> Iterator[tuple[frozenset[int], ...]]:
+    """Reference enumerator: all set partitions of {1..n}, each as a tuple
+    of frozensets.
+
+    Generated in restricted-growth order: element i either joins an existing
+    block or opens a new one.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+
+    def rec(i: int, blocks: list[list[int]]) -> Iterator[tuple[frozenset[int], ...]]:
+        if i > n:
+            yield tuple(frozenset(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1, blocks)
+        blocks.pop()
+
+    return rec(1, [])

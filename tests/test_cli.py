@@ -224,6 +224,8 @@ def _gtr_nd(cellular):
         ("utr", {"x": [0.5, 0.5], "blocks": [[1, 1], [2]], "trials": 10}, 3),
         ("gtr", _gtr_nd({"n_outcomes": 4, "n_cells": 4, "breakable": [1, 1, 2]}), 3),
         ("utr", {"x": [0.5, 0.5], "blocks": [[1], []], "trials": 10}, 3),
+        # a dimension beyond what the oracle supports
+        ("oracle", {"dims": [9], "states": 1}, 2),
     ],
 )
 def test_malformed_values_are_rejected_without_output(tmp_path, kind, params, code):
@@ -533,6 +535,16 @@ def test_oracle_compare_passes_and_fault_injection_fails(tmp_path):
     assert result["max_deviation"] > result["tolerance"]
 
 
+def test_oracle_checks_eight_outcomes(tmp_path):
+    cfg = write_config(
+        tmp_path, "oracle.json", {"kind": "oracle", "seed": 5, "params": {"dims": [8], "states": 3}}
+    )
+    proc = run_cli("run", cfg)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["ok"] is True and result["max_deviation"] < 1e-12
+
+
 @pytest.mark.parametrize("where", ["missing/out.json", "."], ids=["no-directory", "directory"])
 def test_unwritable_output_is_a_one_line_error(tmp_path, utr_config, where):
     out = tmp_path / where
@@ -576,13 +588,17 @@ def test_oracle_chunks_draw_the_per_state_stream(tmp_path, monkeypatch):
         return correspondence_batch(amps, *args)
 
     monkeypatch.setattr(cli, "correspondence_batch", recording)
-    states, dims, seed = 2 * cli.ORACLE_CHUNK + 5, [2, 5], 17
+    dims, seed = [5, 8], 17
+    chunks = [cli._oracle_chunk(n) for n in dims]
+    states = 2 * max(chunks) + 5
     doc = {"kind": "oracle", "seed": seed, "params": {"dims": dims, "states": states}}
     cfg = write_config(tmp_path, "o.json", doc)
     code, stdout, _ = run_main("run", cfg, "--format", "csv")
     assert code == 0
     rows = stdout.splitlines()[2:]
-    assert len(rows) == len(dims) and len(seen) == 3 * len(dims)
+    calls = [-(-states // c) for c in chunks]
+    assert len(rows) == len(dims) and min(calls) >= 3 and len(seen) == sum(calls)
+    ends = np.cumsum([0, *calls])
     for d_i, n in enumerate(dims):
         rng = block_rng(seed, d_i)
         reference = []
@@ -590,7 +606,7 @@ def test_oracle_chunks_draw_the_per_state_stream(tmp_path, monkeypatch):
             raw = rng.normal(size=n) + 1j * rng.normal(size=n)
             reference.append(raw / np.linalg.norm(raw))
         reference = np.array(reference)
-        np.testing.assert_allclose(np.concatenate(seen[3 * d_i:3 * d_i + 3]), reference,
+        np.testing.assert_allclose(np.concatenate(seen[ends[d_i]:ends[d_i + 1]]), reference,
                                    rtol=0, atol=1e-15)
         worst = max(float(correspondence_batch(state[None, :])[0]) for state in reference)
         dim, count, reported = rows[d_i].split(",")

@@ -189,7 +189,7 @@ CELLS = st.sampled_from([1, 4, 64, MAX_CELLS])
 EDGES = {
     "seed": st.sampled_from([0, 2**64 - 1]),
     "states": st.just(1),
-    "dims": st.sampled_from([[2], [5]]),
+    "dims": st.sampled_from([[2], [8]]),
     "x": edge_state,
     "cos_theta": st.sampled_from([1.0, -1.0, -0.0, BELOW_ONE, -BELOW_ONE, *SUBNORMALS]),
     "epsilon": st.sampled_from([1.0, BELOW_ONE, *SUBNORMALS]),

@@ -23,9 +23,10 @@ from trm import (
 )
 from trm import cli, hilbert
 from trm.hilbert import NORM_TOL, _groupings, collapse, correspondence_batch
-from trm.simplex import iter_partitions
 from trm.utr import collapse as utr_collapse
 from trm.utr import outcome_probabilities, restrict
+
+from conftest import iter_partitions
 
 
 def random_state(rng, n):
@@ -240,11 +241,11 @@ def test_batch_checks_basis_and_norms(rng):
 
 
 def test_oracle_memory_is_bounded_by_its_chunk(tmp_path):
-    # unchunked, 3000 five-outcome states would hold (3000, 151, 5) complex
-    # arrays of 36 MB each
+    # unchunked, 3000 states would hold (3000, 31, 5) complex arrays of
+    # 7.4 MB each at five outcomes and (3000, 255, 8) ones of 98 MB at eight
     states = 3000
     path = tmp_path / "oracle.json"
-    doc = {"kind": "oracle", "seed": 4, "params": {"dims": [5], "states": states}}
+    doc = {"kind": "oracle", "seed": 4, "params": {"dims": [5, 8], "states": states}}
     path.write_text(json.dumps(doc))
     tracemalloc.start()
     try:
@@ -266,8 +267,29 @@ def test_one_restrict_call_gives_the_block_sums_of_aggregate(rng):
         x[::7, :-1] = 0.0
         x /= x.sum(axis=1, keepdims=True)
         law = restrict(x[:, None, :], _groupings(n))[0]
-        blocks = [OutcomePartition(b).aggregate(x) for b in iter_partitions(n)]
-        assert np.array_equal(law, np.concatenate(blocks, axis=1))
+        for blocks in iter_partitions(n):
+            partition = OutcomePartition(blocks)
+            # a block's subset row is its bit pattern less one
+            rows = partition.block_masks() @ (1 << np.arange(n)) - 1
+            assert np.array_equal(law[:, rows], partition.aggregate(x))
+
+
+def test_subsets_give_the_deviations_of_every_partition_block(rng, monkeypatch):
+    # every (partition, block) pair repeats some subset's check, so the
+    # largest deviation over the pairs is the largest over the subsets
+    pairs = {
+        n: np.concatenate([OutcomePartition(b).block_masks() for b in iter_partitions(n)])
+        for n in range(2, 7)
+    }
+    for n in pairs:
+        amps = random_amplitudes(rng, 200, n)
+        amps[::3, rng.integers(1, n)] = 0.0
+        amps[::7, 1:] = 0.0
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        subsets = correspondence_batch(amps)
+        with monkeypatch.context() as m:
+            m.setattr(hilbert, "_groupings", pairs.get)
+            assert np.array_equal(correspondence_batch(amps), subsets)
 
 
 @pytest.mark.parametrize("part", [0, 1])

@@ -124,6 +124,7 @@ REMOVED = [
     ("checker", "PairwiseTransitions"),
     ("sphere", "MeasureResult"),
     ("universal", "mc_combine"),
+    ("simplex", "iter_partitions"),
 ]
 
 

@@ -22,10 +22,10 @@ from trm import (
     sample_uniform_batch,
     simplex_measure,
 )
-from trm.simplex import MAX_BOUNDARY_RETRIES, TIE_RTOL, iter_partitions, resolve_ties
+from trm.simplex import MAX_BOUNDARY_RETRIES, TIE_RTOL, resolve_ties
 from trm.utr import _regions_at_break_point
 
-from conftest import random_interior_state
+from conftest import iter_partitions, random_interior_state
 
 
 def test_measure_closed_forms():

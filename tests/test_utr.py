@@ -22,10 +22,9 @@ from trm import (
     run_batch,
     sequential_probability,
 )
-from trm.simplex import iter_partitions
 from trm.utr import _regions_at_break_point
 
-from conftest import random_interior_state
+from conftest import iter_partitions, random_interior_state
 
 X4 = BarycentricVector((0.1, 0.2, 0.3, 0.4))
 COARSE = OutcomePartition.of([[1, 2], [3, 4]])

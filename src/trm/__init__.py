@@ -33,7 +33,6 @@ from .hilbert import (
     HilbertState,
     born_probabilities,
     is_product_state,
-    product_state,
     tensor,
 )
 from .cells import CellularDensity, cell_fraction_in_regions, sample_in_cells
@@ -102,7 +101,6 @@ __all__ = [
     "outcome_probabilities",
     "product_probability_check",
     "product_relation_residuals",
-    "product_state",
     "qubit_embeddable",
     "region_measure",
     "region_of",

@@ -79,7 +79,8 @@ MMAP_THRESHOLD_MAX = 32 << 20
 # Scratch bytes the oracle gives each correspondence_batch call.  The batch
 # holds about three complex (states, 2^n - 1, n) arrays at a time, 7.4 kB
 # per state at five outcomes and 98 kB at eight, so chunks sized from this
-# keep its scratch near 1 MB for any `states`.
+# keep its scratch near 1 MB for any `states`.  The chunk size bounds memory
+# only: a state's deviation is the same in any chunk.
 ORACLE_BYTES = 1 << 20
 
 
@@ -368,7 +369,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 def _load_config(path: Path, forced_kind: str | None) -> tuple[dict, str, int, dict]:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from None
     try:
         config = json.loads(
@@ -376,6 +377,8 @@ def _load_config(path: Path, forced_kind: str | None) -> tuple[dict, str, int, d
         )
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"config {path} is nested too deeply to parse") from None
     spec = {"kind": (_document, forced_kind), "seed": (_SEED, None), "params": (_document, {})}
     top = object_field(config, "config", spec)
     kind = top["kind"]

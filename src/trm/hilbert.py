@@ -15,11 +15,14 @@ of its collapses depend on the block alone, not on the partition it sits
 in, and every nonempty subset of the basis indices is a block of some
 partition; so checking the 2^n - 1 subsets once checks every partition.
 The Hilbert route works on amplitudes only: eigenbasis coordinates, squared
-moduli summed by a block-indicator matrix, and projection, renormalization
-and re-measurement for each collapse.  The simplex route is the library's
-own collapse code, one utr.restrict call over every subset that gives both
-the block probabilities and the collapses of the squared moduli.  Only the
-subset masks, which both routes need, are shared.
+moduli masked to each block and summed in outcome order, and projection,
+renormalization and re-measurement for each collapse.  The simplex route is
+the library's own collapse code, one utr.restrict call over every subset
+that gives both the block probabilities and the collapses of the squared
+moduli.  Only the subset masks, which both routes need, are shared.  Both
+routes sum each row on its own, so on the computational basis, where the
+coordinates are the amplitudes exactly, a state's deviation does not
+depend on the other states in its batch.
 
 is_product_state returns (is_product, determinant_residual, law_residuals):
 the verdict first, then its witnesses, as the checker functions do.
@@ -27,7 +30,6 @@ the verdict first, then its witnesses, as the checker functions do.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -45,7 +47,6 @@ __all__ = [
     "collapse",
     "correspondence_batch",
     "is_product_state",
-    "product_state",
     "tensor",
 ]
 
@@ -140,8 +141,9 @@ class HilbertObservable:
 
 
 def born_probabilities(state: HilbertState, obs: HilbertObservable) -> np.ndarray:
-    """Block outcome probabilities: sums of |<a_i|psi>|^2 over each block."""
-    return np.abs(obs.coordinates(state)) ** 2 @ obs.partition.block_masks().T.astype(float)
+    """Block outcome probabilities: sums of |<a_i|psi>|^2 over each block,
+    in outcome order as utr.outcome_probabilities sums x."""
+    return obs.partition.aggregate(np.abs(obs.coordinates(state)) ** 2)
 
 
 def collapse(state: HilbertState, obs: HilbertObservable, block_index: int) -> HilbertState:
@@ -186,21 +188,6 @@ def is_product_state(
     a1, a2, a3, a4 = state.amplitudes
     det = abs(a1 * a4 - a2 * a3)
     return det <= PRODUCT_TOL, det, product_relation_residuals(state.moduli_squared())
-
-
-def product_state(
-    a: float, b: float, c: float, d: float, alpha: float, beta: float, gamma: float, delta: float
-) -> HilbertState:
-    """Tensor product of (sqrt(a) e^{i alpha}, sqrt(b) e^{i beta}) and
-    (sqrt(c) e^{i delta}, sqrt(d) e^{i gamma}) built from the closed form."""
-    return HilbertState(
-        (
-            math.sqrt(a * c) * cmath.exp(1j * (alpha + delta)),
-            math.sqrt(a * d) * cmath.exp(1j * (alpha + gamma)),
-            math.sqrt(b * c) * cmath.exp(1j * (beta + delta)),
-            math.sqrt(b * d) * cmath.exp(1j * (beta + gamma)),
-        )
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,7 +237,7 @@ def correspondence_batch(
     # Hilbert route: coordinates c = <a_i|psi> and Born block sums of |c|^2.
     coords = (amps / norms[:, None]) @ base.conj().T
     moduli = np.abs(coords) ** 2
-    born = moduli @ masks.T.astype(float)
+    born = np.where(masks, moduli[:, None, :], 0.0).sum(axis=-1)
     collapse_gap = _collapsed_moduli(coords, masks, born, base)
 
     # Simplex route on x: block weights and restrictions from the library.

@@ -262,6 +262,24 @@ def test_repeated_keys_are_rejected_without_output(tmp_path, text, key):
     assert not out.exists()
 
 
+def test_deeply_nested_config_is_rejected_without_output(tmp_path):
+    # json.dumps cannot build this document: it recurses as the parser does
+    depth = 10**5
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"kind": "oracle", "seed": 1, "x": ' + "[" * depth + "]" * depth + "}")
+    proc = run_cli("run", cfg)
+    assert_rejected(proc, 2)
+    assert "nested" in proc.stderr
+
+
+def test_config_that_is_not_utf8_is_rejected_without_output(tmp_path):
+    cfg = tmp_path / "latin.json"
+    cfg.write_bytes(b'{"kind": "oracle", "seed": 1, "params": {"note": "\xff"}}')
+    proc = run_cli("run", cfg)
+    assert_rejected(proc, 2)
+    assert "cannot read config" in proc.stderr
+
+
 def assert_rejected(proc, code):
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == ""
@@ -578,9 +596,9 @@ def test_non_finite_result_is_a_one_line_domain_error(tmp_path, monkeypatch, fmt
 
 
 def test_oracle_chunks_draw_the_per_state_stream(tmp_path, monkeypatch):
-    """A states count spanning several chunks checks the same states, and
-    reports the same per-dim worst deviation, as drawing them one at a time
-    with two normal(size=n) calls each."""
+    """A states count spanning several chunks checks the same states as
+    drawing them one at a time with two normal(size=n) calls each, and
+    reports the per-dim worst of those states checked one at a time."""
     seen = []
 
     def recording(amps, *args):
@@ -606,9 +624,9 @@ def test_oracle_chunks_draw_the_per_state_stream(tmp_path, monkeypatch):
             raw = rng.normal(size=n) + 1j * rng.normal(size=n)
             reference.append(raw / np.linalg.norm(raw))
         reference = np.array(reference)
-        np.testing.assert_allclose(np.concatenate(seen[ends[d_i]:ends[d_i + 1]]), reference,
-                                   rtol=0, atol=1e-15)
-        worst = max(float(correspondence_batch(state[None, :])[0]) for state in reference)
+        checked = np.concatenate(seen[ends[d_i]:ends[d_i + 1]])
+        np.testing.assert_allclose(checked, reference, rtol=0, atol=1e-15)
+        worst = max(float(correspondence_batch(state[None, :])[0]) for state in checked)
         dim, count, reported = rows[d_i].split(",")
         assert (int(dim), int(count)) == (n, states)
-        assert abs(float(reported) - worst) <= 1e-15
+        assert float(reported) == worst

@@ -18,7 +18,6 @@ from trm import (
     OutcomePartition,
     born_probabilities,
     is_product_state,
-    product_state,
     tensor,
 )
 from trm import cli, hilbert
@@ -130,18 +129,16 @@ def test_tensor_orders_amplitudes_row_major():
 
 
 def test_product_state_closed_form_factors():
-    s = product_state(0.3, 0.7, 0.6, 0.4, 0.1, 0.9, 0.2, 0.5)
-    is_product, determinant_residual, law_residuals = is_product_state(s)
-    assert is_product
-    assert determinant_residual < 1e-15
-    assert max(abs(r) for r in law_residuals) < 1e-15
     sub_a = HilbertState(
         (math.sqrt(0.3) * cmath.exp(0.1j), math.sqrt(0.7) * cmath.exp(0.9j))
     )
     sub_b = HilbertState(
         (math.sqrt(0.6) * cmath.exp(0.5j), math.sqrt(0.4) * cmath.exp(0.2j))
     )
-    np.testing.assert_allclose(s.as_array(), tensor(sub_a, sub_b).as_array(), atol=1e-15)
+    is_product, determinant_residual, law_residuals = is_product_state(tensor(sub_a, sub_b))
+    assert is_product
+    assert determinant_residual < 1e-15
+    assert max(abs(r) for r in law_residuals) < 1e-15
 
 
 def test_singlet_contradiction():
@@ -192,13 +189,23 @@ def test_batch_agrees_with_one_row_calls_and_the_loop_reference(rng):
         batch = correspondence_batch(amps)
         assert batch.shape == (30,)
         for s, row in enumerate(amps):
-            state = HilbertState(tuple(row))
-            one = correspondence_batch(state.as_array()[None, :])
-            assert abs(one[0] - batch[s]) <= 1e-15
-            worst, checked = loop_correspondence(state)
+            assert correspondence_batch(row[None, :])[0] == batch[s]
+            worst, checked = loop_correspondence(HilbertState(tuple(row)))
             assert checked == bell
             assert abs(worst - batch[s]) <= 1e-15
         assert batch.max() < 1e-12
+
+
+def test_a_state_reads_the_same_bits_alone_as_in_its_batch(rng):
+    # every Born and simplex block sum runs along one row, so no state's
+    # deviation depends on how many states share its call
+    for n in range(2, 9):
+        amps = random_amplitudes(rng, 60, n)
+        amps[::5, rng.integers(0, n)] = 0.0
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        batch = correspondence_batch(amps)
+        for i in range(len(amps)):
+            assert correspondence_batch(amps[i:i + 1])[0] == batch[i], (n, i)
 
 
 def test_batch_rows_with_zero_amplitudes_stay_finite():

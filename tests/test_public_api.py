@@ -79,7 +79,6 @@ PUBLIC = [
     "outcome_probabilities",
     "product_probability_check",
     "product_relation_residuals",
-    "product_state",
     "qubit_embeddable",
     "region_measure",
     "region_of",
@@ -125,6 +124,7 @@ REMOVED = [
     ("sphere", "MeasureResult"),
     ("universal", "mc_combine"),
     ("simplex", "iter_partitions"),
+    ("hilbert", "product_state"),
 ]
 
 

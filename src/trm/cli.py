@@ -46,6 +46,7 @@ from .errors import (
     Check,
     SchemaError,
     array_field,
+    brief,
     integer_field,
     integer_in,
     number_field,
@@ -108,7 +109,7 @@ def _bloch(value: Any, where: str) -> BlochVector:
 
 def _sign(value: Any, where: str) -> int:
     if integer_field(value, where) not in (1, -1):
-        raise SchemaError(f"{where} must be 1 or -1, got {value}")
+        raise SchemaError(f"{where} must be 1 or -1, got {brief(value)}")
     return int(value)
 
 
@@ -361,7 +362,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     obj: dict[str, Any] = {}
     for key, value in pairs:
         if key in obj:
-            raise SchemaError(f"config repeats the key {key!r} in one object")
+            raise SchemaError(f"config repeats the key {brief(key)} in one object")
         obj[key] = value
     return obj
 
@@ -383,15 +384,17 @@ def _load_config(path: Path, forced_kind: str | None) -> tuple[dict, str, int, d
     top = object_field(config, "config", spec)
     kind = top["kind"]
     if forced_kind is not None and kind != forced_kind:
-        raise SchemaError(f"config kind {kind!r} does not match subcommand {forced_kind!r}")
+        raise SchemaError(
+            f"config kind {brief(kind)} does not match subcommand {forced_kind!r}"
+        )
     if kind not in KINDS:
-        raise SchemaError(f"config kind {kind!r} must be one of {list(KINDS)}")
+        raise SchemaError(f"config kind {brief(kind)} must be one of {list(KINDS)}")
     seed, env_seed = top["seed"], os.environ.get("TRM_SEED")
     if env_seed is not None:
         try:
             env_value = int(env_seed)
         except ValueError:
-            raise SchemaError(f"TRM_SEED={env_seed!r} is not an integer") from None
+            raise SchemaError(f"TRM_SEED={brief(env_seed)} is not an integer") from None
         seed = _SEED(env_value, "TRM_SEED")
     elif seed is None:
         raise SchemaError("config is missing the mandatory seed")
@@ -402,7 +405,7 @@ def _load_config(path: Path, forced_kind: str | None) -> tuple[dict, str, int, d
     mode = params.get(field, default) if field else None
     modes = [m for k, m in _PARAMS if k == kind]
     if mode not in modes:
-        raise SchemaError(f"{kind} params.{field} must be one of {modes}, got {mode!r}")
+        raise SchemaError(f"{kind} params.{field} must be one of {modes}, got {brief(mode)}")
     spec = _PARAMS[kind, mode]
     if field:
         spec = {field: (_document, mode), **spec}
@@ -440,16 +443,16 @@ def _cell(value: Any) -> str:
 def _keep_freed_memory() -> None:
     """Keep the sampling blocks' freed scratch in the C heap for reuse.
 
-    Each block allocates a few MB of scratch arrays and frees them before
-    the next.  glibc hands freed memory at the top of its heap back to the
-    system once it exceeds the trim threshold, and whether a block's scratch
-    ends up there depends on where small long-lived allocations happen to
-    sit; when it does, every block faults its pages in anew, which made a
-    one-worker 8e6-trial utr run twice as slow on a 2-CPU Linux host.
-    Fixing the mmap and trim
-    thresholds at the ceilings of glibc's own adjustment (32 MB, and twice
-    that) keeps the scratch for the next block.  Without glibc's mallopt,
-    nothing changes.
+    Each block allocates its scratch arrays and frees them before the
+    next: a 65536-trial block peaks at about 2.4 MB for utr, at any n, and
+    3.0 MB for gtr 1d (tracemalloc).  glibc hands freed memory at the top
+    of its heap back to the system once it exceeds the trim threshold, and
+    whether a block's scratch ends up there depends on where small
+    long-lived allocations happen to sit; when it does, every block faults
+    its pages in anew, which made a one-worker 8e6-trial utr run twice as
+    slow on a 2-CPU Linux host.  Fixing the mmap and trim thresholds at the
+    ceilings of glibc's own adjustment (32 MB, and twice that) keeps the
+    scratch for the next block.  Without glibc's mallopt, nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -48,6 +48,7 @@ from .errors import (
     Check,
     SchemaError,
     array_field,
+    brief,
     integer_field,
     number_field,
     object_field,
@@ -375,7 +376,7 @@ def density_from_json(doc: Any, where: str = "density") -> DensitySpec:
     tag = doc.get("type") if isinstance(doc, Mapping) else None
     if not isinstance(tag, str) or tag not in _FORMS:
         raise SchemaError(
-            f"{where} must be an object with a type in {list(_FORMS)}, got type {tag!r}"
+            f"{where} must be an object with a type in {list(_FORMS)}, got type {brief(tag)}"
         )
     variant, fields = _FORMS[tag]
     values = object_field(

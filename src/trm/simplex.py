@@ -25,9 +25,12 @@ relative tie test are invariant under scaling a row.
 Uniform break points are normalised exponential spacings: n iid standard
 exponentials divided by their sum are uniform on the simplex.  The utr and
 complementary trials never divide: since a region depends only on the
-direction of a row, they compare the raw exponentials, drawn outcome-major
-by _exponential_break_points so that every column the region pass reads is
-contiguous, and P(i) = x_i still holds exactly.
+direction of a row, they compare the raw exponentials, and P(i) = x_i still
+holds exactly.  They draw one outcome column at a time, when the region
+pass reads it, into a column the pass owns (_exponential_regions, and
+utr's _regions_at_break_point); the values and the generator's final state
+are those of an eager outcome-major (n, m) draw, which is never built, so a
+trial block holds a few (m,) arrays at any n.
 
 sample_uniform_batch remains the public normalised sampler, with no caller
 in the library.  It draws one (m, n) array and divides it in place by row
@@ -252,28 +255,30 @@ def _check_index(n: int, i: int) -> None:
 
 
 def _ratio_regions(
-    cols: np.ndarray, ratio: Callable[[int], np.ndarray]
+    cols: np.ndarray, m: int, ratio: Callable[[int, np.ndarray], object]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise first argmin of ratio columns and tie mask, in one pass.
 
-    cols holds the 0-based column indices in ascending order; ratio(j)
-    returns a new (m,) array, which the pass may overwrite, of the ratios of
-    column j, np.inf where a row excludes it.
-    The pass keeps three (m,) arrays: the smallest ratio so far, its index
-    and the runner-up, so no (m, n) ratio matrix is ever built.  Of equal
-    minima the first column wins.  Returns 1-based indices, in the smallest
-    integer type that holds the last one, and a boolean tie mask.  A row
-    ties when its two smallest ratios agree within TIE_RTOL relatively,
-    which is the break-on-boundary condition; a row with one finite ratio
-    has an infinite runner-up and never ties.
+    cols holds the 0-based column indices in ascending order; ratio(j, out)
+    writes into the (m,) float array out the ratios of column j, np.inf
+    where a row excludes it.  The pass owns every array: the smallest ratio
+    so far, its index, the runner-up, and one column that each ratio after
+    the first is written into, so no (m, n) ratio matrix is ever built.  Of
+    equal minima the first column wins.  Returns 1-based indices, in the
+    smallest integer type that holds the last one, and a boolean tie mask.
+    A row ties when its two smallest ratios agree within TIE_RTOL
+    relatively, which is the break-on-boundary condition; a row with one
+    finite ratio has an infinite runner-up and never ties.
     """
-    lo = ratio(cols[0])
+    lo = np.empty(m)
+    ratio(cols[0], lo)
     hi = np.full_like(lo, np.inf)
     # the smallest integer type that holds every index keeps its updates cheap
-    idx = np.full(lo.shape, cols[0] + 1, dtype=np.min_scalar_type(cols[-1] + 1))
-    step, first, spare = np.empty_like(idx), np.empty(lo.shape, dtype=bool), np.empty_like(lo)
+    idx = np.full(m, cols[0] + 1, dtype=np.min_scalar_type(cols[-1] + 1))
+    step, first = np.empty_like(idx), np.empty(m, dtype=bool)
+    r, spare = np.empty_like(lo), np.empty_like(lo)
     for j in cols[1:]:
-        r = ratio(j)
+        ratio(j, r)
         np.less(r, lo, out=first)
         # first * (j + 1) is 0 or the new index, and the new index exceeds
         # every index kept so far because the columns ascend
@@ -332,7 +337,50 @@ def regions_of_batch(
     # a subnormal x_j overflows the ratio to inf, which is right: that
     # outcome never wins
     with np.errstate(over="ignore"):
-        return _ratio_regions(np.flatnonzero(xv > 0.0), lambda j: pts[:, j] / xv[j])
+        return _ratio_regions(
+            np.flatnonzero(xv > 0.0),
+            pts.shape[0],
+            lambda j, out: np.divide(pts[:, j], xv[j], out=out),
+        )
+
+
+def _exponential_regions(
+    xv: np.ndarray, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Regions of `size` break points drawn as raw standard exponentials,
+    outcome-major, each column drawn when the region pass reads it.
+
+    Returns the (indices, ties) that regions_of_batch returns on the eager
+    draw, row j of an (n, size) array transposed, and leaves rng where that
+    draw leaves it: a C-order (n, size) draw is the same stream as n draws
+    of size, so each support column is drawn into the pass's own column and
+    divided there by x_j, the columns of outcomes outside the support are
+    drawn into it and dropped, and so are those after the last support
+    column.  No (n, size) array is ever held.
+
+    The rows are never divided by their sums.  A break point lam lies in
+    A_i when i minimizes lam_j / x_j; scaling the row scales every ratio
+    alike, so neither the argmin nor the relative TIE_RTOL test moves, and
+    raw exponentials decide regions as their normalised rows, uniform
+    simplex points, would.  With the roles swapped (utr's
+    _regions_at_break_point, where the row is a state s and the break
+    point is fixed) every ratio lam_j / s_j scales by the same row sum too.
+    """
+    drawn = 0
+
+    def ratio(j: int, out: np.ndarray) -> None:
+        nonlocal drawn
+        for _ in range(drawn, j + 1):
+            rng.standard_exponential(out=out)
+        drawn = j + 1
+        np.divide(out, xv[j], out=out)
+
+    # a subnormal x_j overflows the ratio to inf, as in regions_of_batch
+    with np.errstate(over="ignore"):
+        regions = _ratio_regions(np.flatnonzero(xv > 0.0), size, ratio)
+    for _ in range(drawn, xv.size):
+        rng.standard_exponential(size)
+    return regions
 
 
 def resolve_ties(
@@ -371,23 +419,6 @@ def sample_uniform_batch(n: int, size: int, rng: np.random.Generator) -> np.ndar
     if n < 2:
         raise ValueError(f"need at least two outcomes, got n={n}")
     return _normalise_rows(rng.standard_exponential((size, n)))
-
-
-def _exponential_break_points(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """(size, n) break points as raw standard exponentials, outcome-major.
-
-    Each row is a uniform simplex point times a positive scale (its row
-    sum), and the rows are never divided by it: outcome regions do not
-    depend on that scale.  A break point lam lies in A_i when i minimizes
-    lam_j / x_j; scaling the row scales every ratio alike, so neither the
-    argmin nor the relative TIE_RTOL test moves.  With the roles swapped
-    (_regions_at_break_point, where the row is a state s and the break
-    point is fixed) every ratio lam_j / s_j scales by the same row sum too.
-
-    The values are drawn as an (n, size) array and returned transposed, so
-    each column pts[:, j] that _ratio_regions reads is contiguous.
-    """
-    return rng.standard_exponential((n, size)).T
 
 
 def _normalise_rows(e: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ estimates the law for any dimension.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,9 +22,8 @@ from .errors import ImpossibleOutcomeError
 from .simplex import (
     BarycentricVector,
     OutcomePartition,
-    _exponential_break_points,
+    _exponential_regions,
     _ratio_regions,
-    regions_of_batch,
     resolve_ties,
 )
 
@@ -99,7 +98,7 @@ def run_batch(
     xv = x.as_array()
     regions = resolve_ties(
         trials,
-        lambda rows, count: regions_of_batch(xv, _exponential_break_points(x.n, count, rng)),
+        lambda rows, count: _exponential_regions(xv, count, rng),
         f"for state {x.components}",
     )
     return partition.count(regions)[0]
@@ -158,19 +157,24 @@ def complementary_probabilities(lam: BarycentricVector) -> np.ndarray:
 
 
 def _regions_at_break_point(
-    lam: np.ndarray, states: np.ndarray
+    lam: np.ndarray, m: int, column: Callable[[int, np.ndarray], object]
 ) -> tuple[np.ndarray, np.ndarray]:
     """regions_of_batch with the roles swapped: (indices, ties) of the
-    region of each (m, n) state row that contains the one break point lam.
-    The denominators change from row to row, so each row excludes its own
-    zero components."""
-    m = states.shape[0]
-    return _ratio_regions(
-        np.arange(lam.size),
-        lambda j: np.divide(
-            lam[j], states[:, j], out=np.full(m, np.inf), where=states[:, j] > 0.0
-        ),
-    )
+    region of each of m states that contains the one break point lam.
+
+    column(j, out) writes component j of every state into the (m,) array
+    out; it is called once for each j, in ascending order, and the pass
+    turns out into the ratios in place.  The denominators change from row
+    to row, so each row excludes its own zero components.
+    """
+
+    def ratio(j: int, out: np.ndarray) -> None:
+        column(j, out)
+        positive = out > 0.0
+        np.divide(lam[j], out, out=out, where=positive)
+        out[~positive] = np.inf
+
+    return _ratio_regions(np.arange(lam.size), m, ratio)
 
 
 def complementary_mc(
@@ -179,7 +183,10 @@ def complementary_mc(
     """Monte Carlo estimate of the fixed-break-point law, any dimension.
 
     Samples states uniformly and tallies which region of each sampled state
-    contains lam; boundary hits are resampled.
+    contains lam; boundary hits are resampled.  The states are raw standard
+    exponentials, one outcome column drawn each time the region pass reads
+    one, which is the outcome-major stream simplex._exponential_regions
+    draws.
     """
     if trials <= 0:
         raise ValueError(f"need a positive trial count, got {trials}")
@@ -187,7 +194,7 @@ def complementary_mc(
     regions = resolve_ties(
         trials,
         lambda rows, count: _regions_at_break_point(
-            lv, _exponential_break_points(lam.n, count, rng)
+            lv, count, lambda j, out: rng.standard_exponential(out=out)
         ),
         f"at break point {lam.components}",
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trm import CellularDensity
+from trm.utr import _regions_at_break_point
 
 
 @pytest.fixture
@@ -15,6 +16,14 @@ def random_interior_state(rng, n):
     """Strictly interior barycentric vector, bounded away from the faces."""
     w = rng.uniform(0.05, 1.0, size=n)
     return w / w.sum()
+
+
+def regions_at_break_point(lam, states):
+    """utr._regions_at_break_point on the rows of an (m, n) state array,
+    whose columns it copies, so the kernel leaves the array as it was."""
+    return _regions_at_break_point(
+        lam, states.shape[0], lambda j, out: np.copyto(out, states[:, j])
+    )
 
 
 def enumerate_cellular(n_outcomes, n_cells):

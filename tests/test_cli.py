@@ -15,6 +15,7 @@ import pytest
 import trm
 from trm import cli
 from trm.cells import MAX_CELLS
+from trm.errors import BRIEF_CHARS, brief
 from trm.hilbert import correspondence_batch
 from trm.shards import block_rng
 
@@ -278,6 +279,29 @@ def test_config_that_is_not_utf8_is_rejected_without_output(tmp_path):
     proc = run_cli("run", cfg)
     assert_rejected(proc, 2)
     assert "cannot read config" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "seed",
+    ['"' + "s" * 5000 + '"', "[" * 900 + "]" * 900],
+    ids=["long-string", "nested-900"],
+)
+def test_rejected_values_are_quoted_briefly(tmp_path, seed):
+    # the message quotes the bad value cut to about 80 characters, so one
+    # stderr line stays short however long or deep the value is
+    cfg = tmp_path / "seed.json"
+    cfg.write_text('{"kind": "utr", "seed": ' + seed + ', "params": {"x": [0.5, 0.5]}}')
+    proc = run_cli("run", cfg)
+    assert_rejected(proc, 2)
+    assert "config.seed must be an integer" in proc.stderr
+    assert len(proc.stderr.encode()) < 300
+
+
+def test_brief_cuts_long_reprs():
+    assert brief("ab") == "'ab'"
+    assert brief([1] * 3) == "[1, 1, 1]"
+    cut = brief("x" * 1000)
+    assert len(cut) == BRIEF_CHARS and cut.endswith("…") and cut.startswith("'xxx")
 
 
 def assert_rejected(proc, code):

@@ -22,10 +22,9 @@ from trm import (
     sample_uniform_batch,
     simplex_measure,
 )
-from trm.simplex import MAX_BOUNDARY_RETRIES, TIE_RTOL, resolve_ties
-from trm.utr import _regions_at_break_point
+from trm.simplex import MAX_BOUNDARY_RETRIES, TIE_RTOL, _exponential_regions, resolve_ties
 
-from conftest import iter_partitions, random_interior_state
+from conftest import iter_partitions, random_interior_state, regions_at_break_point
 
 
 def test_measure_closed_forms():
@@ -204,7 +203,7 @@ def test_fixed_break_point_kernel_matches_sort_reference(n, zeros, seed):
         den = np.where(lam > 0.0, lam / ratio_rows, 0.0)
         assert (_reference_regions(lam, den)[1] == expect).all()
         states = np.vstack([states, den])
-    idx, tie = _regions_at_break_point(lam, states)
+    idx, tie = regions_at_break_point(lam, states)
     ref_idx, ref_tie = _reference_regions(lam, states)
     assert not ref_tie[:8].any()
     np.testing.assert_array_equal(tie, ref_tie)
@@ -226,7 +225,7 @@ def test_scaling_rows_changes_no_region(n, zeros, seed):
     expect = np.repeat([e for _, e in probes], [r.shape[0] for r, _ in probes]).astype(bool)
     for kernel, base in (
         (lambda p: regions_of_batch(w, p), pts),
-        (lambda s: _regions_at_break_point(w, s), states),
+        (lambda s: regions_at_break_point(w, s), states),
     ):
         idx, tie = kernel(base)
         np.testing.assert_array_equal(tie[rows.shape[0] :], expect)
@@ -236,6 +235,33 @@ def test_scaling_rows_changes_no_region(n, zeros, seed):
             s_idx, s_tie = kernel(base * scale[:, None])
             np.testing.assert_array_equal(s_tie, tie)
             np.testing.assert_array_equal(s_idx[~tie], idx[~tie])
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 65536])
+@pytest.mark.parametrize(
+    "x",
+    [
+        (0.0, 0.3, 0.7),
+        (0.2, 0.0, 0.3, 0.5),
+        (0.1, 0.2, 0.3, 0.4, 0.0),
+        (1e-320, 0.4, 0.6),
+        (0.0, 0.0, 1.0, 0.0),
+        (0.1, 0.2, 0.3, 0.4),
+    ],
+)
+def test_exponential_regions_draw_the_eager_stream(x, size):
+    # each column is drawn when the pass reads it, the columns outside the
+    # support and after the last support column are drawn and dropped: the
+    # regions and the generator state after them are those of the eager
+    # outcome-major draw
+    xv = BarycentricVector(x).as_array()
+    eager, streamed = np.random.default_rng(11), np.random.default_rng(11)
+    idx, tie = regions_of_batch(xv, eager.standard_exponential((xv.size, size)).T)
+    s_idx, s_tie = _exponential_regions(xv, size, streamed)
+    np.testing.assert_array_equal(s_idx, idx)
+    np.testing.assert_array_equal(s_tie, tie)
+    assert s_idx.dtype == idx.dtype
+    assert streamed.standard_exponential(5).tolist() == eager.standard_exponential(5).tolist()
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -38,8 +38,9 @@ chart, so a unit-square uniform folded into that half and added to the
 square's corner gives the point: each chart coordinate is computed in
 place in its output column, no (m, 3, 2) corner tensor is made and the
 only float array beside the output is the (m, 2) uniform.  A slab inverts
-the lam_1 CDF inside the cell and spreads the remainder with the simplex
-sampler's row normaliser.
+the lam_1 CDF inside the cell and spreads the remainder over standard
+exponentials (simplex._exponential_column) divided by their row sums, as
+the simplex sampler does.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDensityError
-from .simplex import _normalise_rows
+from .errors import DegenerateDensityError, brief
+from .simplex import _exponential_column, _normalise_rows
 
 __all__ = [
     "CellularDensity",
@@ -101,11 +102,11 @@ class CellularDensity:
         listed = [int(c) for c in self.breakable]
         cells = frozenset(listed)
         if len(cells) != len(listed):
-            raise ValueError(f"breakable cells {listed} list a cell twice")
+            raise ValueError(f"breakable cells {brief(listed)} list a cell twice")
         if not cells:
             raise DegenerateDensityError("no breakable cells: density has no support")
         if min(cells) < 1 or max(cells) > self.n_cells:
-            raise ValueError(f"breakable cells {sorted(cells)} outside 1..{self.n_cells}")
+            raise ValueError(f"breakable cells {brief(sorted(cells))} outside 1..{self.n_cells}")
         object.__setattr__(self, "breakable", cells)
 
     @property
@@ -247,7 +248,7 @@ def sample_in_cells(
     p += idx
     p /= n_cells
     lam1 = out[:, 0] = 1.0 - (1.0 - p) ** (1.0 / (n_outcomes - 1))
-    rest = _normalise_rows(rng.standard_exponential((m, n_outcomes - 1)))
+    rest = _normalise_rows(_exponential_column(rng, np.empty((m, n_outcomes - 1))))
     np.multiply((1.0 - lam1)[:, None], rest, out=out[:, 1:])
     return out
 

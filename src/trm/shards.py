@@ -9,7 +9,8 @@ order they finish.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Iterator
 
 import numpy as np
@@ -17,6 +18,10 @@ import numpy as np
 __all__ = ["BLOCK_SIZE", "block_rng", "run_sharded"]
 
 BLOCK_SIZE = 1 << 16
+
+# Blocks per thread submitted to the pool and not yet added into the sum:
+# enough that no thread waits for work while the sum catches up.
+WINDOW = 2
 
 
 def block_rng(seed: int, index: int) -> np.random.Generator:
@@ -37,20 +42,38 @@ def run_sharded(
     block-index order regardless of completion order.  At most
     min(workers, number of blocks) threads run the blocks, and none when that
     is 1; each block's result is added into the sum as soon as it is its
-    turn, so no list of results is kept.
+    turn, so no list of results is kept.  Each block's trial count follows
+    from its index, and at most WINDOW blocks per thread are submitted and
+    not yet added, so the memory a run holds does not grow with its number
+    of blocks.
     """
     if total <= 0:
         raise ValueError(f"need a positive total, got {total}")
-    counts = [min(BLOCK_SIZE, total - start) for start in range(0, total, BLOCK_SIZE)]
+    size = BLOCK_SIZE
+    blocks = -(-total // size)
 
     def one(i: int) -> np.ndarray:
-        return np.asarray(block_fn(block_rng(seed, i), counts[i]))
+        return np.asarray(block_fn(block_rng(seed, i), min(size, total - i * size)))
 
-    threads = min(workers, len(counts))
+    threads = min(workers, blocks)
     if threads <= 1:
-        return _sum(map(one, range(len(counts))))
+        return _sum(map(one, range(blocks)))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _sum(pool.map(one, range(len(counts))))
+        return _sum(_in_order(pool, one, blocks, WINDOW * threads))
+
+
+def _in_order(
+    pool: ThreadPoolExecutor, fn: Callable[[int], np.ndarray], n: int, window: int
+) -> Iterator[np.ndarray]:
+    """fn(0), ..., fn(n - 1) run on pool and yielded in index order, with at
+    most `window` of them submitted and not yet yielded."""
+    pending: deque[Future] = deque()
+    for i in range(n):
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, i))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _sum(results: Iterator[np.ndarray]) -> np.ndarray:

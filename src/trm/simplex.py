@@ -23,14 +23,16 @@ smallest ratios agree within TIE_RTOL relatively.  Both the argmin and the
 relative tie test are invariant under scaling a row.
 
 Uniform break points are normalised exponential spacings: n iid standard
-exponentials divided by their sum are uniform on the simplex.  The utr and
-complementary trials never divide: since a region depends only on the
-direction of a row, they compare the raw exponentials, and P(i) = x_i still
-holds exactly.  They draw one outcome column at a time, when the region
-pass reads it, into a column the pass owns (_exponential_regions, and
-utr's _regions_at_break_point); the values and the generator's final state
-are those of an eager outcome-major (n, m) draw, which is never built, so a
-trial block holds a few (m,) arrays at any n.
+exponentials divided by their sum are uniform on the simplex.  Every
+standard exponential in the package is -log(1 - U) of a uniform U, filled
+in place by _exponential_column.  The utr and complementary trials never
+divide: since a region depends only on the direction of a row, they compare
+the raw exponentials, and P(i) = x_i still holds exactly.  They draw one
+outcome column at a time, when the region pass reads it, into a column the
+pass owns (_exponential_regions, and utr's _regions_at_break_point); the
+values and the generator's final state are those of an eager outcome-major
+(n, m) draw, which is never built, so a trial block holds a few (m,)
+arrays at any n.
 
 sample_uniform_batch remains the public normalised sampler, with no caller
 in the library.  It draws one (m, n) array and divides it in place by row
@@ -55,7 +57,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import UnstableEquilibriumError
+from .errors import UnstableEquilibriumError, brief
 
 __all__ = [
     "BarycentricVector",
@@ -100,9 +102,9 @@ class BarycentricVector:
         if len(comps) < 2:
             raise ValueError("a state needs at least two outcome components")
         if not all(math.isfinite(c) for c in comps):
-            raise ValueError(f"non-finite component in {comps}")
+            raise ValueError(f"non-finite component in {brief(comps)}")
         if any(c < 0.0 for c in comps):
-            raise ValueError(f"negative component in {comps}")
+            raise ValueError(f"negative component in {brief(comps)}")
         total = math.fsum(comps)
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"components sum to {total}, not 1 within {SUM_TOL}")
@@ -139,10 +141,10 @@ class OutcomePartition:
         if any(not b for b in blocks):
             raise ValueError("empty block in partition")
         if any(len(b) != len(set(b)) for b in listed):
-            raise ValueError(f"a block of {list(map(list, listed))} lists an outcome twice")
+            raise ValueError(f"a block of {brief(list(map(list, listed)))} lists an outcome twice")
         n = sum(len(b) for b in blocks)
         if set().union(*blocks) != set(range(1, n + 1)):
-            raise ValueError(f"blocks {blocks} do not partition 1..{n}")
+            raise ValueError(f"blocks {brief(blocks)} do not partition 1..{n}")
         bmap = np.empty(n, dtype=np.intp)
         for k, b in enumerate(blocks):
             bmap[[i - 1 for i in b]] = k
@@ -310,7 +312,8 @@ def region_of(
     idx, tie = regions_of_batch(x, lam.as_array()[None, :])
     if bool(tie[0]):
         raise UnstableEquilibriumError(
-            f"break point {lam.components} sits on a region boundary of {x.components}"
+            f"break point {brief(lam.components)} sits on a region boundary of "
+            f"{brief(x.components)}"
         )
     return int(idx[0])
 
@@ -347,16 +350,17 @@ def regions_of_batch(
 def _exponential_regions(
     xv: np.ndarray, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Regions of `size` break points drawn as raw standard exponentials,
-    outcome-major, each column drawn when the region pass reads it.
+    """Regions of `size` break points drawn as raw standard exponentials
+    (_exponential_column), outcome-major, each column drawn when the region
+    pass reads it.
 
     Returns the (indices, ties) that regions_of_batch returns on the eager
     draw, row j of an (n, size) array transposed, and leaves rng where that
     draw leaves it: a C-order (n, size) draw is the same stream as n draws
     of size, so each support column is drawn into the pass's own column and
-    divided there by x_j, the columns of outcomes outside the support are
-    drawn into it and dropped, and so are those after the last support
-    column.  No (n, size) array is ever held.
+    divided there by x_j, while the uniforms of outcomes outside the support,
+    and of those after the last support column, are drawn and dropped
+    without taking their log.  No (n, size) array is ever held.
 
     The rows are never divided by their sums.  A break point lam lies in
     A_i when i minimizes lam_j / x_j; scaling the row scales every ratio
@@ -370,8 +374,9 @@ def _exponential_regions(
 
     def ratio(j: int, out: np.ndarray) -> None:
         nonlocal drawn
-        for _ in range(drawn, j + 1):
-            rng.standard_exponential(out=out)
+        for _ in range(drawn, j):
+            rng.random(out=out)
+        _exponential_column(rng, out)
         drawn = j + 1
         np.divide(out, xv[j], out=out)
 
@@ -379,8 +384,25 @@ def _exponential_regions(
     with np.errstate(over="ignore"):
         regions = _ratio_regions(np.flatnonzero(xv > 0.0), size, ratio)
     for _ in range(drawn, xv.size):
-        rng.standard_exponential(size)
+        rng.random(size)
     return regions
+
+
+def _exponential_column(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous float64 array out, in place, with standard
+    exponentials -log(1 - U), U = rng.random(out=out), and return it.
+
+    This is the package's one source of standard exponentials.  A uniform
+    and numpy's vectorised log take less time than the generator's ziggurat
+    exponential, which is a scalar loop.  1 - U is exact on the 2^-53 grid
+    of U, so every value is finite and >= 0: U = 0 gives -0.0, which acts
+    as 0, and the tail is cut at 53 ln 2, a mass of 2^-53.  Filling an
+    array of any shape draws the stream of rng.random(out.shape).
+    """
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
+    return np.negative(out, out=out)
 
 
 def resolve_ties(
@@ -415,10 +437,10 @@ def resolve_ties(
 
 def sample_uniform_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """(size, n) array of uniform simplex points: each row holds n standard
-    exponentials divided, in place, by their sum."""
+    exponentials (_exponential_column) divided, in place, by their sum."""
     if n < 2:
         raise ValueError(f"need at least two outcomes, got n={n}")
-    return _normalise_rows(rng.standard_exponential((size, n)))
+    return _normalise_rows(_exponential_column(rng, np.empty((size, n))))
 
 
 def _normalise_rows(e: np.ndarray) -> np.ndarray:

@@ -18,10 +18,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError
+from .errors import ImpossibleOutcomeError, brief
 from .simplex import (
     BarycentricVector,
     OutcomePartition,
+    _exponential_column,
     _exponential_regions,
     _ratio_regions,
     resolve_ties,
@@ -63,7 +64,9 @@ def collapse(
     weight, post = restrict(x.as_array(), partition.block_masks()[block_index - 1])
     if weight == 0.0:
         block = sorted(partition.blocks[block_index - 1])
-        raise ImpossibleOutcomeError(f"block {block} has zero weight in {x.components}")
+        raise ImpossibleOutcomeError(
+            f"block {brief(block)} has zero weight in {brief(x.components)}"
+        )
     return BarycentricVector(tuple(post))
 
 
@@ -99,7 +102,7 @@ def run_batch(
     regions = resolve_ties(
         trials,
         lambda rows, count: _exponential_regions(xv, count, rng),
-        f"for state {x.components}",
+        f"for state {brief(x.components)}",
     )
     return partition.count(regions)[0]
 
@@ -143,7 +146,7 @@ def complementary_probabilities(lam: BarycentricVector) -> np.ndarray:
     if lam.n == 3:
         if any(c <= 0.0 for c in lam.components):
             raise ValueError(
-                f"closed form needs an interior break point, got {lam.components}"
+                f"closed form needs an interior break point, got {brief(lam.components)}"
             )
         l1, l2, l3 = lam.components
         return np.array(
@@ -184,9 +187,9 @@ def complementary_mc(
 
     Samples states uniformly and tallies which region of each sampled state
     contains lam; boundary hits are resampled.  The states are raw standard
-    exponentials, one outcome column drawn each time the region pass reads
-    one, which is the outcome-major stream simplex._exponential_regions
-    draws.
+    exponentials (simplex._exponential_column), one outcome column drawn
+    each time the region pass reads one, which is the outcome-major stream
+    simplex._exponential_regions draws.
     """
     if trials <= 0:
         raise ValueError(f"need a positive trial count, got {trials}")
@@ -194,9 +197,9 @@ def complementary_mc(
     regions = resolve_ties(
         trials,
         lambda rows, count: _regions_at_break_point(
-            lv, count, lambda j, out: rng.standard_exponential(out=out)
+            lv, count, lambda j, out: _exponential_column(rng, out)
         ),
-        f"at break point {lam.components}",
+        f"at break point {brief(lam.components)}",
     )
     return OutcomePartition.singletons(lam.n).count(regions)[0] / trials
 

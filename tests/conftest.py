@@ -12,6 +12,12 @@ def rng():
     return np.random.default_rng(20260815)
 
 
+def eager_exponentials(rng, shape):
+    """The standard exponentials the package draws, written out eagerly:
+    -log(1 - U) of one rng.random(shape) draw."""
+    return -np.log(1.0 - rng.random(shape))
+
+
 def random_interior_state(rng, n):
     """Strictly interior barycentric vector, bounded away from the faces."""
     w = rng.uniform(0.05, 1.0, size=n)

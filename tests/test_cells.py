@@ -14,7 +14,7 @@ from trm.cells import (
     triangle_vertices,
 )
 from trm.simplex import regions_of_batch
-from conftest import random_interior_state
+from conftest import eager_exponentials, random_interior_state
 
 
 def test_cellular_density_validation():
@@ -241,7 +241,7 @@ def _column_stack_slabs(n, n_cells, idx, rng):
     """The slab sampler with numpy's row sum and a column_stack."""
     p = (idx + rng.random(idx.size)) / n_cells
     lam1 = 1.0 - (1.0 - p) ** (1.0 / (n - 1))
-    rest = rng.standard_exponential((idx.size, n - 1))
+    rest = eager_exponentials(rng, (idx.size, n - 1))
     rest /= rest.sum(axis=1, keepdims=True)
     return np.column_stack([lam1, (1.0 - lam1)[:, None] * rest])
 

@@ -281,19 +281,30 @@ def test_config_that_is_not_utf8_is_rejected_without_output(tmp_path):
     assert "cannot read config" in proc.stderr
 
 
+def _utr_config(seed="1", x="[0.5, 0.5]", blocks=None):
+    params = f'"x": {x}' + ("" if blocks is None else f', "blocks": {blocks}')
+    return '{"kind": "utr", "seed": ' + seed + ', "params": {' + params + "}}"
+
+
 @pytest.mark.parametrize(
-    "seed",
-    ['"' + "s" * 5000 + '"', "[" * 900 + "]" * 900],
-    ids=["long-string", "nested-900"],
+    "text, code, message",
+    [
+        (_utr_config(seed='"' + "s" * 5000 + '"'), 2, "config.seed must be an integer"),
+        (_utr_config(seed="[" * 900 + "]" * 900), 2, "config.seed must be an integer"),
+        (_utr_config(x=json.dumps([-0.5] + [0.0001] * 9999)), 3, "negative component in"),
+        (_utr_config(blocks=json.dumps([[1] * 5000, [2]])), 3, "lists an outcome twice"),
+    ],
+    ids=["long-string", "nested-900", "long-state", "long-block"],
 )
-def test_rejected_values_are_quoted_briefly(tmp_path, seed):
-    # the message quotes the bad value cut to about 80 characters, so one
-    # stderr line stays short however long or deep the value is
-    cfg = tmp_path / "seed.json"
-    cfg.write_text('{"kind": "utr", "seed": ' + seed + ', "params": {"x": [0.5, 0.5]}}')
+def test_rejected_values_are_quoted_briefly(tmp_path, text, code, message):
+    # the message quotes the bad value, a config value or a state or
+    # partition built from one, cut to about 80 characters, so one stderr
+    # line stays short however long or deep the value is
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
     proc = run_cli("run", cfg)
-    assert_rejected(proc, 2)
-    assert "config.seed must be an integer" in proc.stderr
+    assert_rejected(proc, code)
+    assert message in proc.stderr
     assert len(proc.stderr.encode()) < 300
 
 

@@ -18,7 +18,7 @@ GOLDEN = {
     "utr_blocks": (
         {"kind": "utr", "seed": 11,
          "params": {"x": [0.1, 0.2, 0.3, 0.4], "blocks": [[1, 4], [2], [3]], "trials": 100000}},
-        "78969919d120d978ef326ab8c437db2bc3504ca848b7e6e4a5f4cde4553c2c1e",
+        "29635e55cfe6b5f0d7f45b47132ee8072e1952e499ed0cdcaf947a404f36ae4f",
     ),
     "utr_vertex": (
         {"kind": "utr", "seed": 12,
@@ -68,13 +68,13 @@ GOLDEN = {
         {"kind": "universal", "seed": 18,
          "params": {"method": "mc", "x": [0.1, 0.2, 0.3, 0.4], "blocks": [[1, 4], [2, 3]],
                     "cell_counts": [5, 16], "density_samples": 300, "point_samples": 40}},
-        "2be39a594dbd121164e4dcf36dd14d0dc4b591a766cfc134a062452908baa0c7",
+        "af6ac7e43547ad36572cf42b69e913034105a3275636a4ac5a022581d9ce1001",
     ),
     "utr_n6": (
         {"kind": "utr", "seed": 19,
          "params": {"x": [0.05, 0.1, 0.15, 0.2, 0.22, 0.28],
                     "blocks": [[1, 6], [2, 3], [4], [5]], "trials": 100000}},
-        "f9f101cef48fce9e030092c09b42efec0b04e332c386b5e557a6fab9e2dcd4e8",
+        "71e291223d78b0353c2fc1689177a2c68b64f6c465a0719ca8cd98ca2a7c1c25",
     ),
     "oracle": (
         {"kind": "oracle", "seed": 17, "params": {"dims": [2, 3, 4, 5], "states": 40}},

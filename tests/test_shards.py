@@ -1,5 +1,6 @@
 """Sharded execution must give the same numbers for any worker count."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -79,3 +80,20 @@ def test_threads_never_outnumber_blocks(monkeypatch):
     monkeypatch.undo()
     np.testing.assert_array_equal(three, run_sharded(2 * BLOCK_SIZE + 500, 3, counting_fn))
     np.testing.assert_array_equal(one, run_sharded(BLOCK_SIZE - 200, 3, counting_fn))
+
+
+def test_blocks_in_flight_are_bounded(monkeypatch):
+    # submitting every block at once held about 1.5 kB per block, some 30 MB
+    # for 20 000 blocks; a window of a few blocks per thread holds a few kB
+    # whatever the block count.  The generators are stubbed out, so only the
+    # scheduling is measured.
+    blocks = 20_000
+    monkeypatch.setattr(trm.shards, "block_rng", lambda seed, i: None)
+    tracemalloc.start()
+    try:
+        out = run_sharded(blocks * BLOCK_SIZE, 1, lambda rng, m: np.array([m]), workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tolist() == [blocks * BLOCK_SIZE]
+    assert peak < 1 << 20

@@ -22,9 +22,20 @@ from trm import (
     sample_uniform_batch,
     simplex_measure,
 )
-from trm.simplex import MAX_BOUNDARY_RETRIES, TIE_RTOL, _exponential_regions, resolve_ties
+from trm.simplex import (
+    MAX_BOUNDARY_RETRIES,
+    TIE_RTOL,
+    _exponential_column,
+    _exponential_regions,
+    resolve_ties,
+)
 
-from conftest import iter_partitions, random_interior_state, regions_at_break_point
+from conftest import (
+    eager_exponentials,
+    iter_partitions,
+    random_interior_state,
+    regions_at_break_point,
+)
 
 
 def test_measure_closed_forms():
@@ -256,12 +267,37 @@ def test_exponential_regions_draw_the_eager_stream(x, size):
     # outcome-major draw
     xv = BarycentricVector(x).as_array()
     eager, streamed = np.random.default_rng(11), np.random.default_rng(11)
-    idx, tie = regions_of_batch(xv, eager.standard_exponential((xv.size, size)).T)
+    idx, tie = regions_of_batch(xv, eager_exponentials(eager, (xv.size, size)).T)
     s_idx, s_tie = _exponential_regions(xv, size, streamed)
     np.testing.assert_array_equal(s_idx, idx)
     np.testing.assert_array_equal(s_tie, tie)
     assert s_idx.dtype == idx.dtype
-    assert streamed.standard_exponential(5).tolist() == eager.standard_exponential(5).tolist()
+    assert streamed.random(5).tolist() == eager.random(5).tolist()
+
+
+def test_exponential_regions_do_not_depend_on_the_last_bit_of_log():
+    # numpy's vectorised log and libm's may round a value differently in the
+    # last bit; a tie needs two ratios within TIE_RTOL, which is far wider,
+    # so the regions and ties are those of a per-element math.log column
+    size = 200_000
+    e = _exponential_column(np.random.default_rng(3), np.empty((size, 4)))
+    u = np.random.default_rng(3).random((size, 4))
+    ref = np.array([-math.log(1.0 - v) for v in u.ravel().tolist()]).reshape(size, 4)
+    for x in [(0.0, 0.3, 0.3, 0.4), (1e-320, 0.2, 0.3, 0.5), (0.25,) * 4, (0.1, 0.2, 0.3, 0.4)]:
+        idx, tie = regions_of_batch(BarycentricVector(x), e)
+        ref_idx, ref_tie = regions_of_batch(BarycentricVector(x), ref)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(tie, ref_tie)
+
+
+def test_exponential_column_is_standard_exponential():
+    n = 10**6
+    e = _exponential_column(np.random.default_rng(5), np.empty(n))
+    assert np.isfinite(e).all() and (e >= 0.0).all()
+    # an Exp(1) sample has mean 1 and variance 1; the sample variance of n
+    # draws has variance (mu_4 - 1) / n = 8 / n
+    assert abs(e.mean() - 1.0) <= 4 / math.sqrt(n)
+    assert abs(e.var() - 1.0) <= 4 * math.sqrt(8 / n)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -445,7 +481,7 @@ def test_partition_enumeration_counts():
 
 def _row_sum_divide(n, size, rng):
     """The sampler as numpy's row sum writes it: e / e.sum(axis=1)."""
-    e = rng.standard_exponential((size, n))
+    e = eager_exponentials(rng, (size, n))
     return e / e.sum(axis=1, keepdims=True)
 
 

@@ -23,7 +23,12 @@ from trm import (
     sequential_probability,
 )
 
-from conftest import iter_partitions, random_interior_state, regions_at_break_point
+from conftest import (
+    eager_exponentials,
+    iter_partitions,
+    random_interior_state,
+    regions_at_break_point,
+)
 
 X4 = BarycentricVector((0.1, 0.2, 0.3, 0.4))
 COARSE = OutcomePartition.of([[1, 2], [3, 4]])
@@ -62,7 +67,7 @@ def _normalised_outcome_major_draw(seed, n, size):
     """The draw run_batch and complementary_mc make from a fresh generator,
     written the long way: (n, size) exponentials, transposed so each row
     is one trial, and each row divided by its sum."""
-    e = np.random.default_rng(seed).standard_exponential((n, size)).T
+    e = eager_exponentials(np.random.default_rng(seed), (n, size)).T
     return e / e.sum(axis=1, keepdims=True)
 
 

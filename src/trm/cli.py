@@ -18,9 +18,9 @@ trials included (gtr.frequency_plus_1d), lives in the library.  _PARAMS
 lists the params each kind and mode reads; any other field, at any level of
 the document, is a schema error.
 
-Exit codes: 0 success, 1 oracle comparison failure, 2 malformed config or
-an unwritable --out file, 3 well-formed config with out-of-range values or
-a non-finite result.
+Exit codes: 0 success, 1 oracle comparison failure, 2 malformed config, a
+--workers below 1 or an unwritable --out file, 3 well-formed config with
+out-of-range values or a non-finite result.
 """
 
 from __future__ import annotations
@@ -485,15 +485,19 @@ def main(argv: list[str] | None = None) -> int:
             "--workers",
             type=int,
             default=os.cpu_count() or 1,
-            help="parallel workers for utr and gtr 1d trials (results do not depend on this)",
+            help="parallel workers for utr and gtr 1d trials, at least 1; no more threads "
+            "than CPUs run (results do not depend on this)",
         )
         sp.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        print(f"argument error: --workers must be at least 1, not {args.workers}", file=sys.stderr)
+        return 2
     _keep_freed_memory()
 
     try:
         config, kind, seed, params = _load_config(args.config, forced[args.command])
-        result, rows = _RUNNERS[kind](params, seed, max(1, args.workers))
+        result, rows = _RUNNERS[kind](params, seed, args.workers)
         canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
         payload = {
             "kind": kind,

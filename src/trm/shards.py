@@ -9,6 +9,7 @@ order they finish.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Iterator
@@ -40,9 +41,10 @@ def run_sharded(
 
     block_fn must depend only on its arguments; the reduction happens in
     block-index order regardless of completion order.  At most
-    min(workers, number of blocks) threads run the blocks, and none when that
-    is 1; each block's result is added into the sum as soon as it is its
-    turn, so no list of results is kept.  Each block's trial count follows
+    min(workers, number of blocks, CPU count) threads run the blocks, and
+    none when that is 1, since more threads than CPUs add memory and wall
+    time but change no result; each block's result is added into the sum
+    as soon as it is its turn, so no list of results is kept.  Each block's trial count follows
     from its index, and at most WINDOW blocks per thread are submitted and
     not yet added, so the memory a run holds does not grow with its number
     of blocks.
@@ -55,7 +57,7 @@ def run_sharded(
     def one(i: int) -> np.ndarray:
         return np.asarray(block_fn(block_rng(seed, i), min(size, total - i * size)))
 
-    threads = min(workers, blocks)
+    threads = min(workers, blocks, os.cpu_count() or 1)
     if threads <= 1:
         return _sum(map(one, range(blocks)))
     with ThreadPoolExecutor(max_workers=threads) as pool:

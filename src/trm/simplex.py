@@ -32,7 +32,11 @@ outcome column at a time, when the region pass reads it, into a column the
 pass owns (_exponential_regions, and utr's _regions_at_break_point); the
 values and the generator's final state are those of an eager outcome-major
 (n, m) draw, which is never built, so a trial block holds a few (m,)
-arrays at any n.
+arrays at any n.  A ratio column takes three passes over the draw, 1 - U,
+its log, and one product with -min(1 / x_j, float max) where the eager
+route negates and divides by x_j; each product is within about 1.5 ulp of
+the quotient, so only ratios that TIE_RTOL already calls tied can change
+order, and the regions, ties and stream are the same.
 
 sample_uniform_batch remains the public normalised sampler, with no caller
 in the library.  It draws one (m, n) array and divides it in place by row
@@ -190,14 +194,17 @@ class OutcomePartition:
         group (for example one sampled density or one cell each).  One
         bincount tallies (group, outcome) pairs; the outcome columns are then
         added into their blocks, so no per-region block lookup is made.
-        Raises ValueError when a region lies outside 1..n, which would
-        otherwise be tallied in a neighbouring group.
+        The group offsets are in the smallest type that holds the largest
+        bin, groups * n, so the one-byte regions of a utr block stay one
+        byte.  Raises ValueError when a region lies outside 1..n, which
+        would otherwise be tallied in a neighbouring group.
         """
         n = self.n
         regions = np.asarray(regions)
         if regions.size and (regions.min() < 1 or regions.max() > n):
             raise ValueError(f"regions must lie in 1..{n}")
-        bins = np.reshape(regions, (groups, -1)) + n * np.arange(groups)[:, None]
+        offsets = np.arange(0, groups * n, n, dtype=np.min_scalar_type(groups * n))
+        bins = np.reshape(regions, (groups, -1)) + offsets[:, None]
         outcomes = np.bincount(bins.ravel(), minlength=groups * n + 1)[1:].reshape(groups, n)
         counts = np.zeros((groups, self.n_blocks), dtype=outcomes.dtype)
         np.add.at(counts, (slice(None), self._map), outcomes)
@@ -265,28 +272,35 @@ def _ratio_regions(
     writes into the (m,) float array out the ratios of column j, np.inf
     where a row excludes it.  The pass owns every array: the smallest ratio
     so far, its index, the runner-up, and one column that each ratio after
-    the first is written into, so no (m, n) ratio matrix is ever built.  Of
-    equal minima the first column wins.  Returns 1-based indices, in the
-    smallest integer type that holds the last one, and a boolean tie mask.
-    A row ties when its two smallest ratios agree within TIE_RTOL
-    relatively, which is the break-on-boundary condition; a row with one
-    finite ratio has an infinite runner-up and never ties.
+    the first is written into, so no (m, n) ratio matrix is ever built.
+    The first comparison writes the runner-up, max(lo, r), straight into
+    its preallocated array, which has the bits min(inf, max(lo, r)) has;
+    only a single support column fills it with inf.  Of equal minima the
+    first column wins.  Returns 1-based indices, in the smallest integer
+    type that holds the last one, and a boolean tie mask.  A row ties when
+    its two smallest ratios agree within TIE_RTOL relatively, which is the
+    break-on-boundary condition; a row with one finite ratio has an
+    infinite runner-up and never ties.
     """
     lo = np.empty(m)
     ratio(cols[0], lo)
-    hi = np.full_like(lo, np.inf)
+    hi = np.full_like(lo, np.inf) if len(cols) == 1 else np.empty_like(lo)
     # the smallest integer type that holds every index keeps its updates cheap
     idx = np.full(m, cols[0] + 1, dtype=np.min_scalar_type(cols[-1] + 1))
     step, first = np.empty_like(idx), np.empty(m, dtype=bool)
     r, spare = np.empty_like(lo), np.empty_like(lo)
-    for j in cols[1:]:
+    for k, j in enumerate(cols[1:]):
         ratio(j, r)
         np.less(r, lo, out=first)
         # first * (j + 1) is 0 or the new index, and the new index exceeds
         # every index kept so far because the columns ascend
         np.maximum(idx, np.multiply(first, idx.dtype.type(j + 1), out=step), out=idx)
-        # the runner-up is the old minimum where r beats it, else min(hi, r)
-        np.minimum(hi, np.maximum(lo, r, out=spare), out=hi)
+        # the runner-up is the old minimum where r beats it, else min(hi, r);
+        # before the first comparison hi would be inf, so it is max(lo, r)
+        if k:
+            np.minimum(hi, np.maximum(lo, r, out=spare), out=hi)
+        else:
+            np.maximum(lo, r, out=hi)
         np.minimum(lo, r, out=lo)
     with np.errstate(invalid="ignore"):
         tie = np.subtract(hi, lo, out=spare) <= np.multiply(hi, TIE_RTOL, out=lo)
@@ -327,11 +341,14 @@ def regions_of_batch(
     integer type (one byte up to 255 outcomes), and only meaningful where
     ties is False.  One pass over the support columns of x divides each
     column of points by its positive x_j, so no column needs a zero mask,
-    and keeps the running minimum, its index and the runner-up.  Both the
-    argmin and the relative tie test are invariant under scaling a row, so
-    the rows of points need not be normalised.  A vertex state has one
-    support column and never ties.  Raises ValueError when the width of
-    points is not the number of outcomes of x.
+    and keeps the running minimum, its index and the runner-up.  It keeps
+    the divide where _exponential_regions multiplies: points may have
+    subnormal coordinates, whose product with 1 / x_j is not within an ulp
+    of the quotient.  Both the argmin and the relative tie test are
+    invariant under scaling a row, so the rows of points need not be
+    normalised.  A vertex state has one support column and never ties.
+    Raises ValueError when the width of points is not the number of
+    outcomes of x.
     """
     xv = x.as_array() if isinstance(x, BarycentricVector) else np.asarray(x, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -357,10 +374,21 @@ def _exponential_regions(
     Returns the (indices, ties) that regions_of_batch returns on the eager
     draw, row j of an (n, size) array transposed, and leaves rng where that
     draw leaves it: a C-order (n, size) draw is the same stream as n draws
-    of size, so each support column is drawn into the pass's own column and
-    divided there by x_j, while the uniforms of outcomes outside the support,
-    and of those after the last support column, are drawn and dropped
-    without taking their log.  No (n, size) array is ever held.
+    of size, so each support column is drawn into the pass's own column,
+    while the uniforms of outcomes outside the support, and of those after
+    the last support column, are drawn and dropped without taking their
+    log.  No (n, size) array is ever held.
+
+    A ratio column takes three passes, 1 - U, its log, and a product with
+    -inv_j, inv_j = min(1 / x_j, float max), where regions_of_batch
+    negates the log and divides by x_j.  The regions do not move: each
+    numerator is 0 or lies in [2^-53, 53 ln 2], so a product is 0, or
+    within about 1.5 ulp of the quotient, or both overflow.  Two ratios
+    can only change order when they are within 2 ulp, which TIE_RTOL
+    already calls a tie, and a tie can only change when the gap is within
+    a few ulp of TIE_RTOL.  The cap keeps 0 * inv_j at 0, as 0 / x_j is,
+    where a subnormal x_j makes 1 / x_j inf; the capped ratios that are
+    left are huge and can neither win nor tie, since some x_i >= 1/n.
 
     The rows are never divided by their sums.  A break point lam lies in
     A_i when i minimizes lam_j / x_j; scaling the row scales every ratio
@@ -371,16 +399,19 @@ def _exponential_regions(
     point is fixed) every ratio lam_j / s_j scales by the same row sum too.
     """
     drawn = 0
+    # 1 / 0 is never read: the pass reads support columns only
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = np.minimum(1.0 / xv, np.finfo(float).max)
 
     def ratio(j: int, out: np.ndarray) -> None:
         nonlocal drawn
         for _ in range(drawn, j):
             rng.random(out=out)
-        _exponential_column(rng, out)
+        _exponential_column(rng, out, inv[j])
         drawn = j + 1
-        np.divide(out, xv[j], out=out)
 
-    # a subnormal x_j overflows the ratio to inf, as in regions_of_batch
+    # a capped inv_j can overflow the ratio to inf, which is right: that
+    # outcome never wins
     with np.errstate(over="ignore"):
         regions = _ratio_regions(np.flatnonzero(xv > 0.0), size, ratio)
     for _ in range(drawn, xv.size):
@@ -388,21 +419,26 @@ def _exponential_regions(
     return regions
 
 
-def _exponential_column(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+def _exponential_column(
+    rng: np.random.Generator, out: np.ndarray, scale: float = 1.0
+) -> np.ndarray:
     """Fill the C-contiguous float64 array out, in place, with standard
-    exponentials -log(1 - U), U = rng.random(out=out), and return it.
+    exponentials -log(1 - U) times scale, U = rng.random(out=out), and
+    return it.
 
     This is the package's one source of standard exponentials.  A uniform
     and numpy's vectorised log take less time than the generator's ziggurat
     exponential, which is a scalar loop.  1 - U is exact on the 2^-53 grid
-    of U, so every value is finite and >= 0: U = 0 gives -0.0, which acts
-    as 0, and the tail is cut at 53 ln 2, a mass of 2^-53.  Filling an
-    array of any shape draws the stream of rng.random(out.shape).
+    of U, so every exponential is finite and >= 0: U = 0 gives -0.0, which
+    acts as 0, and the tail is cut at 53 ln 2, a mass of 2^-53.  The last
+    pass multiplies the log by -scale; at the default scale that is an
+    exact negation.  Filling an array of any shape draws the stream of
+    rng.random(out.shape).
     """
     rng.random(out=out)
     np.subtract(1.0, out, out=out)
     np.log(out, out=out)
-    return np.negative(out, out=out)
+    return np.multiply(out, -scale, out=out)
 
 
 def resolve_ties(

@@ -322,6 +322,14 @@ def assert_rejected(proc, code):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_is_an_argument_error(utr_config, workers):
+    # they ran on one worker before, silently
+    proc = run_cli("run", utr_config, "--workers", workers)
+    assert_rejected(proc, 2)
+    assert proc.stderr.startswith("argument error: --workers must be at least 1")
+
+
 def test_gtr_one_dimensional_run(tmp_path):
     cfg = write_config(
         tmp_path,

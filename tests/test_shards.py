@@ -64,7 +64,8 @@ def test_input_validation():
         run_sharded(0, 1, counting_fn)
 
 
-def test_threads_never_outnumber_blocks(monkeypatch):
+def recording_pool(monkeypatch, cpus):
+    """Record the thread count run_sharded asks for on a host of `cpus` CPUs."""
     asked = []
 
     class Recorder(ThreadPoolExecutor):
@@ -73,6 +74,12 @@ def test_threads_never_outnumber_blocks(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(trm.shards, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(trm.shards.os, "cpu_count", lambda: cpus)
+    return asked
+
+
+def test_threads_never_outnumber_blocks(monkeypatch):
+    asked = recording_pool(monkeypatch, 16)
     three = run_sharded(2 * BLOCK_SIZE + 500, 3, counting_fn, workers=16)
     assert asked == [3]
     one = run_sharded(BLOCK_SIZE - 200, 3, counting_fn, workers=16)
@@ -80,6 +87,20 @@ def test_threads_never_outnumber_blocks(monkeypatch):
     monkeypatch.undo()
     np.testing.assert_array_equal(three, run_sharded(2 * BLOCK_SIZE + 500, 3, counting_fn))
     np.testing.assert_array_equal(one, run_sharded(BLOCK_SIZE - 200, 3, counting_fn))
+
+
+def test_threads_never_outnumber_cpus(monkeypatch):
+    # more threads than CPUs only add memory and wall time: a million
+    # workers over 8 blocks on 3 CPUs ask for 3 threads, and an unknown CPU
+    # count runs on the calling thread
+    asked = recording_pool(monkeypatch, 3)
+    many = run_sharded(8 * BLOCK_SIZE, 5, counting_fn, workers=10**6)
+    assert asked == [3]
+    monkeypatch.setattr(trm.shards.os, "cpu_count", lambda: None)
+    assert run_sharded(8 * BLOCK_SIZE, 5, counting_fn, workers=10**6).tolist() == many.tolist()
+    assert asked == [3]
+    monkeypatch.undo()
+    np.testing.assert_array_equal(many, run_sharded(8 * BLOCK_SIZE, 5, counting_fn))
 
 
 def test_blocks_in_flight_are_bounded(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.stats import beta, kstest
 
+import trm.simplex
 from trm import (
     BarycentricVector,
     OutcomePartition,
@@ -258,21 +259,82 @@ def test_scaling_rows_changes_no_region(n, zeros, seed):
         (1e-320, 0.4, 0.6),
         (0.0, 0.0, 1.0, 0.0),
         (0.1, 0.2, 0.3, 0.4),
+        (0.4, 5e-324, 0.6),
+        (0.3, 1e-320, 0.0, 0.7),
+        (0.2, 1e-308, 0.3, 0.5),
     ],
 )
-def test_exponential_regions_draw_the_eager_stream(x, size):
+def test_exponential_regions_draw_the_eager_stream(x, size, monkeypatch):
     # each column is drawn when the pass reads it, the columns outside the
     # support and after the last support column are drawn and dropped: the
     # regions and the generator state after them are those of the eager
-    # outcome-major draw
+    # outcome-major draw.  The pass multiplies log(1 - U) by
+    # -min(1 / x_j, float max) where the oracle divides -log(1 - U) by x_j;
+    # the indices and ties agree at subnormal and tiny components too, and
+    # at a TIE_RTOL wide enough that many rows tie and are redrawn
     xv = BarycentricVector(x).as_array()
-    eager, streamed = np.random.default_rng(11), np.random.default_rng(11)
-    idx, tie = regions_of_batch(xv, eager_exponentials(eager, (xv.size, size)).T)
-    s_idx, s_tie = _exponential_regions(xv, size, streamed)
-    np.testing.assert_array_equal(s_idx, idx)
-    np.testing.assert_array_equal(s_tie, tie)
-    assert s_idx.dtype == idx.dtype
-    assert streamed.random(5).tolist() == eager.random(5).tolist()
+    for tie_rtol in (TIE_RTOL, 0.02):
+        monkeypatch.setattr(trm.simplex, "TIE_RTOL", tie_rtol)
+        eager, streamed = np.random.default_rng(11), np.random.default_rng(11)
+        idx, tie = regions_of_batch(xv, eager_exponentials(eager, (xv.size, size)).T)
+        s_idx, s_tie = _exponential_regions(xv, size, streamed)
+        np.testing.assert_array_equal(s_idx, idx)
+        np.testing.assert_array_equal(s_tie, tie)
+        assert s_idx.dtype == idx.dtype
+        assert streamed.random(5).tolist() == eager.random(5).tolist()
+        # the redraws of the tied rows go on matching, draw for draw
+        ref = resolve_ties(
+            size,
+            lambda rows, count: regions_of_batch(
+                xv, eager_exponentials(eager, (xv.size, count)).T
+            ),
+            "in the oracle",
+        )
+        got = resolve_ties(
+            size, lambda rows, count: _exponential_regions(xv, count, streamed), "streamed"
+        )
+        np.testing.assert_array_equal(got, ref)
+        assert got.dtype == ref.dtype
+        assert streamed.random(5).tolist() == eager.random(5).tolist()
+
+
+class ServedUniforms:
+    """A generator stand-in whose random() serves preset uniforms in order."""
+
+    def __init__(self, u):
+        self.flat, self.at = np.ravel(u), 0
+
+    def random(self, size=None, out=None):
+        k = out.size if out is not None else size
+        vals = self.flat[self.at : self.at + k]
+        self.at += k
+        if out is None:
+            return vals.copy()
+        out[...] = vals.reshape(out.shape)
+        return out
+
+
+@pytest.mark.parametrize("x", [(0.4, 5e-324, 0.6), (0.3, 1e-320, 0.7)])
+def test_a_zero_uniform_in_a_subnormal_column_has_ratio_zero(x):
+    # 1 / 5e-324 is inf, and 0 * inf would be NaN, which warns (an error
+    # here) and loses the row; with 1 / x_j capped at float max a U of 0
+    # gives the ratio 0, as 0 / x_j does, so the subnormal outcome wins the
+    # row, or ties where another column's U is 0 too
+    xv = BarycentricVector(x).as_array()
+    size = 64
+    u = np.random.default_rng(2).uniform(0.1, 0.9, (3, size))
+    u[1, ::2] = 0.0
+    u[0, ::4] = 0.0
+    served = ServedUniforms(u)
+    idx, tie = _exponential_regions(xv, size, served)
+    ref_idx, ref_tie = regions_of_batch(xv, -np.log(1.0 - u).T)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(tie, ref_tie)
+    assert served.at == u.size
+    assert tie[::4].all() and not tie[1::2].any() and not tie[2::4].any()
+    assert (idx[2::4] == 2).all()
+    capped = _exponential_column(ServedUniforms(np.zeros(3)), np.empty(3), np.finfo(float).max)
+    assert (capped == 0.0).all()
 
 
 def test_exponential_regions_do_not_depend_on_the_last_bit_of_log():
@@ -448,6 +510,21 @@ def test_count_matches_a_per_row_tally(rng):
     )
     assert counts.tolist() == [[3, 1], [2, 2], [3, 1]]
     assert counts.dtype.kind == "i"
+
+
+@pytest.mark.parametrize("n, groups", [(5, 51), (4, 64), (5, 13107), (4, 16384)])
+def test_count_at_the_offset_dtype_edges(n, groups, rng):
+    # groups * n of 255, 256, 65 535 and 65 536: the largest bin, region n
+    # of the last group, fills the offsets' type or needs the next one
+    regions = rng.integers(1, n + 1, 3 * groups)
+    regions[-1] = n
+    bins = regions.reshape(groups, -1) + n * np.arange(groups, dtype=np.int64)[:, None]
+    plain = np.bincount(bins.ravel(), minlength=groups * n + 1)[1:].reshape(groups, n)
+    coarse = OutcomePartition.of([[1, n], range(2, n)])
+    for dtype in (np.uint8, np.int64):
+        r = regions.astype(dtype)
+        assert OutcomePartition.singletons(n).count(r, groups).tolist() == plain.tolist()
+        assert coarse.count(r, groups).tolist() == (plain @ coarse.block_masks().T).tolist()
 
 
 @pytest.mark.parametrize("regions", [[1, 4, 2, 2], [1, 0, 2, 2]])

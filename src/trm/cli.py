@@ -70,8 +70,6 @@ from .utr import outcome_probabilities, run_batch
 
 __all__ = ["main"]
 
-KINDS = ("utr", "gtr", "universal", "sphere", "classify", "oracle")
-
 # glibc mallopt parameters and the ceilings of glibc's own dynamic
 # adjustment of them on 64-bit systems.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
@@ -387,8 +385,9 @@ def _load_config(path: Path, forced_kind: str | None) -> tuple[dict, str, int, d
         raise SchemaError(
             f"config kind {brief(kind)} does not match subcommand {forced_kind!r}"
         )
-    if kind not in KINDS:
-        raise SchemaError(f"config kind {brief(kind)} must be one of {list(KINDS)}")
+    # a list, not the dict: an array or object kind is unhashable
+    if kind not in list(_RUNNERS):
+        raise SchemaError(f"config kind {brief(kind)} must be one of {list(_RUNNERS)}")
     seed, env_seed = top["seed"], os.environ.get("TRM_SEED")
     if env_seed is not None:
         try:

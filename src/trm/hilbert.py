@@ -30,14 +30,13 @@ the verdict first, then its witnesses, as the checker functions do.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ImpossibleOutcomeError
-from .simplex import OutcomePartition
+from .simplex import OutcomePartition, _subset_masks
 from .utr import PRODUCT_TOL, product_relation_residuals, restrict
 
 __all__ = [
@@ -190,19 +189,6 @@ def is_product_state(
     return det <= PRODUCT_TOL, det, product_relation_residuals(state.moduli_squared())
 
 
-@functools.lru_cache(maxsize=None)
-def _groupings(n: int) -> np.ndarray:
-    """The (2^n - 1, n) masks of every nonempty subset of 1..n: row m - 1
-    holds the bits of m, outcome 1 the lowest.
-
-    Built on first use per dimension and kept; the array is read-only
-    because every caller shares it.
-    """
-    masks = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1 == 1
-    masks.setflags(write=False)
-    return masks
-
-
 def correspondence_batch(
     amplitudes: np.ndarray, basis: np.ndarray | None = None
 ) -> np.ndarray:
@@ -232,7 +218,7 @@ def correspondence_batch(
     off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOL))
     if off.size:
         raise ValueError(f"state norm {norms[off[0]]} of row {off[0]} is not 1 within {NORM_TOL}")
-    masks = _groupings(n)
+    masks = _subset_masks(n)
 
     # Hilbert route: coordinates c = <a_i|psi> and Born block sums of |c|^2.
     coords = (amps / norms[:, None]) @ base.conj().T

@@ -50,11 +50,16 @@ outcome-to-block map once, checks that a state has the outcomes it covers
 sampled regions by block (count); every sampled estimate in the package
 tallies its regions through count.
 
+_subset_masks builds the masks of every nonempty subset of the outcomes,
+the package's one enumeration of subsets: the Born oracle checks each
+subset as a block, and utr's complementary law sums over them.
+
 Outcome indices are 1-based everywhere in the public API.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -261,6 +266,19 @@ def region_measure(x: BarycentricVector, i: int) -> float:
 def _check_index(n: int, i: int) -> None:
     if not 1 <= i <= n:
         raise ValueError(f"outcome index {i} outside 1..{n}")
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_masks(n: int) -> np.ndarray:
+    """The (2^n - 1, n) masks of every nonempty subset of 1..n: row m - 1
+    holds the bits of m, outcome 1 the lowest.
+
+    Built on first use per dimension and kept; the array is read-only
+    because every caller shares it.
+    """
+    masks = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1 == 1
+    masks.setflags(write=False)
+    return masks
 
 
 def _ratio_regions(

@@ -233,11 +233,11 @@ def test_c08_hilbert_route_equals_simplex_route():
 
 def test_c09_fixed_break_point_law():
     """The fixed-break-point outcome law sums to one (1e-12) and matches its
-    Monte Carlo estimate within 4 sigma on 20 interior points for two and
-    three outcomes; the reference point maps to (1/6, 5/12, 5/12)."""
+    Monte Carlo estimate within 4 sigma on 20 interior points for two to
+    eight outcomes; the reference point maps to (1/6, 5/12, 5/12)."""
     gen = np.random.default_rng(SEED + 9)
     trials = 10**5
-    for n in (2, 3):
+    for n in range(2, 9):
         for _ in range(20):
             lam = BarycentricVector(tuple(interior(gen, n)))
             exact = complementary_probabilities(lam)

@@ -121,7 +121,11 @@ def test_unknown_kind_is_a_schema_error(tmp_path, kind):
     # a kind that is not a string must not reach a dict lookup, where a
     # list or an object would raise TypeError (unhashable) as a traceback
     cfg = write_config(tmp_path, "weird.json", {"kind": kind, "seed": 1, "params": {}})
-    assert_rejected(run_cli("run", cfg), 2)
+    proc = run_cli("run", cfg)
+    assert_rejected(proc, 2)
+    # the kinds are listed in the order the runners are registered
+    kinds = "['utr', 'gtr', 'universal', 'sphere', 'classify', 'oracle']"
+    assert proc.stderr.endswith(f" must be one of {kinds}\n"), proc.stderr
 
 
 def test_non_string_mode_is_a_schema_error(tmp_path):

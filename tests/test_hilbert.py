@@ -21,7 +21,8 @@ from trm import (
     tensor,
 )
 from trm import cli, hilbert
-from trm.hilbert import NORM_TOL, _groupings, collapse, correspondence_batch
+from trm.hilbert import NORM_TOL, collapse, correspondence_batch
+from trm.simplex import _subset_masks
 from trm.utr import collapse as utr_collapse
 from trm.utr import outcome_probabilities, restrict
 
@@ -273,7 +274,7 @@ def test_one_restrict_call_gives_the_block_sums_of_aggregate(rng):
         x[::3, rng.integers(0, n)] = 0.0
         x[::7, :-1] = 0.0
         x /= x.sum(axis=1, keepdims=True)
-        law = restrict(x[:, None, :], _groupings(n))[0]
+        law = restrict(x[:, None, :], _subset_masks(n))[0]
         for blocks in iter_partitions(n):
             partition = OutcomePartition(blocks)
             # a block's subset row is its bit pattern less one
@@ -295,7 +296,7 @@ def test_subsets_give_the_deviations_of_every_partition_block(rng, monkeypatch):
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         subsets = correspondence_batch(amps)
         with monkeypatch.context() as m:
-            m.setattr(hilbert, "_groupings", pairs.get)
+            m.setattr(hilbert, "_subset_masks", pairs.get)
             assert np.array_equal(correspondence_batch(amps), subsets)
 
 

@@ -28,6 +28,7 @@ from trm.simplex import (
     TIE_RTOL,
     _exponential_column,
     _exponential_regions,
+    _subset_masks,
     resolve_ties,
 )
 
@@ -554,6 +555,16 @@ def test_partition_enumeration_counts():
     # Bell numbers
     for n, bell in [(2, 2), (3, 5), (4, 15), (5, 52)]:
         assert sum(1 for _ in iter_partitions(n)) == bell
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_subset_masks_list_each_nonempty_subset_once_in_bit_order(n):
+    masks = _subset_masks(n)
+    assert masks.shape == (2**n - 1, n) and masks.dtype == bool
+    # row m - 1 holds the bits of m, outcome 1 the lowest
+    assert np.array_equal(masks @ (1 << np.arange(n)), np.arange(1, 2**n))
+    assert not masks.flags.writeable
+    assert _subset_masks(n) is masks
 
 
 def _row_sum_divide(n, size, rng):

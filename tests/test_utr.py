@@ -3,6 +3,7 @@ sequential chains, fixed-break-point laws, and the product-state relations."""
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from trm import (
     BarycentricVector,
     ImpossibleOutcomeError,
     OutcomePartition,
+    UnstableEquilibriumError,
     collapse,
     complementary_mc,
     complementary_probabilities,
@@ -22,6 +24,7 @@ from trm import (
     run_batch,
     sequential_probability,
 )
+from trm.utr import COMPLEMENTARY_MAX_N
 
 from conftest import (
     eager_exponentials,
@@ -168,9 +171,80 @@ def test_sequential_chain_matches_manual_product(seed):
     assert abs(sequential_probability(x, [(a, 1), (b, 2)]) - manual) < 1e-15
 
 
-def test_complementary_two_outcomes_swaps():
-    lam = BarycentricVector((0.3, 0.7))
-    np.testing.assert_allclose(complementary_probabilities(lam), [0.7, 0.3], atol=1e-15)
+def mpmath_complementary(lam, dps=20):
+    """The fixed-break-point law by mpmath quadrature: outcome i is the last
+    arrival among exponential clocks of rates lam_j, so
+
+        P_i = integral over t > 0 of lam_i e^(-lam_i t) prod_(j != i) (1 - e^(-lam_j t)),
+
+    split at 1 / max(lam) and 1 / min(lam), the two ends of the clock
+    scales."""
+    with mpmath.workdps(dps):
+        rates = [mpmath.mpf(float(v)) for v in lam]
+        knots = [0, 1 / max(rates), 1 / min(rates), mpmath.inf]
+
+        def last(i):
+            others = rates[:i] + rates[i + 1 :]
+            return mpmath.quad(
+                lambda t: rates[i]
+                * mpmath.exp(-rates[i] * t)
+                * mpmath.fprod(-mpmath.expm1(-r * t) for r in others),
+                knots,
+            )
+
+        return np.array([float(last(i)) for i in range(len(rates))])
+
+
+def mpmath_subset_sum(lam, dps=40):
+    """The inclusion-exclusion sum of complementary_probabilities carried out
+    in dps digits, whose roundings are far below those of the float sum."""
+    n = len(lam)
+    with mpmath.workdps(dps):
+        rates = [mpmath.mpf(float(v)) for v in lam]
+        weight = [mpmath.mpf(0)] * (1 << n)
+        signed = [mpmath.mpf(0)] * (1 << n)
+        for t in range(1, 1 << n):
+            low = t & -t
+            weight[t] = weight[t ^ low] + rates[low.bit_length() - 1]
+            signed[t] = (1 if bin(t).count("1") % 2 else -1) / weight[t]
+        return np.array(
+            [
+                float(rates[i] * mpmath.fsum(signed[t] for t in range(1 << n) if t >> i & 1))
+                for i in range(n)
+            ]
+        )
+
+
+def three_outcome_closed_form(lam):
+    """The closed form complementary_probabilities used for three interior
+    outcomes before the general sum: P(1) = lam_2 lam_3 (1 + lam_1) /
+    ((1 - lam_2)(1 - lam_3)) and cyclic permutations."""
+    l1, l2, l3 = lam
+    return np.array(
+        [
+            l2 * l3 * (1.0 + l1) / ((1.0 - l2) * (1.0 - l3)),
+            l3 * l1 * (1.0 + l2) / ((1.0 - l3) * (1.0 - l1)),
+            l1 * l2 * (1.0 + l3) / ((1.0 - l1) * (1.0 - l2)),
+        ]
+    )
+
+
+def break_points(n, seed):
+    """A uniform and a skewed break point: Dirichlet(1) and Dirichlet(0.2)
+    draws, components floored at 1e-6 so the clock rates span six decades."""
+    gen = np.random.default_rng(seed)
+    for alpha in (1.0, 0.2):
+        lam = np.maximum(gen.dirichlet([alpha] * n), 1e-6)
+        yield BarycentricVector(tuple(lam / lam.sum()))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_complementary_two_outcomes_swaps(seed):
+    lam = BarycentricVector(tuple(random_interior_state(np.random.default_rng(seed), 2)))
+    np.testing.assert_allclose(
+        complementary_probabilities(lam), lam.components[::-1], rtol=0, atol=1e-15
+    )
 
 
 def test_complementary_three_outcome_reference_point():
@@ -188,11 +262,64 @@ def test_complementary_three_outcomes_sums_to_one(seed):
     assert abs(complementary_probabilities(lam).sum() - 1.0) < 1e-12
 
 
-def test_complementary_needs_interior_point():
-    with pytest.raises(ValueError):
-        complementary_probabilities(BarycentricVector((0.0, 0.5, 0.5)))
-    with pytest.raises(ValueError):
-        complementary_probabilities(BarycentricVector((0.25, 0.25, 0.25, 0.25)))
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_complementary_matches_the_three_outcome_closed_form(seed):
+    # interior points only: as a component nears 1 the closed form's
+    # 1 - lam_j cancels, and it is the less accurate of the two there
+    lam = BarycentricVector(tuple(random_interior_state(np.random.default_rng(seed), 3)))
+    np.testing.assert_allclose(
+        complementary_probabilities(lam),
+        three_outcome_closed_form(lam.components),
+        rtol=0,
+        atol=1e-14,
+    )
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_complementary_matches_mpmath_quadrature(n):
+    # the integral checks the formula itself; the subset sum below checks
+    # the float rounding of it up to the cap
+    for lam in break_points(n, 100 + n):
+        exact = mpmath_complementary(lam.components)
+        np.testing.assert_allclose(
+            complementary_probabilities(lam), exact, rtol=0, atol=1e-13
+        )
+
+
+@pytest.mark.parametrize("n", range(2, COMPLEMENTARY_MAX_N + 1))
+def test_complementary_rounding_matches_mpmath_up_to_the_cap(n):
+    for lam in break_points(n, n):
+        law = complementary_probabilities(lam)
+        np.testing.assert_allclose(law, mpmath_subset_sum(lam.components), rtol=0, atol=1e-13)
+        assert abs(law.sum() - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_complementary_one_zero_component_gives_its_vertex(n, rng):
+    # the sampler agrees: every state's region j holds a lam with lam_j = 0
+    for j in range(n):
+        lam = np.zeros(n)
+        lam[np.arange(n) != j] = random_interior_state(rng, n - 1)
+        lam = BarycentricVector(tuple(lam))
+        vertex = np.eye(n)[j]
+        assert np.array_equal(complementary_probabilities(lam), vertex)
+        assert np.array_equal(complementary_mc(lam, 1000, rng), vertex)
+
+
+@pytest.mark.parametrize("lam", [(0.0, 0.0, 1.0), (0.5, 0.0, 0.2, 0.0, 0.3, 0.0)])
+def test_complementary_two_zero_components_are_a_boundary(lam, rng):
+    lam = BarycentricVector(lam)
+    with pytest.raises(UnstableEquilibriumError, match="boundary"):
+        complementary_probabilities(lam)
+    with pytest.raises(UnstableEquilibriumError):
+        complementary_mc(lam, 1000, rng)
+
+
+def test_complementary_refuses_more_outcomes_than_the_cap():
+    n = COMPLEMENTARY_MAX_N + 1
+    with pytest.raises(ValueError, match="complementary_mc"):
+        complementary_probabilities(BarycentricVector((1 / n,) * n))
 
 
 def test_complementary_mc_agrees_with_closed_form(rng):

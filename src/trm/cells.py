@@ -46,6 +46,7 @@ the simplex sampler does.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,8 @@ CLIP_CHUNK = 1024
 def check_subdivision(n_outcomes: int, n_cells: int) -> None:
     """Refuse a subdivision that has no cells: fewer than two outcomes, a
     cell count outside 1..MAX_CELLS, or a non-square count for three
-    outcomes."""
+    outcomes.  A count that is not an integer raises TypeError."""
+    n_outcomes, n_cells = operator.index(n_outcomes), operator.index(n_cells)
     if n_outcomes < 2:
         raise ValueError(f"need at least two outcomes, got {n_outcomes}")
     if not 1 <= n_cells <= MAX_CELLS:
@@ -90,7 +92,8 @@ class CellularDensity:
 
     breakable holds 1-based cell indices, each listed once; it must be a
     nonempty subset of {1..n_cells}.  For three outcomes n_cells must be a
-    perfect square.
+    perfect square.  A count or cell index that is not an integer raises
+    TypeError.
     """
 
     n_outcomes: int
@@ -99,7 +102,7 @@ class CellularDensity:
 
     def __post_init__(self) -> None:
         check_subdivision(self.n_outcomes, self.n_cells)
-        listed = [int(c) for c in self.breakable]
+        listed = [operator.index(c) for c in self.breakable]
         cells = frozenset(listed)
         if len(cells) != len(listed):
             raise ValueError(f"breakable cells {brief(listed)} list a cell twice")

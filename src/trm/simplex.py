@@ -29,14 +29,15 @@ in place by _exponential_column.  The utr and complementary trials never
 divide: since a region depends only on the direction of a row, they compare
 the raw exponentials, and P(i) = x_i still holds exactly.  They draw one
 outcome column at a time, when the region pass reads it, into a column the
-pass owns (_exponential_regions, and utr's _regions_at_break_point); the
-values and the generator's final state are those of an eager outcome-major
-(n, m) draw, which is never built, so a trial block holds a few (m,)
-arrays at any n.  A ratio column takes three passes over the draw, 1 - U,
-its log, and one product with -min(1 / x_j, float max) where the eager
-route negates and divides by x_j; each product is within about 1.5 ulp of
-the quotient, so only ratios that TIE_RTOL already calls tied can change
-order, and the regions, ties and stream are the same.
+pass owns, so a trial block holds a few (m,) arrays at any n and no (n, m)
+draw is ever built.  _exponential_regions draws a column for each support
+outcome of x, in ascending order, and nothing for an outcome it never
+reads; utr's _regions_at_break_point reads, and so draws, every column.  A
+ratio column takes three passes over the draw, 1 - U, its log, and one
+product with -min(1 / x_j, float max) where regions_of_batch negates and
+divides by x_j; each product is within about 1.5 ulp of the quotient, so
+only ratios that TIE_RTOL already calls tied can change order, and the
+regions and ties are those regions_of_batch finds on the same draw.
 
 sample_uniform_batch remains the public normalised sampler, with no caller
 in the library.  It draws one (m, n) array and divides it in place by row
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -130,7 +132,8 @@ class BarycentricVector:
 @dataclass(frozen=True)
 class OutcomePartition:
     """Disjoint blocks of outcome indices covering {1..n}; a block that is
-    empty or lists an outcome twice is refused.
+    empty or lists an outcome twice is refused, and an index that is not an
+    integer raises TypeError.
 
     Grouping outcomes into blocks turns the n-outcome measurement into a
     coarser one: a block fires when any of its members does.  The partition
@@ -143,7 +146,7 @@ class OutcomePartition:
     _map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        listed = tuple(tuple(int(i) for i in b) for b in self.blocks)
+        listed = tuple(tuple(operator.index(i) for i in b) for b in self.blocks)
         blocks = tuple(frozenset(b) for b in listed)
         if not blocks:
             raise ValueError("a partition needs at least one block")
@@ -197,11 +200,12 @@ class OutcomePartition:
 
         regions holds `groups` equal runs of consecutive entries, one run per
         group (for example one sampled density or one cell each).  One
-        bincount tallies (group, outcome) pairs; the outcome columns are then
-        added into their blocks, so no per-region block lookup is made.
-        The group offsets are in the smallest type that holds the largest
-        bin, groups * n, so the one-byte regions of a utr block stay one
-        byte.  Raises ValueError when a region lies outside 1..n, which
+        bincount tallies (group, outcome) pairs, and aggregate adds the
+        outcome tallies into their blocks, so no per-region block lookup is
+        made; the counts keep the bincount's integer type.  The group
+        offsets are in the smallest type that holds the largest bin,
+        groups * n, so the one-byte regions of a utr block stay one byte.
+        Raises ValueError when a region lies outside 1..n, which
         would otherwise be tallied in a neighbouring group.
         """
         n = self.n
@@ -211,9 +215,7 @@ class OutcomePartition:
         offsets = np.arange(0, groups * n, n, dtype=np.min_scalar_type(groups * n))
         bins = np.reshape(regions, (groups, -1)) + offsets[:, None]
         outcomes = np.bincount(bins.ravel(), minlength=groups * n + 1)[1:].reshape(groups, n)
-        counts = np.zeros((groups, self.n_blocks), dtype=outcomes.dtype)
-        np.add.at(counts, (slice(None), self._map), outcomes)
-        return counts
+        return self.aggregate(outcomes).astype(outcomes.dtype)
 
     def aggregate(self, v: np.ndarray) -> np.ndarray:
         """Block sums over the last axis of a (..., n) array in outcome order.
@@ -365,10 +367,13 @@ def regions_of_batch(
     of the quotient.  Both the argmin and the relative tie test are
     invariant under scaling a row, so the rows of points need not be
     normalised.  A vertex state has one support column and never ties.
-    Raises ValueError when the width of points is not the number of
-    outcomes of x.
+    Raises ValueError when a raw state x has a negative or non-finite
+    component or no positive one, which a BarycentricVector never has, or
+    when the width of points is not the number of outcomes of x.
     """
     xv = x.as_array() if isinstance(x, BarycentricVector) else np.asarray(x, dtype=float)
+    if not (np.isfinite(xv).all() and (xv >= 0.0).all() and xv.any()):
+        raise ValueError(f"state {brief(xv.tolist())} needs finite components >= 0, not all 0")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != xv.size:
         raise ValueError(f"break points of width {pts.shape[-1]} for a {xv.size}-outcome state")
@@ -386,16 +391,17 @@ def _exponential_regions(
     xv: np.ndarray, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Regions of `size` break points drawn as raw standard exponentials
-    (_exponential_column), outcome-major, each column drawn when the region
+    (_exponential_column), one column for each support outcome of x, in
+    ascending order, each drawn into the pass's own column when the region
     pass reads it.
 
-    Returns the (indices, ties) that regions_of_batch returns on the eager
-    draw, row j of an (n, size) array transposed, and leaves rng where that
-    draw leaves it: a C-order (n, size) draw is the same stream as n draws
-    of size, so each support column is drawn into the pass's own column,
-    while the uniforms of outcomes outside the support, and of those after
-    the last support column, are drawn and dropped without taking their
-    log.  No (n, size) array is ever held.
+    An outcome with x_j = 0 is never read, so its column is never drawn:
+    rng serves exactly (support size) * size uniforms.  The exponentials of
+    the other outcomes would be independent of those read, so leaving them
+    out leaves the law of the regions as it is.  Returns the (indices,
+    ties) that regions_of_batch, which never reads the other columns,
+    returns on a (size, n) array whose support columns are these draws.
+    No (n, size) array is ever held.
 
     A ratio column takes three passes, 1 - U, its log, and a product with
     -inv_j, inv_j = min(1 / x_j, float max), where regions_of_batch
@@ -416,25 +422,17 @@ def _exponential_regions(
     _regions_at_break_point, where the row is a state s and the break
     point is fixed) every ratio lam_j / s_j scales by the same row sum too.
     """
-    drawn = 0
     # 1 / 0 is never read: the pass reads support columns only
     with np.errstate(divide="ignore", over="ignore"):
         inv = np.minimum(1.0 / xv, np.finfo(float).max)
-
-    def ratio(j: int, out: np.ndarray) -> None:
-        nonlocal drawn
-        for _ in range(drawn, j):
-            rng.random(out=out)
-        _exponential_column(rng, out, inv[j])
-        drawn = j + 1
-
     # a capped inv_j can overflow the ratio to inf, which is right: that
     # outcome never wins
     with np.errstate(over="ignore"):
-        regions = _ratio_regions(np.flatnonzero(xv > 0.0), size, ratio)
-    for _ in range(drawn, xv.size):
-        rng.random(size)
-    return regions
+        return _ratio_regions(
+            np.flatnonzero(xv > 0.0),
+            size,
+            lambda j, out: _exponential_column(rng, out, inv[j]),
+        )
 
 
 def _exponential_column(

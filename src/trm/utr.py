@@ -204,8 +204,8 @@ def complementary_mc(
     Samples states uniformly and tallies which region of each sampled state
     contains lam; boundary hits are resampled.  The states are raw standard
     exponentials (simplex._exponential_column), one outcome column drawn
-    each time the region pass reads one, which is the outcome-major stream
-    simplex._exponential_regions draws.
+    each time the region pass reads one; the pass reads every column, so a
+    draw of m states takes n * m uniforms, column by column.
     """
     if trials <= 0:
         raise ValueError(f"need a positive trial count, got {trials}")

@@ -18,6 +18,17 @@ def eager_exponentials(rng, shape):
     return -np.log(1.0 - rng.random(shape))
 
 
+def support_exponentials(rng, x, size):
+    """The (size, n) break points the utr trials draw for a state x,
+    written out eagerly: eager_exponentials of shape (support, size),
+    transposed into the columns of the positive x_j, zeros in the others."""
+    x = np.asarray(x)
+    support = np.flatnonzero(x > 0.0)
+    e = np.zeros((size, x.size))
+    e[:, support] = eager_exponentials(rng, (support.size, size)).T
+    return e
+
+
 def random_interior_state(rng, n):
     """Strictly interior barycentric vector, bounded away from the faces."""
     w = rng.uniform(0.05, 1.0, size=n)

@@ -231,6 +231,13 @@ def _gtr_nd(cellular):
         ("utr", {"x": [0.5, 0.5], "blocks": [[1], []], "trials": 10}, 3),
         # a dimension beyond what the oracle supports
         ("oracle", {"dims": [9], "states": 1}, 2),
+        # well-formed values that no density or partition accepts
+        ("gtr", _gtr_1d({"type": "double_point", "a": 0.3, "b": 0.3}), 3),
+        ("gtr", _gtr_1d({"type": "piecewise", "breakpoints": [0.1], "masses": []}), 3),
+        ("gtr", {"mode": "nd", "x": [0.25] * 4, "density": {"type": "epsilon", "epsilon": 0.5}},
+         3),
+        ("gtr", _gtr_nd({"n_outcomes": 3, "n_cells": 4, "breakable": [1]}), 3),
+        ("utr", {"x": [0.5, 0.5], "blocks": [], "trials": 10}, 3),
     ],
 )
 def test_malformed_values_are_rejected_without_output(tmp_path, kind, params, code):

@@ -6,14 +6,17 @@ benchmark."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import trm
+from trm import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(trm.__path__))
 
@@ -180,3 +183,35 @@ def test_every_function_is_used_outside_its_definition():
                     own[name] += _uses(node)[name]
     dead = [(where, name) for where, name in defined if uses[name] == own[name]]
     assert not dead, dead
+
+
+def _bench_tracer():
+    """bench/tracer.py, loaded from its path: bench is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_bench_trace_target_resolves():
+    # Tracer.install looks each target up in its defining module's
+    # namespace, through the class for a dotted path; a deleted or renamed
+    # name would break the benchmark's trace, so it fails here too
+    def resolves(modname, path):
+        owner = sys.modules.get(modname)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        return callable(getattr(owner, "__dict__", {}).get(attr))
+
+    targets = _bench_tracer().TARGETS
+    assert targets
+    missing = [(modname, path) for modname, path, _, _ in targets if not resolves(modname, path)]
+    assert not missing, missing
+
+
+def test_cli_runners_map_each_kind_to_a_callable():
+    # the benchmark's bench/op.py wraps every runner in cli._RUNNERS to time
+    # the run from its first runner call
+    assert cli._RUNNERS
+    assert all(isinstance(k, str) and callable(r) for k, r in cli._RUNNERS.items())

@@ -37,6 +37,7 @@ from conftest import (
     iter_partitions,
     random_interior_state,
     regions_at_break_point,
+    support_exponentials,
 )
 
 
@@ -135,6 +136,16 @@ def test_regions_of_batch_refuses_a_width_mismatch(n, width):
     for x in (BarycentricVector(tuple(np.full(n, 1.0 / n))), np.full(n, 1.0 / n)):
         with pytest.raises(ValueError, match="width"):
             regions_of_batch(x, pts)
+
+
+@pytest.mark.parametrize(
+    "x", [(0.0, 0.0, 0.0), (np.nan, 0.5, 0.5), (-0.1, 0.6, 0.5), (np.inf, 0.5, 0.5)]
+)
+def test_regions_of_batch_refuses_a_broken_raw_state(x):
+    # an all-zero state has no support column for the pass to start from,
+    # and a NaN or negative component would silently drop out of the support
+    with pytest.raises(ValueError, match="finite components >= 0, not all 0"):
+        regions_of_batch(np.array(x), np.full((4, 3), 1.0 / 3))
 
 
 def _reference_regions(num, den):
@@ -266,10 +277,10 @@ def test_scaling_rows_changes_no_region(n, zeros, seed):
     ],
 )
 def test_exponential_regions_draw_the_eager_stream(x, size, monkeypatch):
-    # each column is drawn when the pass reads it, the columns outside the
-    # support and after the last support column are drawn and dropped: the
-    # regions and the generator state after them are those of the eager
-    # outcome-major draw.  The pass multiplies log(1 - U) by
+    # each support column is drawn when the pass reads it, and no other
+    # column is drawn: the regions and the generator state after them are
+    # those of the eager draw of the support columns.  The pass multiplies
+    # log(1 - U) by
     # -min(1 / x_j, float max) where the oracle divides -log(1 - U) by x_j;
     # the indices and ties agree at subnormal and tiny components too, and
     # at a TIE_RTOL wide enough that many rows tie and are redrawn
@@ -277,7 +288,7 @@ def test_exponential_regions_draw_the_eager_stream(x, size, monkeypatch):
     for tie_rtol in (TIE_RTOL, 0.02):
         monkeypatch.setattr(trm.simplex, "TIE_RTOL", tie_rtol)
         eager, streamed = np.random.default_rng(11), np.random.default_rng(11)
-        idx, tie = regions_of_batch(xv, eager_exponentials(eager, (xv.size, size)).T)
+        idx, tie = regions_of_batch(xv, support_exponentials(eager, xv, size))
         s_idx, s_tie = _exponential_regions(xv, size, streamed)
         np.testing.assert_array_equal(s_idx, idx)
         np.testing.assert_array_equal(s_tie, tie)
@@ -286,9 +297,7 @@ def test_exponential_regions_draw_the_eager_stream(x, size, monkeypatch):
         # the redraws of the tied rows go on matching, draw for draw
         ref = resolve_ties(
             size,
-            lambda rows, count: regions_of_batch(
-                xv, eager_exponentials(eager, (xv.size, count)).T
-            ),
+            lambda rows, count: regions_of_batch(xv, support_exponentials(eager, xv, count)),
             "in the oracle",
         )
         got = resolve_ties(
@@ -313,6 +322,27 @@ class ServedUniforms:
             return vals.copy()
         out[...] = vals.reshape(out.shape)
         return out
+
+
+@pytest.mark.parametrize(
+    "x", [(0.0, 0.3, 0.7), (0.2, 0.0, 0.3, 0.5), (0.1, 0.2, 0.3, 0.4, 0.0), (0.0, 0.0, 1.0, 0.0)]
+)
+def test_exponential_regions_read_one_column_per_support_outcome(x):
+    # a zero component is never read, so no uniform is drawn for it: the
+    # pass reads (positive components) * size uniforms, and its regions are
+    # those of the served columns placed in the support columns
+    xv = BarycentricVector(x).as_array()
+    support = np.flatnonzero(xv > 0.0)
+    size = 64
+    u = np.random.default_rng(4).random((xv.size, size))
+    served = ServedUniforms(u)
+    idx, tie = _exponential_regions(xv, size, served)
+    assert served.at == support.size * size
+    e = np.zeros((size, xv.size))
+    e[:, support] = -np.log(1.0 - u[: support.size]).T
+    ref_idx, ref_tie = regions_of_batch(xv, e)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(tie, ref_tie)
 
 
 @pytest.mark.parametrize("x", [(0.4, 5e-324, 0.6), (0.3, 1e-320, 0.7)])

@@ -27,10 +27,10 @@ from trm import (
 from trm.utr import COMPLEMENTARY_MAX_N
 
 from conftest import (
-    eager_exponentials,
     iter_partitions,
     random_interior_state,
     regions_at_break_point,
+    support_exponentials,
 )
 
 X4 = BarycentricVector((0.1, 0.2, 0.3, 0.4))
@@ -66,11 +66,12 @@ def test_run_batch_frequencies_within_bands(rng):
     assert (np.abs(freqs - X4.as_array()) <= 4 * sigma).all()
 
 
-def _normalised_outcome_major_draw(seed, n, size):
-    """The draw run_batch and complementary_mc make from a fresh generator,
-    written the long way: (n, size) exponentials, transposed so each row
-    is one trial, and each row divided by its sum."""
-    e = eager_exponentials(np.random.default_rng(seed), (n, size)).T
+def _normalised_draw(seed, x, size):
+    """The draw run_batch makes from a fresh generator for the state x,
+    written the long way: the support columns of x as exponentials, one
+    row per trial, and each row divided by its sum.  complementary_mc reads
+    every column, which is the draw for a state with no zero component."""
+    e = support_exponentials(np.random.default_rng(seed), x, size)
     return e / e.sum(axis=1, keepdims=True)
 
 
@@ -86,12 +87,11 @@ def test_raw_draws_decide_as_normalised_points_do(x, blocks):
     # run_batch and complementary_mc never divide their exponentials by the
     # row sums; a tally of the normalised copy of the same draw must agree
     x, p, trials = BarycentricVector(x), OutcomePartition.of(blocks), 50_000
-    pts = _normalised_outcome_major_draw(7, x.n, trials)
-    idx, tie = regions_of_batch(x, pts)
+    idx, tie = regions_of_batch(x, _normalised_draw(7, x.as_array(), trials))
     assert not tie.any()
     expect = [np.isin(idx, sorted(b)).sum() for b in p.blocks]
     assert run_batch(x, p, trials, np.random.default_rng(7)).tolist() == expect
-    idx, tie = regions_at_break_point(x.as_array(), pts)
+    idx, tie = regions_at_break_point(x.as_array(), _normalised_draw(7, np.ones(x.n), trials))
     assert not tie.any()
     freqs = complementary_mc(x, trials, np.random.default_rng(7))
     np.testing.assert_array_equal(freqs, np.bincount(idx, minlength=x.n + 1)[1:] / trials)

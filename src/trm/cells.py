@@ -31,13 +31,15 @@ vertex 3, upward triangle before the downward one to its right.
 
 sample_in_cells draws uniform points inside given cells and writes them
 into one column-major (m, n) array, so each column regions_of_batch reads
-is contiguous.  A triangle cell's column, row and orientation are decoded
-in closed form (the decoding triangle_vertices uses too) into the smallest
-unsigned type that holds k.  The cell is one half of a 1/k square of the
-chart, so a unit-square uniform folded into that half and added to the
-square's corner gives the point: each chart coordinate is computed in
-place in its output column, no (m, 3, 2) corner tensor is made and the
-only float array beside the output is the (m, 2) uniform.  A slab inverts
+is contiguous.  A triangle cell's column, row and orientation are read
+from a read-only per-k table, decoded once in closed form into the
+smallest unsigned type that holds k and cached for the subdivision in use
+(triangle_vertices reads the same table), by one take per array.  The
+cell is one half of a 1/k square of the chart, so a unit-square uniform
+folded into that half and added to the square's corner gives the point:
+each chart coordinate is computed in place in its output column, no
+(m, 3, 2) corner tensor is made and the only float array beside the
+output is the (m, 2) uniform.  A slab inverts
 the lam_1 CDF inside the cell and spreads the remainder over standard
 exponentials (simplex._exponential_column) divided by their row sums, as
 the simplex sampler does.
@@ -45,6 +47,7 @@ the simplex sampler does.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -101,6 +104,8 @@ class CellularDensity:
     breakable: frozenset[int]
 
     def __post_init__(self) -> None:
+        for name in ("n_outcomes", "n_cells"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         check_subdivision(self.n_outcomes, self.n_cells)
         listed = [operator.index(c) for c in self.breakable]
         cells = frozenset(listed)
@@ -136,24 +141,40 @@ def triangle_vertices(k: int, cells: np.ndarray | None = None) -> np.ndarray:
     Chart coordinates are (u, v) = (lam_2, lam_3); the full triangle has
     corners (0,0), (1,0), (0,1).  Every cell has chart area 1/(2 k^2).
     Row j holds the 2(k-j) - 1 cells from c = j(2k-j) on, alternately the
-    upward triangle at column i and the downward one to its right.
+    upward triangle at column i and the downward one to its right.  Raises
+    ValueError for a cell index outside 0..k*k-1.
     """
-    i, j, down = _triangle_cells(k, np.arange(k * k) if cells is None else cells)
+    idx = np.arange(k * k) if cells is None else _cell_indices(cells, k * k)
+    i, j, down = (a.take(idx) for a in _triangle_table(k))
     corners = [i + down, j, i + 1, j + down, i, j + 1]
     return np.stack(corners, axis=-1).reshape(-1, 3, 2) / k
 
 
-def _triangle_cells(k: int, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, down) of 0-based triangle cells: column, row and 1 for a
-    downward triangle.  The corners in units of 1/k are (i + down, j),
-    (i + 1, j + down) and (i, j + 1); no coordinate exceeds k, so all three
-    come in the smallest unsigned type that holds k (one byte up to k = 255)."""
-    c = np.asarray(cells, dtype=np.intp)
+# one entry: every caller reads all its points of one subdivision before
+# the next
+@functools.lru_cache(maxsize=1)
+def _triangle_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (i, j, down) of the k*k triangle cells, by 0-based cell
+    index: column, row and 1 for a downward triangle.  The corners in units
+    of 1/k are (i + down, j), (i + 1, j + down) and (i, j + 1); no
+    coordinate exceeds k, so all three come in the smallest unsigned type
+    that holds k (one byte up to k = 255)."""
+    c = np.arange(k * k)
     # k^2 - c lies in ((k-j-1)^2, (k-j)^2] for a cell c of row j
     j = k - np.ceil(np.sqrt(k * k - c)).astype(np.intp)
     o = c - j * (2 * k - j)
-    small = np.min_scalar_type(k)
-    return (o >> 1).astype(small), j.astype(small), (o & 1).astype(small)
+    table = np.stack([o >> 1, j, o & 1]).astype(np.min_scalar_type(k))
+    table.flags.writeable = False
+    return tuple(table)
+
+
+def _cell_indices(cells: np.ndarray, n_cells: int) -> np.ndarray:
+    """The 0-based cell indices as intp, refused with ValueError unless
+    each lies in 0..n_cells-1."""
+    idx = np.asarray(cells, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= n_cells):
+        raise ValueError(f"cell indices must lie in 0..{n_cells - 1}")
+    return idx
 
 
 def cell_fraction_in_regions(x: np.ndarray, n_outcomes: int, n_cells: int) -> np.ndarray:
@@ -240,10 +261,8 @@ def sample_in_cells(
     index outside 0..n_cells-1.
     """
     check_subdivision(n_outcomes, n_cells)
-    idx = np.asarray(cell_idx, dtype=np.intp)
+    idx = _cell_indices(cell_idx, n_cells)
     m = idx.shape[0]
-    if m and (idx.min() < 0 or idx.max() >= n_cells):
-        raise ValueError(f"cell indices must lie in 0..{n_cells - 1}")
     if n_outcomes == 3:
         return _sample_in_triangles(math.isqrt(n_cells), idx, rng)
     out = np.empty((n_outcomes, m)).T
@@ -264,11 +283,13 @@ def _sample_in_triangles(k: int, idx: np.ndarray, rng: np.random.Generator) -> n
     half above it.  A uniform r of the unit square is folded into that half
     as q = |s - r|, where s = (r0 + r1 > 1) XOR down, so q is exactly r or
     1 - r, and the chart point is (u, v) = ((i + q0)/k, (j + q1)/k) with
-    lam_1 = 1 - (u + v).  Each coordinate is computed in place in its
-    output column, the first of which holds r0 + r1 on the way, so r is the
-    only float array beside the output and r itself is never written.
+    lam_1 = 1 - (u + v).  (i, j, down) come from _triangle_table(k), built
+    once per subdivision, by one take each.  Each coordinate is computed in
+    place in its output column, the first of which holds r0 + r1 on the
+    way, so r is the only float array beside the output and r itself is
+    never written.
     """
-    i, j, down = _triangle_cells(k, idx)
+    i, j, down = (a.take(idx) for a in _triangle_table(k))
     out = np.empty((3, idx.shape[0])).T
     r = rng.random((idx.shape[0], 2))
     s = np.not_equal(np.add(r[:, 0], r[:, 1], out=out[:, 0]) > 1.0, down)

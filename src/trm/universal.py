@@ -18,7 +18,8 @@ No route builds the 2^n_c - 1 densities one by one; the test suite keeps
 that enumeration as its oracle.  The sampling route of convergence_scan
 draws subsets and break points instead.  Its kernel, mc_batch, draws a
 chunk of densities at once: an (m, n_c) subset bitmask with the empty rows
-redrawn and flattened, row by row, into the list of its set-bit columns;
+redrawn and listed in one pass, row by row, as its set-bit columns (the
+flat indices of its set bits modulo n_c);
 each point's cell picked from its row's stretch of that list with one
 uniform u, as entry floor(u k) of the row's k cells; then one
 cells.sample_in_cells draw of a break point in every picked cell, whose
@@ -28,7 +29,7 @@ returns the mean of the per-density estimates and their standard error.
 A chunk holds up to MC_CHUNK_ROWS = 16384 break points, so 256 densities
 of 64 points are one chunk; the chunk keeps only its cell indices, in the
 smallest unsigned type that holds n_c - 1, beside the kernels' scratch,
-which peaks near 71 bytes per break point for three outcomes, about 1.2 MB
+which peaks near 63 bytes per break point for three outcomes, about 1 MB
 per chunk.
 convergence_scan tabulates either route against the uniform law over a
 range of cell counts.  Its sampling route draws each cell count from one
@@ -54,8 +55,8 @@ __all__ = [
 
 # Break points (densities x point_samples) and subset bits (densities x
 # n_cells) that mc_batch draws per chunk.  A chunk's scratch peaks at about
-# 71 bytes per break point for three outcomes (tracemalloc, 256 densities of
-# 64 points on 25 cells), so about 1.2 MB per chunk; the test suite bounds
+# 63 bytes per break point for three outcomes (tracemalloc, 256 densities of
+# 64 points on 25 cells), so about 1 MB per chunk; the test suite bounds
 # it at 80 bytes.  A chunk holds at least one density, whose subset has at
 # most cells.MAX_CELLS bits; a density with more points than this draws them
 # in chunks of this size.
@@ -146,7 +147,9 @@ def _draw_subsets(
     smallest unsigned type that holds n_cells - 1, and so do the cell
     indices picked from it.
 
-    Only the empty rows of the bitmask are drawn again.
+    Only the empty rows of the bitmask are drawn again.  The set bits are
+    listed in one pass, as their flat indices modulo n_cells, which gives
+    the values and dtype of np.nonzero(bits)[1] without its row indices.
     """
     bits = rng.random((m, n_cells)) < 0.5
     empty = np.flatnonzero(~bits.any(axis=1))
@@ -154,7 +157,7 @@ def _draw_subsets(
         bits[empty] = rng.random((empty.size, n_cells)) < 0.5
         empty = empty[~bits[empty].any(axis=1)]
     # row-major order lists each row's set bits in cell order
-    cells = np.nonzero(bits)[1].astype(np.min_scalar_type(n_cells - 1))
+    cells = (np.flatnonzero(bits) % n_cells).astype(np.min_scalar_type(n_cells - 1))
     k = bits.sum(axis=1)
     return cells, np.cumsum(k) - k, k
 

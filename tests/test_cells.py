@@ -1,14 +1,16 @@
 """Equal-measure cell tessellations and their region overlap fractions."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import beta
 
-from trm import CellularDensity, DegenerateDensityError, cell_fraction_in_regions
+from trm import CellularDensity, DegenerateDensityError, cell_fraction_in_regions, density_to_json
 from trm.cells import (
     MAX_CELLS,
+    _triangle_table,
     sample_in_cells,
     slab_bounds,
     triangle_vertices,
@@ -32,6 +34,15 @@ def test_cellular_density_validation():
         CellularDensity(4, 4, [1, 1, 2])  # a repeated cell is not merged
     with pytest.raises(ValueError):
         CellularDensity(4, MAX_CELLS + 1, frozenset({1}))
+
+
+def test_cellular_density_stores_python_int_counts():
+    # numpy integer counts are stored as the ints they stand for, so the
+    # density serialises as the one built from plain ints
+    d = CellularDensity(np.int64(4), np.int64(8), {2})
+    assert type(d.n_outcomes) is int and type(d.n_cells) is int
+    assert d == CellularDensity(4, 8, {2})
+    assert json.dumps(density_to_json(d)) == json.dumps(density_to_json(CellularDensity(4, 8, {2})))
 
 
 def test_cellular_density_range_check_allocates_nothing_per_cell():
@@ -83,6 +94,43 @@ def test_triangle_cells_follow_the_documented_order():
         np.testing.assert_array_equal(triangle_vertices(k), np.array(ref))
         some = np.array([k * k - 1, 0, k * k // 2])
         np.testing.assert_array_equal(triangle_vertices(k, some), np.array(ref)[some])
+
+
+def _closed_form_triangle_cells(k):
+    """(i, j, down) of every triangle cell decoded from its index in closed
+    form, in the smallest unsigned type that holds k."""
+    c = np.arange(k * k)
+    j = k - np.ceil(np.sqrt(k * k - c)).astype(np.intp)
+    o = c - j * (2 * k - j)
+    small = np.min_scalar_type(k)
+    return (o >> 1).astype(small), j.astype(small), (o & 1).astype(small)
+
+
+@pytest.mark.parametrize("k", [*range(1, 21), 255, 256])
+def test_triangle_table_is_the_closed_form(k):
+    for got, ref in zip(_triangle_table(k), _closed_form_triangle_cells(k), strict=True):
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_triangle_table_is_read_only_and_keeps_one_subdivision():
+    for k in (3, 5, 3, 16):
+        for a in _triangle_table(k):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
+    assert _triangle_table.cache_info().currsize <= 1
+
+
+def test_triangle_vertices_refuse_cells_off_the_subdivision():
+    # 9 once gave a vertex off the simplex, and -1 would wrap to the last cell
+    k = 3
+    for cells in ([k * k], [-1], [9, -1], [0, k * k]):
+        with pytest.raises(ValueError, match=r"cell indices must lie in 0\.\.8"):
+            triangle_vertices(k, np.array(cells))
+        with pytest.raises(ValueError, match=r"cell indices must lie in 0\.\.8"):
+            sample_in_cells(3, k * k, np.array(cells), np.random.default_rng(0))
+    assert triangle_vertices(k, np.array([], dtype=int)).shape == (0, 3, 2)
 
 
 def test_slab_bounds_carry_equal_beta_mass():

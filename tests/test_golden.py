@@ -64,6 +64,14 @@ GOLDEN = {
                     "cell_counts": [4, 9], "density_samples": 300, "point_samples": 40}},
         "b46a33003b122c4127ec204bbfed585f04d5ed124c46539afddb05cf5ec4a15e",
     ),
+    # three chunks of densities at 9 and 25 cells, eleven at 289 cells,
+    # whose cell lists need uint16
+    "universal_mc_n3_chunks": (
+        {"kind": "universal", "seed": 26,
+         "params": {"method": "mc", "x": [0.15, 0.35, 0.5], "cell_counts": [9, 25, 289],
+                    "density_samples": 600, "point_samples": 64}},
+        "396f5d87490c8e8b0a0359d8c3733f8b7a81929287fb64d2fed4d8f4d089ea80",
+    ),
     "universal_mc_n4_slabs": (
         {"kind": "universal", "seed": 18,
          "params": {"method": "mc", "x": [0.1, 0.2, 0.3, 0.4], "blocks": [[1, 4], [2, 3]],

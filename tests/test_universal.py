@@ -182,6 +182,28 @@ def test_mc_batch_draws_within_each_subset(monkeypatch, p_pts, m, chunk):
     assert abs(square - moment[0]) <= 4 * sigma
 
 
+def _nonzero_subsets(m, n_cells, rng):
+    """The subset draw of _draw_subsets with each row's set bits listed by
+    np.nonzero, as (cells, k)."""
+    bits = rng.random((m, n_cells)) < 0.5
+    empty = np.flatnonzero(~bits.any(axis=1))
+    while empty.size:
+        bits[empty] = rng.random((empty.size, n_cells)) < 0.5
+        empty = empty[~bits[empty].any(axis=1)]
+    return np.nonzero(bits)[1].astype(np.min_scalar_type(n_cells - 1)), bits.sum(axis=1)
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 255, 256, 257, MAX_CELLS])
+def test_subset_cells_are_the_nonzero_columns(n_cells):
+    m = 7
+    cells, start, k = universal_module._draw_subsets(m, n_cells, np.random.default_rng(n_cells))
+    ref_cells, ref_k = _nonzero_subsets(m, n_cells, np.random.default_rng(n_cells))
+    assert cells.dtype == ref_cells.dtype
+    np.testing.assert_array_equal(cells, ref_cells)
+    np.testing.assert_array_equal(k, ref_k)
+    np.testing.assert_array_equal(start, np.cumsum(ref_k) - ref_k)
+
+
 def test_cell_pick_cannot_leave_its_row():
     # row r lists the cells r..2r (k = r + 1, every k up to MAX_CELLS) of a
     # list whose entries are their own positions, so a pick that left its

@@ -142,7 +142,8 @@ def triangle_vertices(k: int, cells: np.ndarray | None = None) -> np.ndarray:
     corners (0,0), (1,0), (0,1).  Every cell has chart area 1/(2 k^2).
     Row j holds the 2(k-j) - 1 cells from c = j(2k-j) on, alternately the
     upward triangle at column i and the downward one to its right.  Raises
-    ValueError for a cell index outside 0..k*k-1.
+    ValueError for a cell index outside 0..k*k-1, and TypeError for one
+    that is not an integer.
     """
     idx = np.arange(k * k) if cells is None else _cell_indices(cells, k * k)
     i, j, down = (a.take(idx) for a in _triangle_table(k))
@@ -169,9 +170,13 @@ def _triangle_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _cell_indices(cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """The 0-based cell indices as intp, refused with ValueError unless
-    each lies in 0..n_cells-1."""
-    idx = np.asarray(cells, dtype=np.intp)
+    """The 0-based cell indices as intp.  Float or bool indices raise
+    TypeError, as CellularDensity's do, and indices outside 0..n_cells-1
+    raise ValueError; an empty list passes."""
+    idx = np.asarray(cells)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise TypeError(f"cell indices must be integers, not {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= n_cells):
         raise ValueError(f"cell indices must lie in 0..{n_cells - 1}")
     return idx
@@ -258,7 +263,8 @@ def sample_in_cells(
 
     Returns a column-major (m, n_outcomes) array of barycentric points.
     Raises ValueError for a subdivision check_subdivision refuses or a cell
-    index outside 0..n_cells-1.
+    index outside 0..n_cells-1, and TypeError for a cell index that is not
+    an integer.
     """
     check_subdivision(n_outcomes, n_cells)
     idx = _cell_indices(cell_idx, n_cells)
@@ -283,11 +289,11 @@ def _sample_in_triangles(k: int, idx: np.ndarray, rng: np.random.Generator) -> n
     half above it.  A uniform r of the unit square is folded into that half
     as q = |s - r|, where s = (r0 + r1 > 1) XOR down, so q is exactly r or
     1 - r, and the chart point is (u, v) = ((i + q0)/k, (j + q1)/k) with
-    lam_1 = 1 - (u + v).  (i, j, down) come from _triangle_table(k), built
-    once per subdivision, by one take each.  Each coordinate is computed in
-    place in its output column, the first of which holds r0 + r1 on the
-    way, so r is the only float array beside the output and r itself is
-    never written.
+    lam_1 = 1 - (u + v), clamped at 0.  (i, j, down) come from
+    _triangle_table(k), built once per subdivision, by one take each.  Each
+    coordinate is computed in place in its output column, the first of
+    which holds r0 + r1 on the way, so r is the only float array beside the
+    output and r itself is never written.
     """
     i, j, down = (a.take(idx) for a in _triangle_table(k))
     out = np.empty((3, idx.shape[0])).T
@@ -298,5 +304,8 @@ def _sample_in_triangles(k: int, idx: np.ndarray, rng: np.random.Generator) -> n
         np.divide(np.add(corner, q, out=q), k, out=q)
     np.add(out[:, 1], out[:, 2], out=out[:, 0])
     np.subtract(1.0, out[:, 0], out=out[:, 0])
+    # u + v can round past 1 within an ulp of the top edge (about once in
+    # 2^53 points); lam_1 stays >= 0, as regions_of_batch requires
+    np.maximum(out[:, 0], 0.0, out=out[:, 0])
     return out
 

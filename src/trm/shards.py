@@ -1,28 +1,23 @@
 """Deterministic sharded Monte Carlo execution.
 
 Work is split into fixed-size blocks of trials.  Block i always draws from
-the generator seeded with (seed, spawn_key=i), and block results are
-reduced in index order, so the final numbers are byte-identical for a given
-(seed, BLOCK_SIZE) no matter how many workers run the blocks or in which
-order they finish.
+the generator seeded with (seed, spawn_key=i), and every block returns
+integer tallies, whose sum is exact in any order, so the final numbers are
+byte-identical for a given (seed, BLOCK_SIZE) no matter how many workers
+run the blocks or in which order they finish.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 
 __all__ = ["BLOCK_SIZE", "block_rng", "run_sharded"]
 
 BLOCK_SIZE = 1 << 16
-
-# Blocks per thread submitted to the pool and not yet added into the sum:
-# enough that no thread waits for work while the sum catches up.
-WINDOW = 2
 
 
 def block_rng(seed: int, index: int) -> np.random.Generator:
@@ -39,48 +34,34 @@ def run_sharded(
     """Sum of block_fn(rng_i, count_i) over blocks of BLOCK_SIZE trials
     covering `total`.
 
-    block_fn must depend only on its arguments; the reduction happens in
-    block-index order regardless of completion order.  At most
-    min(workers, number of blocks, CPU count) threads run the blocks, and
-    none when that is 1, since more threads than CPUs add memory and wall
-    time but change no result; each block's result is added into the sum
-    as soon as it is its turn, so no list of results is kept.  Each block's trial count follows
-    from its index, and at most WINDOW blocks per thread are submitted and
-    not yet added, so the memory a run holds does not grow with its number
-    of blocks.
+    block_fn must depend only on its arguments and return an integer array
+    of tallies (counts, not frequencies: divide after the sum); a float or
+    bool result raises TypeError, since only integer addition is exact in
+    any order.  T = min(workers, number of blocks, CPU count) threads run
+    the blocks, and none when T is 1, since more threads than CPUs add
+    memory and wall time but change no result.  Thread t runs blocks t,
+    t + T, t + 2T, ... and adds each result into its own running sum, and
+    the calling thread adds the T sums, so no list of results is kept and
+    the memory a run holds does not grow with its number of blocks.  A
+    block that raises surfaces as its own exception once the other threads
+    have finished their strides.
     """
     if total <= 0:
         raise ValueError(f"need a positive total, got {total}")
     size = BLOCK_SIZE
     blocks = -(-total // size)
+    threads = max(1, min(workers, blocks, os.cpu_count() or 1))
 
-    def one(i: int) -> np.ndarray:
-        return np.asarray(block_fn(block_rng(seed, i), min(size, total - i * size)))
+    def stride(t: int) -> np.ndarray:
+        acc = 0
+        for i in range(t, blocks, threads):
+            r = np.asarray(block_fn(block_rng(seed, i), min(size, total - i * size)))
+            if r.dtype.kind not in "iu":
+                raise TypeError(f"a block must return integer tallies, not {r.dtype}")
+            acc = acc + r
+        return acc
 
-    threads = min(workers, blocks, os.cpu_count() or 1)
-    if threads <= 1:
-        return _sum(map(one, range(blocks)))
+    if threads == 1:
+        return stride(0)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _sum(_in_order(pool, one, blocks, WINDOW * threads))
-
-
-def _in_order(
-    pool: ThreadPoolExecutor, fn: Callable[[int], np.ndarray], n: int, window: int
-) -> Iterator[np.ndarray]:
-    """fn(0), ..., fn(n - 1) run on pool and yielded in index order, with at
-    most `window` of them submitted and not yet yielded."""
-    pending: deque[Future] = deque()
-    for i in range(n):
-        if len(pending) == window:
-            yield pending.popleft().result()
-        pending.append(pool.submit(fn, i))
-    while pending:
-        yield pending.popleft().result()
-
-
-def _sum(results: Iterator[np.ndarray]) -> np.ndarray:
-    """Sum of the results in the order they are yielded."""
-    acc = next(results).copy()
-    for r in results:
-        acc += r
-    return acc
+        return sum(pool.map(stride, range(threads)))

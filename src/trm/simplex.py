@@ -368,8 +368,10 @@ def regions_of_batch(
     invariant under scaling a row, so the rows of points need not be
     normalised.  A vertex state has one support column and never ties.
     Raises ValueError when a raw state x has a negative or non-finite
-    component or no positive one, which a BarycentricVector never has, or
-    when the width of points is not the number of outcomes of x.
+    component or no positive one, which a BarycentricVector never has, when
+    the width of points is not the number of outcomes of x, or when a break
+    point has a NaN, infinite or negative coordinate, which no break point
+    in the simplex has.
     """
     xv = x.as_array() if isinstance(x, BarycentricVector) else np.asarray(x, dtype=float)
     if not (np.isfinite(xv).all() and (xv >= 0.0).all() and xv.any()):
@@ -377,6 +379,9 @@ def regions_of_batch(
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[-1] != xv.size:
         raise ValueError(f"break points of width {pts.shape[-1]} for a {xv.size}-outcome state")
+    # min and max carry a NaN through, and neither makes a temporary array
+    if pts.size and not (pts.min() >= 0.0 and pts.max() < np.inf):
+        raise ValueError("break points need finite coordinates >= 0")
     # a subnormal x_j overflows the ratio to inf, which is right: that
     # outcome never wins
     with np.errstate(over="ignore"):

@@ -133,6 +133,44 @@ def test_triangle_vertices_refuse_cells_off_the_subdivision():
     assert triangle_vertices(k, np.array([], dtype=int)).shape == (0, 3, 2)
 
 
+def test_cell_indices_refuse_floats_and_bools():
+    # a float index was once truncated: 1.7 and 7.9 sampled cells 1 and 7
+    rng = np.random.default_rng(0)
+    for cells in (np.array([1.7, 7.9]), np.array([1.0]), np.array([True, False])):
+        with pytest.raises(TypeError, match="integers"):
+            sample_in_cells(4, 8, cells, rng)
+        with pytest.raises(TypeError, match="integers"):
+            triangle_vertices(3, cells)
+    with pytest.raises(TypeError, match="integers"):
+        triangle_vertices(3, [1.7])
+
+
+def test_triangle_points_on_the_top_edge_keep_lam1_at_zero():
+    # this r lies on the diagonal of cell 4 of k = 3, on the top edge of
+    # the simplex; (u + v) rounds past 1 and once gave lam_1 = -2^-52,
+    # which regions_of_batch refuses
+    class Fixed:
+        def random(self, shape):
+            return np.array([[0.23964135616864612, 0.760358643831354]])
+
+    pts = sample_in_cells(3, 9, np.array([4]), Fixed())
+    assert pts[0, 0] == 0.0
+    np.testing.assert_allclose(pts.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    regions_of_batch(np.full(3, 1.0 / 3), pts)
+
+
+def test_cell_indices_take_narrow_unsigned_arrays_and_an_empty_list():
+    # mc_batch picks cells in the smallest unsigned type that holds them
+    for dtype in (np.uint8, np.uint16):
+        cells = np.array([0, 5, 8], dtype=dtype)
+        np.testing.assert_array_equal(triangle_vertices(3, cells), triangle_vertices(3, [0, 5, 8]))
+        a = sample_in_cells(4, 9, cells, np.random.default_rng(1))
+        np.testing.assert_array_equal(a, sample_in_cells(4, 9, [0, 5, 8], np.random.default_rng(1)))
+    assert triangle_vertices(3, []).shape == (0, 3, 2)
+    assert sample_in_cells(4, 8, [], np.random.default_rng(0)).shape == (0, 4)
+    assert sample_in_cells(3, 9, [], np.random.default_rng(0)).shape == (0, 3)
+
+
 def test_slab_bounds_carry_equal_beta_mass():
     # first coordinate of a flat simplex point is Beta(1, n-1); slabs are
     # its quantile bands

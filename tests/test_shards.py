@@ -105,9 +105,9 @@ def test_threads_never_outnumber_cpus(monkeypatch):
 
 def test_blocks_in_flight_are_bounded(monkeypatch):
     # submitting every block at once held about 1.5 kB per block, some 30 MB
-    # for 20 000 blocks; a window of a few blocks per thread holds a few kB
-    # whatever the block count.  The generators are stubbed out, so only the
-    # scheduling is measured.
+    # for 20 000 blocks; a thread that runs its own stride of blocks into
+    # one running sum holds a few kB whatever the block count.  The
+    # generators are stubbed out, so only the scheduling is measured.
     blocks = 20_000
     monkeypatch.setattr(trm.shards, "block_rng", lambda seed, i: None)
     tracemalloc.start()
@@ -118,3 +118,41 @@ def test_blocks_in_flight_are_bounded(monkeypatch):
         tracemalloc.stop()
     assert out.tolist() == [blocks * BLOCK_SIZE]
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "result", [np.array([0.5]), np.array([1.0, 2.0]), np.array([True]), 0.25, True]
+)
+def test_a_block_that_is_not_an_integer_tally_is_refused(workers, result):
+    # a float sum depends on the order of its terms; only integer tallies
+    # sum to the same bytes whichever thread adds them
+    with pytest.raises(TypeError, match="integer tallies"):
+        run_sharded(3 * BLOCK_SIZE, 1, lambda rng, m: result, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_every_block_is_drawn_exactly_once(monkeypatch, workers):
+    # 5 blocks, the last one partial, over 1 to 4 strides
+    drawn = []
+    monkeypatch.setattr(trm.shards, "block_rng", lambda seed, i: drawn.append(i) or i)
+    monkeypatch.setattr(trm.shards.os, "cpu_count", lambda: 4)
+    total = 4 * BLOCK_SIZE + 99
+    out = run_sharded(total, 1, lambda i, m: np.array([1, m, i]), workers=workers)
+    assert sorted(drawn) == [0, 1, 2, 3, 4]
+    assert out.tolist() == [5, total, 0 + 1 + 2 + 3 + 4]
+
+
+class BlockFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_raising_block_surfaces_its_own_exception(workers):
+    def fn(rng, m):
+        if m < BLOCK_SIZE:
+            raise BlockFault("the partial block")
+        return np.array([m])
+
+    with pytest.raises(BlockFault, match="the partial block"):
+        run_sharded(3 * BLOCK_SIZE + 5, 1, fn, workers=workers)

@@ -139,6 +139,34 @@ def test_regions_of_batch_refuses_a_width_mismatch(n, width):
 
 
 @pytest.mark.parametrize(
+    "point",
+    [
+        (0.2, np.nan, 0.3),
+        (-1.0, 0.5, 0.5),
+        (0.2, 0.3, -1e-300),
+        (np.inf, 0.0, 0.0),
+        (0.5, -np.inf, 1.0),
+    ],
+)
+def test_regions_of_batch_refuses_a_point_off_the_simplex(point):
+    # (0.2, NaN, 0.3) and (-1, 0.5, 0.5) once came back as region 1, untied
+    x = np.array([0.2, 0.3, 0.5])
+    pts = np.full((4, 3), 1.0 / 3)
+    pts[2] = point
+    for state in (x, BarycentricVector(tuple(x))):
+        with pytest.raises(ValueError, match="finite coordinates >= 0"):
+            regions_of_batch(state, pts)
+
+
+def test_regions_of_batch_takes_zero_coordinates_and_no_points():
+    x = np.array([0.2, 0.3, 0.5])
+    idx, ties = regions_of_batch(x, np.array([[0.0, 0.5, 0.5], [-0.0, 0.5, 0.5]]))
+    assert idx.tolist() == [1, 1] and not ties.any()
+    idx, ties = regions_of_batch(x, np.empty((0, 3)))
+    assert idx.shape == ties.shape == (0,)
+
+
+@pytest.mark.parametrize(
     "x", [(0.0, 0.0, 0.0), (np.nan, 0.5, 0.5), (-0.1, 0.6, 0.5), (np.inf, 0.5, 0.5)]
 )
 def test_regions_of_batch_refuses_a_broken_raw_state(x):

@@ -40,9 +40,10 @@ folded into that half and added to the square's corner gives the point:
 each chart coordinate is computed in place in its output column, no
 (m, 3, 2) corner tensor is made and the only float array beside the
 output is the (m, 2) uniform.  A slab inverts
-the lam_1 CDF inside the cell and spreads the remainder over standard
-exponentials (simplex._exponential_column) divided by their row sums, as
-the simplex sampler does.
+the lam_1 CDF inside the cell with one uniform and spreads the remainder
+1 - lam_1 over a uniform point of the (n-2)-simplex from
+simplex.sample_uniform_batch; with two outcomes the remainder is all of
+lam_2, so a 2-outcome slab point draws one uniform and no remainder.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDensityError, brief
-from .simplex import _exponential_column, _normalise_rows
+from .simplex import sample_uniform_batch
 
 __all__ = [
     "CellularDensity",
@@ -276,7 +277,7 @@ def sample_in_cells(
     p += idx
     p /= n_cells
     lam1 = out[:, 0] = 1.0 - (1.0 - p) ** (1.0 / (n_outcomes - 1))
-    rest = _normalise_rows(_exponential_column(rng, np.empty((m, n_outcomes - 1))))
+    rest = 1.0 if n_outcomes == 2 else sample_uniform_batch(n_outcomes - 1, m, rng)
     np.multiply((1.0 - lam1)[:, None], rest, out=out[:, 1:])
     return out
 

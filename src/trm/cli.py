@@ -61,7 +61,7 @@ from .gtr import (
     transition_probabilities_1d,
     transition_probabilities_nd,
 )
-from .hilbert import correspondence_batch
+from .hilbert import _oracle_chunk, correspondence_batch
 from .shards import block_rng, run_sharded
 from .simplex import BarycentricVector, OutcomePartition
 from .sphere import BlochVector, counterexample_bundle, sequential_joint
@@ -74,19 +74,6 @@ __all__ = ["main"]
 # adjustment of them on 64-bit systems.
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD_MAX = 32 << 20
-
-# Scratch bytes the oracle gives each correspondence_batch call.  The batch
-# holds about three complex (states, 2^n - 1, n) arrays at a time, 7.4 kB
-# per state at five outcomes and 98 kB at eight, so chunks sized from this
-# keep its scratch near 1 MB for any `states`.  The chunk size bounds memory
-# only: a state's deviation is the same in any chunk.
-ORACLE_BYTES = 1 << 20
-
-
-def _oracle_chunk(n: int) -> int:
-    """States per correspondence_batch call at n outcomes."""
-    return max(1, ORACLE_BYTES // (48 * n * ((1 << n) - 1)))
-
 
 def _document(value: Any, where: str) -> Any:
     """A field passed on unchecked, to a check of its own further on."""

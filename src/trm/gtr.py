@@ -212,12 +212,18 @@ def atom(density: DensitySpec, z: float) -> float:
     return sum((m for lo, hi, m in _pieces(density) if lo == hi == z), 0.0)
 
 
-def _landing(cos_theta: float, density: DensitySpec) -> float:
-    """The particle's on-axis coordinate z_a, once cos(theta) and the
-    density are known to fit a one-dimensional measurement."""
+def _cos_theta(cos_theta: float) -> float:
+    """cos(theta) as a float, refused outside [-1, 1] or NaN."""
     c = float(cos_theta)
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"cos(theta) must lie in [-1, 1], got {c}")
+    return c
+
+
+def _landing(cos_theta: float, density: DensitySpec) -> float:
+    """The particle's on-axis coordinate z_a, once cos(theta) and the
+    density are known to fit a one-dimensional measurement."""
+    c = _cos_theta(cos_theta)
     _pieces(density)
     return c * Z_MAX
 
@@ -239,16 +245,16 @@ def sample_outcomes_1d(
     particle at z_a = cos(theta)/sqrt(2), and whether each gives the plus
     outcome.
 
-    A break below the particle gives plus; one exactly at it is settled by
-    a fair coin, drawn (`size` of them) only when some break ties.  A
+    A break below the particle gives plus; each break exactly at it is
+    settled by a fair coin of its own, so a call draws `size` uniforms for
+    the breaks and one more per tied break, in the order of the breaks.  A
     density that is not one-dimensional is refused before anything is drawn.
     """
     z_a = _landing(cos_theta, density)
     z = sample_break_point(density, rng, size=size)
     plus = z < z_a
     ties = z == z_a
-    if ties.any():
-        plus |= ties & (rng.random(size) < 0.5)
+    plus[ties] = rng.random(np.count_nonzero(ties)) < 0.5
     return z, plus
 
 
@@ -274,12 +280,8 @@ def epsilon_probability(cos_theta: float, epsilon: float) -> tuple[float, float]
     At epsilon == 1 this is the squared half-angle law
     (cos^2(theta/2), sin^2(theta/2)).
     """
-    c = float(cos_theta)
-    e = float(epsilon)
-    if not 0.0 < e <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {e}")
-    if not -1.0 <= c <= 1.0:
-        raise ValueError(f"cos(theta) must lie in [-1, 1], got {c}")
+    e = Epsilon(epsilon).epsilon
+    c = _cos_theta(cos_theta)
     if c > e:
         return 1.0, 0.0
     if c < -e:

@@ -237,6 +237,19 @@ def correspondence_batch(
     return np.maximum(np.abs(born - law).max(axis=1), collapse_gap.max(axis=(1, 2)))
 
 
+# Scratch bytes the oracle gives each correspondence_batch call.  The batch
+# holds about three complex (states, 2^n - 1, n) arrays at a time, 7.4 kB
+# per state at five outcomes and 98 kB at eight, so chunks sized from this
+# keep its scratch near 1 MB for any `states`.  The chunk size bounds memory
+# only: a state's deviation is the same in any chunk.
+ORACLE_BYTES = 1 << 20
+
+
+def _oracle_chunk(n: int) -> int:
+    """States per correspondence_batch call at n outcomes."""
+    return max(1, ORACLE_BYTES // (48 * n * ((1 << n) - 1)))
+
+
 def _collapsed_moduli(
     coords: np.ndarray, masks: np.ndarray, born: np.ndarray, base: np.ndarray
 ) -> np.ndarray:

@@ -39,11 +39,12 @@ divides by x_j; each product is within about 1.5 ulp of the quotient, so
 only ratios that TIE_RTOL already calls tied can change order, and the
 regions and ties are those regions_of_batch finds on the same draw.
 
-sample_uniform_batch remains the public normalised sampler, with no caller
-in the library.  It draws one (m, n) array and divides it in place by row
-sums added up column by column, so it holds one (m, n) and one (m,) array.
-For n <= 7 those sums, and so the points, have the same bits as numpy's own
-row sum; wider rows may differ in the last bit.
+sample_uniform_batch is the package's one normalised uniform draw; the
+slab cells of cells.sample_in_cells take their remainders from it.  It
+draws one (m, n) array and divides it in place by row sums added up column
+by column, so it holds one (m, n) and one (m,) array.  For n <= 7 those
+sums, and so the points, have the same bits as numpy's own row sum; wider
+rows may differ in the last bit.
 
 OutcomePartition owns the grouping of outcomes into blocks.  It builds its
 outcome-to-block map once, checks that a state has the outcomes it covers
@@ -494,23 +495,20 @@ def resolve_ties(
 
 def sample_uniform_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """(size, n) array of uniform simplex points: each row holds n standard
-    exponentials (_exponential_column) divided, in place, by their sum."""
-    if n < 2:
-        raise ValueError(f"need at least two outcomes, got n={n}")
-    return _normalise_rows(_exponential_column(rng, np.empty((size, n))))
+    exponentials (_exponential_column), size * n uniforms, divided in place
+    by their sum.
 
-
-def _normalise_rows(e: np.ndarray) -> np.ndarray:
-    """Divide each row of a 2-D array by its sum, in place, and return it.
-
-    The sums add the columns left to right into one (m,) array, which is
-    faster than a reduce over short rows and allocates no second (m, n)
+    The sums add the columns left to right into one (size,) array, which is
+    faster than a reduce over short rows and allocates no second (size, n)
     array.  numpy sums a row of fewer than 8 terms left to right too, so
     for up to 7 columns the result is bit-identical to
     e / e.sum(axis=1, keepdims=True); wider rows may differ in the last bit.
     """
+    if n < 2:
+        raise ValueError(f"need at least two outcomes, got n={n}")
+    e = _exponential_column(rng, np.empty((size, n)))
     s = e[:, 0].copy()
-    for j in range(1, e.shape[1]):
+    for j in range(1, n):
         s += e[:, j]
     e /= s[:, None]
     return e

@@ -18,6 +18,26 @@ def eager_exponentials(rng, shape):
     return -np.log(1.0 - rng.random(shape))
 
 
+class ServedUniforms:
+    """A generator stand-in whose random() serves preset uniforms in order,
+    for an int or tuple size or an out array, as Generator.random does; `at`
+    counts the uniforms served so far."""
+
+    def __init__(self, u):
+        self.flat, self.at = np.ravel(u), 0
+
+    def random(self, size=None, out=None):
+        shape = out.shape if out is not None else size
+        k = int(np.prod(shape))
+        vals = self.flat[self.at : self.at + k]
+        assert vals.size == k, f"asked for {k} uniforms, {vals.size} left to serve"
+        self.at += k
+        if out is None:
+            return vals.reshape(shape).copy()
+        out[...] = vals.reshape(out.shape)
+        return out
+
+
 def support_exponentials(rng, x, size):
     """The (size, n) break points the utr trials draw for a state x,
     written out eagerly: eager_exponentials of shape (support, size),

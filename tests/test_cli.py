@@ -16,7 +16,7 @@ import trm
 from trm import cli
 from trm.cells import MAX_CELLS
 from trm.errors import BRIEF_CHARS, brief
-from trm.hilbert import correspondence_batch
+from trm.hilbert import _oracle_chunk, correspondence_batch
 from trm.shards import block_rng
 
 FIXTURE = Path(__file__).parent / "data" / "kolmogorov_not_qubit.json"
@@ -661,7 +661,7 @@ def test_oracle_chunks_draw_the_per_state_stream(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "correspondence_batch", recording)
     dims, seed = [5, 8], 17
-    chunks = [cli._oracle_chunk(n) for n in dims]
+    chunks = [_oracle_chunk(n) for n in dims]
     states = 2 * max(chunks) + 5
     doc = {"kind": "oracle", "seed": seed, "params": {"dims": dims, "states": states}}
     cfg = write_config(tmp_path, "o.json", doc)

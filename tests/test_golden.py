@@ -36,7 +36,7 @@ GOLDEN = {
         {"kind": "gtr", "seed": 24,
          "params": {"mode": "1d", "cos_theta": 1.0, "trials": 100000,
                     "density": {"type": "double_point", "a": 0.3, "b": 0.7}}},
-        "0de616bd9c541dae5c57c4cecd4a6fc623ca0edc6d5e79574fb78a3ad4163fc4",
+        "0ce782a3123a1a0964ecc1d2d151ee181dff7354efab6a97e10f3c26cc20c368",
     ),
     "gtr_1d_epsilon_trials": (
         {"kind": "gtr", "seed": 25,

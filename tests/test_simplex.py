@@ -33,6 +33,7 @@ from trm.simplex import (
 )
 
 from conftest import (
+    ServedUniforms,
     eager_exponentials,
     iter_partitions,
     random_interior_state,
@@ -334,22 +335,6 @@ def test_exponential_regions_draw_the_eager_stream(x, size, monkeypatch):
         np.testing.assert_array_equal(got, ref)
         assert got.dtype == ref.dtype
         assert streamed.random(5).tolist() == eager.random(5).tolist()
-
-
-class ServedUniforms:
-    """A generator stand-in whose random() serves preset uniforms in order."""
-
-    def __init__(self, u):
-        self.flat, self.at = np.ravel(u), 0
-
-    def random(self, size=None, out=None):
-        k = out.size if out is not None else size
-        vals = self.flat[self.at : self.at + k]
-        self.at += k
-        if out is None:
-            return vals.copy()
-        out[...] = vals.reshape(out.shape)
-        return out
 
 
 @pytest.mark.parametrize(

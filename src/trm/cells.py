@@ -56,25 +56,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDensityError, brief
-from .simplex import sample_uniform_batch
+from .simplex import CHUNK_BYTES, sample_uniform_batch
 
 __all__ = [
     "CellularDensity",
     "MAX_CELLS",
     "cell_fraction_in_regions",
     "check_subdivision",
+    "pick_cells",
     "sample_in_cells",
     "slab_bounds",
     "triangle_vertices",
 ]
 
-# Largest cell count of any subdivision: it bounds the (n, n_cells) arrays
-# of the exact cell laws and the subset bitmasks of the sampled average.
+# Largest cell count of any subdivision: it bounds the subset bitmasks of
+# the sampled average.  The exact cell laws build an (n, n_cells) table of
+# floats, which grows with the outcome count n too (a 69.7 MB peak at
+# n = 64 and 65 536 cells, tracemalloc).
 MAX_CELLS = 1 << 16
-
-# Triangle cells clipped at once; it bounds the clipping's scratch arrays to
-# about a megabyte.
-CLIP_CHUNK = 1024
 
 
 def check_subdivision(n_outcomes: int, n_cells: int) -> None:
@@ -217,11 +216,13 @@ def _power_sum(u: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
 def _triangle_fractions(xv: np.ndarray, k: int) -> np.ndarray:
     """(3, k*k) region shares of the triangle cells: each cell clipped by
     the two half-planes lam_j x_i - lam_i x_j >= 0 of each region i, in
-    chunks of CLIP_CHUNK cells."""
+    chunks of CHUNK_BYTES // 1024 cells: a cell's clipping scratch is
+    about a kilobyte."""
     e = np.eye(3)
     areas = np.empty((3, k * k))
-    for lo in range(0, k * k, CLIP_CHUNK):
-        chunk = np.arange(lo, min(lo + CLIP_CHUNK, k * k))
+    per_chunk = CHUNK_BYTES // 1024
+    for lo in range(0, k * k, per_chunk):
+        chunk = np.arange(lo, min(lo + per_chunk, k * k))
         chart = triangle_vertices(k, chunk)
         cells = np.concatenate([1.0 - chart.sum(axis=2, keepdims=True), chart], axis=2)
         for i in range(3):
@@ -255,6 +256,29 @@ def _clip(poly: np.ndarray, normal: np.ndarray, on_line: np.ndarray) -> np.ndarr
     start = np.where(p_in, poly, np.where(q_in, cross, on_line))
     end = np.where(q_in, nxt, np.where(p_in, cross, on_line))
     return np.stack([start, end], axis=2).reshape(poly.shape[0], -1, 3)
+
+
+def pick_cells(
+    cells: np.ndarray, start: np.ndarray, k: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """(m, points) cells picked from m lists of cells by the uniforms u in
+    [0, 1): row r's list is cells[start[r]:start[r] + k[r]], and u[r, j]
+    picks cells[start[r] + floor(u[r, j] k[r])].  The package's one pick of
+    a cell among equally likely ones, one uniform per pick.
+
+    floor(u k) stays below k for every u < 1 and k < 2^53: the largest u,
+    1 - 2^-53, gives k - k 2^-53, which is a float when k is a power of two
+    and otherwise lies more than half an ulp below k, so round-to-nearest
+    never lifts it to k.  The floor comes before the row start is added,
+    since start + u k could round up to start + k, the next row's first
+    cell.  u takes the 2^53 values i 2^-53; the grid and the rounding of
+    the product each move a bin edge by at most one of them, so every cell
+    of a row is picked with probability 1/k within a relative error of
+    2k 2^-53.
+    """
+    pos = (u * k[:, None]).astype(np.intp)
+    pos += start[:, None]
+    return cells.take(pos)
 
 
 def sample_in_cells(

@@ -61,7 +61,7 @@ from .gtr import (
     transition_probabilities_1d,
     transition_probabilities_nd,
 )
-from .hilbert import _oracle_chunk, correspondence_batch
+from .hilbert import oracle_deviation
 from .shards import block_rng, run_sharded
 from .simplex import BarycentricVector, OutcomePartition
 from .sphere import BlochVector, counterexample_bundle, sequential_joint
@@ -303,26 +303,14 @@ def _run_classify(params: Mapping[str, Any], seed: int, workers: int) -> tuple[d
 
 def _run_oracle(params: Mapping[str, Any], seed: int, workers: int) -> tuple[dict, list[dict]]:
     dims, states = params["dims"], params["states"]
-    rows = []
-    worst = 0.0
-    for d_i, n in enumerate(dims):
-        rng = block_rng(seed, d_i)
-        dim_worst = 0.0
-        chunk = _oracle_chunk(n)
-        for start in range(0, states, chunk):
-            # one state is n real parts, then n imaginary parts
-            raw = rng.normal(size=(min(chunk, states - start), 2, n))
-            amps = raw[:, 0] + 1j * raw[:, 1]
-            amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-            dim_worst = max(dim_worst, float(correspondence_batch(amps).max()))
-        rows.append({"dim": n, "states": states, "max_deviation": dim_worst})
-        worst = max(worst, dim_worst)
+    worsts = [oracle_deviation(n, states, block_rng(seed, d_i)) for d_i, n in enumerate(dims)]
+    rows = [{"dim": n, "states": states, "max_deviation": w} for n, w in zip(dims, worsts)]
     result = {
         "dims": dims,
         "states_per_dim": states,
         "tolerance": params["tolerance"],
-        "max_deviation": worst,
-        "ok": worst <= params["tolerance"],
+        "max_deviation": max(worsts),
+        "ok": max(worsts) <= params["tolerance"],
     }
     return result, rows
 

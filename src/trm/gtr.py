@@ -42,7 +42,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .cells import CellularDensity, cell_fraction_in_regions, sample_in_cells
+from .cells import CellularDensity, cell_fraction_in_regions, pick_cells, sample_in_cells
 from .errors import (
     REQUIRED,
     Check,
@@ -76,6 +76,8 @@ __all__ = [
     "transition_probabilities_nd",
 ]
 
+# The break interval is [-Z_MAX, Z_MAX], the diameter of the sphere of
+# states, so sphere.RADIUS is this value.
 Z_MAX = 1.0 / math.sqrt(2.0)
 
 MASS_TOL = 1e-9
@@ -325,12 +327,13 @@ def sample_break_point(
     inverse-CDF sampling over their pieces, one uniform per break, atoms
     included; cellular densities return a (size, n_outcomes) array of
     barycentric points, choosing a breakable cell uniformly (all cells have
-    equal measure) and a uniform point inside it.
+    equal measure) with one uniform (cells.pick_cells) and a uniform point
+    inside it.
     """
     if isinstance(density, CellularDensity):
         cells = density.breakable_sorted - 1
-        idx = cells[rng.integers(0, cells.size, size)]
-        return sample_in_cells(density.n_outcomes, density.n_cells, idx, rng)
+        idx = pick_cells(cells, np.zeros(1, np.intp), np.array([cells.size]), rng.random((1, size)))
+        return sample_in_cells(density.n_outcomes, density.n_cells, idx[0], rng)
     lo, hi, mass = (np.array(col) for col in zip(*_pieces(density)))
     cum = np.concatenate([[0.0], np.cumsum(mass)])
     cum[-1] = 1.0

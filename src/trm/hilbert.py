@@ -9,11 +9,13 @@ component by component.
 
 correspondence_batch checks that agreement for many states and every
 outcome block at once, along two routes that stay independent, and returns
-each state's largest deviation; the CLI oracle holds it against its
-configured tolerance.  A block's Born weight, its simplex weight and both
-of its collapses depend on the block alone, not on the partition it sits
-in, and every nonempty subset of the basis indices is a block of some
-partition; so checking the 2^n - 1 subsets once checks every partition.
+each state's largest deviation.  oracle_deviation draws random states in
+chunks and keeps the largest deviation of all; the CLI oracle holds it
+against its configured tolerance.  A block's Born weight, its simplex
+weight and both of its collapses depend on the block alone, not on the
+partition it sits in, and every nonempty subset of the basis indices is a
+block of some partition; so checking the 2^n - 1 subsets once checks every
+partition.
 The Hilbert route works on amplitudes only: eigenbasis coordinates, squared
 moduli masked to each block and summed in outcome order, and projection,
 renormalization and re-measurement for each collapse.  The simplex route is
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ImpossibleOutcomeError
-from .simplex import OutcomePartition, _subset_masks
+from .simplex import CHUNK_BYTES, OutcomePartition, _subset_masks
 from .utr import PRODUCT_TOL, product_relation_residuals, restrict
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "collapse",
     "correspondence_batch",
     "is_product_state",
+    "oracle_deviation",
     "tensor",
 ]
 
@@ -237,17 +240,27 @@ def correspondence_batch(
     return np.maximum(np.abs(born - law).max(axis=1), collapse_gap.max(axis=(1, 2)))
 
 
-# Scratch bytes the oracle gives each correspondence_batch call.  The batch
-# holds about three complex (states, 2^n - 1, n) arrays at a time, 7.4 kB
-# per state at five outcomes and 98 kB at eight, so chunks sized from this
-# keep its scratch near 1 MB for any `states`.  The chunk size bounds memory
-# only: a state's deviation is the same in any chunk.
-ORACLE_BYTES = 1 << 20
+def oracle_deviation(n: int, states: int, rng: np.random.Generator) -> float:
+    """Largest correspondence_batch deviation over `states` random pure
+    states of n amplitudes, on the computational basis.
 
-
-def _oracle_chunk(n: int) -> int:
-    """States per correspondence_batch call at n outcomes."""
-    return max(1, ORACLE_BYTES // (48 * n * ((1 << n) - 1)))
+    A state is n standard normal real parts, then n imaginary parts, from
+    rng.normal, divided by its norm.  A correspondence_batch call holds
+    about three complex (states, 2^n - 1, n) arrays, 7.4 kB per state at
+    five outcomes and 98 kB at eight, so the states are drawn and checked
+    in chunks of CHUNK_BYTES // (48 n (2^n - 1)), at least one.  The chunk
+    bounds memory only: the draws are those of one state at a time, and a
+    state's deviation does not depend on its batch (see the module
+    docstring).
+    """
+    chunk = max(1, CHUNK_BYTES // (48 * n * ((1 << n) - 1)))
+    worst = 0.0
+    for start in range(0, states, chunk):
+        raw = rng.normal(size=(min(chunk, states - start), 2, n))
+        amps = raw[:, 0] + 1j * raw[:, 1]
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        worst = max(worst, float(correspondence_batch(amps).max()))
+    return worst
 
 
 def _collapsed_moduli(

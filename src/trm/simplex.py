@@ -44,7 +44,8 @@ slab cells of cells.sample_in_cells take their remainders from it.  It
 draws one (m, n) array and divides it in place by row sums added up column
 by column, so it holds one (m, n) and one (m,) array.  For n <= 7 those
 sums, and so the points, have the same bits as numpy's own row sum; wider
-rows may differ in the last bit.
+rows may differ in the last bit.  A row of n zero uniforms, which has no
+direction, is drawn again.
 
 OutcomePartition owns the grouping of outcomes into blocks.  It builds its
 outcome-to-block map once, checks that a state has the outcomes it covers
@@ -96,6 +97,12 @@ TIE_RTOL = 1e-12
 
 # Consecutive boundary (tie) draws tolerated before giving up on a row.
 MAX_BOUNDARY_RETRIES = 64
+
+# Scratch bytes one chunk of a chunked kernel may hold.  Each kernel sizes
+# its chunks from its own bytes per item: universal.mc_batch per break
+# point, cells' triangle clipping per cell and hilbert.oracle_deviation per
+# state.  The chunk size bounds memory only; it moves no result bit.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -503,6 +510,10 @@ def sample_uniform_batch(n: int, size: int, rng: np.random.Generator) -> np.ndar
     array.  numpy sums a row of fewer than 8 terms left to right too, so
     for up to 7 columns the result is bit-identical to
     e / e.sum(axis=1, keepdims=True); wider rows may differ in the last bit.
+    A row whose n uniforms are all exactly 0 (chance 2^-53n) sums to -0.0
+    and has no direction: it is replaced by a fresh draw of its own, made
+    after the batch, until it is nonzero, so the stream moves only after
+    such a row.
     """
     if n < 2:
         raise ValueError(f"need at least two outcomes, got n={n}")
@@ -510,5 +521,11 @@ def sample_uniform_batch(n: int, size: int, rng: np.random.Generator) -> np.ndar
     s = e[:, 0].copy()
     for j in range(1, n):
         s += e[:, j]
+    # a row of n zero exponentials (n uniforms of exactly 0) has no
+    # direction; it is drawn again, after the whole batch
+    zero = np.flatnonzero(s == 0.0)
+    s[zero] = 1.0
     e /= s[:, None]
+    if zero.size:
+        e[zero] = sample_uniform_batch(n, zero.size, rng)
     return e

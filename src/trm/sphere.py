@@ -33,7 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
+# the sphere's diameter is the break interval [-Z_MAX, Z_MAX]
 from .gtr import (
+    Z_MAX as RADIUS,
     DensitySpec,
     Epsilon,
     sample_outcomes_1d,
@@ -50,8 +52,6 @@ __all__ = [
     "sequential_joint",
     "transition_probability",
 ]
-
-RADIUS = 1.0 / math.sqrt(2.0)
 
 NORM_TOL = 1e-9
 

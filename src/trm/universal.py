@@ -26,11 +26,14 @@ cells.sample_in_cells draw of a break point in every picked cell, whose
 outcome regions regions_of_batch finds (resolve_ties redraws only the
 points that tie) and OutcomePartition.count tallies per density; it
 returns the mean of the per-density estimates and their standard error.
-A chunk holds up to MC_CHUNK_ROWS = 16384 break points, so 256 densities
-of 64 points are one chunk; the chunk keeps only its cell indices, in the
-smallest unsigned type that holds n_c - 1, beside the kernels' scratch,
-which peaks near 63 bytes per break point for three outcomes, about 1 MB
-per chunk.
+A chunk holds up to CHUNK_BYTES // (16 (n + 1)) break points at n
+outcomes (simplex.CHUNK_BYTES = 1 MiB), 16384 for three outcomes, so 256
+densities of 64 points are one chunk.  The chunk keeps only its cell
+indices, in the smallest unsigned type that holds n_c - 1, beside the
+kernels' scratch, which grows with n: tracemalloc reads 55, 63, 100, 174
+and 320 bytes per break point at n = 2, 3, 4, 8 and 16 (one full chunk of
+64-point densities on 25 cells), so a chunk peaks at 0.96 to 1.25 MiB for
+every n from 2 to 256.
 convergence_scan tabulates either route against the uniform law over a
 range of cell counts.  Its sampling route draws each cell count from one
 generator seeded with the scan's seed, on the calling thread, so its bytes
@@ -45,22 +48,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .cells import cell_fraction_in_regions, check_subdivision, sample_in_cells
-from .simplex import BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
+from .cells import cell_fraction_in_regions, check_subdivision, pick_cells, sample_in_cells
+from .simplex import (
+    CHUNK_BYTES, BarycentricVector, OutcomePartition, regions_of_batch, resolve_ties
+)
 
 __all__ = [
     "convergence_scan",
     "universal_probability_exact",
 ]
-
-# Break points (densities x point_samples) and subset bits (densities x
-# n_cells) that mc_batch draws per chunk.  A chunk's scratch peaks at about
-# 63 bytes per break point for three outcomes (tracemalloc, 256 densities of
-# 64 points on 25 cells), so about 1 MB per chunk; the test suite bounds
-# it at 80 bytes.  A chunk holds at least one density, whose subset has at
-# most cells.MAX_CELLS bits; a density with more points than this draws them
-# in chunks of this size.
-MC_CHUNK_ROWS = 16384
 
 
 def universal_probability_exact(
@@ -88,7 +84,8 @@ def mc_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mean, stderr) per block of the outcome laws of density_samples
     sampled densities, each estimated from point_samples break points,
-    drawn from rng in chunks of up to MC_CHUNK_ROWS break points;
+    drawn from rng in chunks of up to CHUNK_BYTES // (16 (n + 1)) break
+    points at n outcomes;
     convergence_scan's sampling route makes one call per cell count.
 
     stderr is the sample standard deviation (denominator density_samples
@@ -106,17 +103,19 @@ def mc_batch(
     check_subdivision(x.n, n_cells)
     partition = _grouping(x, partition)
     sums = np.zeros((2, partition.n_blocks))
-    per_chunk = max(1, MC_CHUNK_ROWS // max(point_samples, n_cells))
+    # break points per chunk, from a scratch of about 16 (n + 1) bytes each
+    rows = CHUNK_BYTES // (16 * (x.n + 1))
+    per_chunk = max(1, rows // max(point_samples, n_cells))
     for drawn in range(0, density_samples, per_chunk):
         m = min(per_chunk, density_samples - drawn)
         cells, start, k = _draw_subsets(m, n_cells, rng)
         counts = np.zeros((m, partition.n_blocks))
         # a density with more points than a chunk holds draws them in parts
-        for done in range(0, point_samples, MC_CHUNK_ROWS):
-            p = min(MC_CHUNK_ROWS, point_samples - done)
+        for done in range(0, point_samples, rows):
+            p = min(rows, point_samples - done)
             # the uniforms and positions die with the pick, so only the cell
             # indices stay alive beside the kernels' scratch
-            idx = _pick_cells(cells, start, k, rng.random((m, p))).ravel()
+            idx = pick_cells(cells, start, k, rng.random((m, p))).ravel()
             counts += partition.count(
                 resolve_ties(
                     idx.size,
@@ -160,27 +159,6 @@ def _draw_subsets(
     cells = (np.flatnonzero(bits) % n_cells).astype(np.min_scalar_type(n_cells - 1))
     k = bits.sum(axis=1)
     return cells, np.cumsum(k) - k, k
-
-
-def _pick_cells(
-    cells: np.ndarray, start: np.ndarray, k: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """(m, points) cells picked from the m subsets (cells, start, k) by the
-    uniforms u in [0, 1): u[r, j] picks cells[start[r] + floor(u[r, j] k[r])].
-
-    floor(u k) stays below k for every u < 1 and k < 2^53: the largest u,
-    1 - 2^-53, gives k - k 2^-53, which is a float when k is a power of two
-    and otherwise lies more than half an ulp below k, so round-to-nearest
-    never lifts it to k.  The floor comes before the row start is added,
-    since start + u k could round up to start + k, the next row's first
-    cell.  u takes the 2^53 values i 2^-53; the grid and the rounding of
-    the product each move a bin edge by at most one of them, so every cell
-    of a row is picked with probability 1/k within a relative error of
-    2k 2^-53.
-    """
-    pos = (u * k[:, None]).astype(np.intp)
-    pos += start[:, None]
-    return cells.take(pos)
 
 
 def _grouping(x: BarycentricVector, partition: OutcomePartition | None) -> OutcomePartition:

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface: in subprocesses, and
 in-process where a test replaces one of its parts."""
 
+import ast
 import contextlib
 import io
 import json
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 
 import trm
-from trm import cli
+from trm import cli, hilbert
 from trm.cells import MAX_CELLS
 from trm.errors import BRIEF_CHARS, brief
-from trm.hilbert import _oracle_chunk, correspondence_batch
+from trm.hilbert import correspondence_batch
 from trm.shards import block_rng
 
 FIXTURE = Path(__file__).parent / "data" / "kolmogorov_not_qubit.json"
@@ -659,9 +660,10 @@ def test_oracle_chunks_draw_the_per_state_stream(tmp_path, monkeypatch):
         seen.append(amps.copy())
         return correspondence_batch(amps, *args)
 
-    monkeypatch.setattr(cli, "correspondence_batch", recording)
+    monkeypatch.setattr(hilbert, "correspondence_batch", recording)
     dims, seed = [5, 8], 17
-    chunks = [_oracle_chunk(n) for n in dims]
+    # oracle_deviation checks CHUNK_BYTES // (48 n (2^n - 1)) states a call
+    chunks = [max(1, hilbert.CHUNK_BYTES // (48 * n * ((1 << n) - 1))) for n in dims]
     states = 2 * max(chunks) + 5
     doc = {"kind": "oracle", "seed": seed, "params": {"dims": dims, "states": states}}
     cfg = write_config(tmp_path, "o.json", doc)
@@ -684,3 +686,19 @@ def test_oracle_chunks_draw_the_per_state_stream(tmp_path, monkeypatch):
         dim, count, reported = rows[d_i].split(",")
         assert (int(dim), int(count)) == (n, states)
         assert float(reported) == worst
+
+
+def test_cli_imports_no_private_name_of_the_package():
+    """The runners are a thin layer over the public library: cli.py imports
+    no underscore-prefixed name from a trm module (a dunder such as
+    __version__ is public)."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        f"{'.' * node.level}{node.module or ''} {alias.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "trm")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not private, private

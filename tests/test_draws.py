@@ -2,9 +2,9 @@
 
 A sampler draws exactly the numbers its result reads, so the table below
 is also the length of each sampler's random stream.  Every draw in the
-package is a call of rng.random, rng.integers or rng.normal, which the
-last test checks over the source, so a new draw method fails a named test
-instead of slipping past the table.
+package is a call of rng.random or rng.normal, which the last test checks
+over the source, so a new draw method fails a named test instead of
+slipping past the table.
 """
 
 import ast
@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 import trm
-from trm import DoublePoint, Epsilon, PointBreak
-from trm.cells import sample_in_cells
-from trm.gtr import Z_MAX, sample_outcomes_1d
+from trm import CellularDensity, DoublePoint, Epsilon, PointBreak, sample_uniform_batch
+from trm.cells import pick_cells, sample_in_cells
+from trm.gtr import Z_MAX, sample_break_point, sample_outcomes_1d
 from conftest import ServedUniforms
 
-DRAW_METHODS = {"random", "integers", "normal"}
+DRAW_METHODS = {"random", "normal"}
 
 
 # (outcomes, cells, uniforms per point): lam_1 of a slab, plus a normalised
@@ -48,6 +48,32 @@ def test_a_two_outcome_slab_point_is_its_remainder_for_any_uniform():
     np.testing.assert_array_equal(pts[:2], [[0.25, 0.75], [0.5, 0.5]])
     assert np.isfinite(pts).all()
     assert np.array_equal(pts[:, 1], 1.0 - pts[:, 0])
+
+
+def test_a_row_of_zero_uniforms_is_drawn_again():
+    # n zero uniforms are n exponentials of -0.0, a row with no direction
+    # that divided by its sum was NaN; it is redrawn after the batch
+    n, fresh = 3, np.array([0.25, 0.5, 0.75])
+    first = np.random.default_rng(9).random((2, n))
+    served = ServedUniforms(np.concatenate([np.zeros(n), first[1], fresh]))
+    pts = sample_uniform_batch(n, 2, served)
+    assert served.at == 3 * n
+    e = -np.log(1.0 - np.stack([fresh, first[1]]))
+    np.testing.assert_array_equal(pts, e / e.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("n, n_c, per_point", [(2, 6, 1), (3, 9, 2), (4, 5, 4)])
+def test_a_cellular_break_picks_its_cell_with_one_uniform(n, n_c, per_point):
+    # one uniform picks among the breakable cells as pick_cells does, then
+    # the point inside the cell draws what sample_in_cells draws
+    size, breakable = 64, np.array([2, 3, n_c])
+    u = np.random.default_rng(n).random(size * (1 + per_point))
+    served = ServedUniforms(u)
+    pts = sample_break_point(CellularDensity(n, n_c, frozenset(breakable)), served, size)
+    assert served.at == size * (1 + per_point)
+    k = np.array([breakable.size])
+    idx = pick_cells(breakable - 1, np.zeros(1, np.intp), k, u[None, :size])[0]
+    np.testing.assert_array_equal(pts, sample_in_cells(n, n_c, idx, ServedUniforms(u[size:])))
 
 
 # z_a = cos(theta) Z_MAX: no break ties, some do, every break does

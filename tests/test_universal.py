@@ -31,9 +31,10 @@ from trm import (
     transition_probabilities_nd,
     universal_probability_exact,
 )
-from trm.cells import MAX_CELLS, cell_fraction_in_regions
+from trm.cells import MAX_CELLS, cell_fraction_in_regions, pick_cells
+from trm.simplex import CHUNK_BYTES
 import trm.universal as universal_module
-from trm.universal import MC_CHUNK_ROWS, mc_batch
+from trm.universal import mc_batch
 from conftest import enumerate_cellular, random_interior_state
 
 
@@ -159,19 +160,21 @@ def test_half_binomial_moments_match_the_binomial_sum(p_pts):
     np.testing.assert_allclose(_half_binomial_moments(p_pts), summed, rtol=1e-14)
 
 
+# a two-outcome chunk holds CHUNK_BYTES // 48 break points, so 48 kB of
+# chunk bytes hold 1024 of them
 @pytest.mark.parametrize(
-    "p_pts,m,chunk",
-    [(8, 4000, MC_CHUNK_ROWS), (2 * 1024, 500, 1024)],
+    "p_pts,m,chunk_bytes",
+    [(8, 4000, CHUNK_BYTES), (2 * 1024, 500, 48 * 1024)],
     ids=["small", "split-density"],
 )
-def test_mc_batch_draws_within_each_subset(monkeypatch, p_pts, m, chunk):
+def test_mc_batch_draws_within_each_subset(monkeypatch, p_pts, m, chunk_bytes):
     # x = (1/2, 1/2) on two cells: the subsets {1}, {2} and {1, 2} give the
     # per-density laws (1, 0), (0, 1) and Bin(P, 1/2)/P, so E[p_1^2] is
     # (1 + 1/4 + 1/(4P))/3; cells picked outside the subset would give
     # about 1/4.  With more points than a chunk, each density's points are
     # drawn in parts that must share the density's subset; a small chunk
     # splits a density without drawing millions of points.
-    monkeypatch.setattr(universal_module, "MC_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(universal_module, "CHUNK_BYTES", chunk_bytes)
     moment = [(1 + mu) / 3 for mu in _half_binomial_moments(p_pts)]
     sigma = math.sqrt((moment[1] - moment[0] ** 2) / m)
     assert abs(moment[0] - 0.25) > 8 * sigma
@@ -213,7 +216,7 @@ def test_cell_pick_cannot_leave_its_row():
     cells = np.arange(2 * MAX_CELLS)
     u = np.tile([0.0, np.nextafter(1.0, 0.0)], (k.size, 1))
     np.testing.assert_array_equal(
-        universal_module._pick_cells(cells, start, k, u),
+        pick_cells(cells, start, k, u),
         np.stack([start, start + k - 1], axis=1),
     )
 
@@ -224,7 +227,7 @@ def test_cell_pick_is_uniform_over_each_subset():
     subsets = [np.sort(gen.choice(n_cells, size, replace=False)) for size in (1, 2, 3, 7, 25)]
     k = np.array([s.size for s in subsets])
     cells = np.concatenate(subsets).astype(np.uint8)
-    picks = universal_module._pick_cells(
+    picks = pick_cells(
         cells, np.cumsum(k) - k, k, np.random.default_rng(32).random((k.size, points))
     )
     # the chi-square quantile with the false-alarm rate of a two-sided 4 sigma gate
@@ -245,7 +248,7 @@ def test_a_full_row_picks_only_its_own_cells():
     k = np.array([MAX_CELLS, 1])
     u = np.random.default_rng(33).random((2, 100_000))
     u[0, -1] = np.nextafter(1.0, 0.0)
-    picks = universal_module._pick_cells(cells, np.array([0, MAX_CELLS]), k, u)
+    picks = pick_cells(cells, np.array([0, MAX_CELLS]), k, u)
     assert picks[0].max() == MAX_CELLS - 1
     assert (picks[1] == MAX_CELLS).all()
 
@@ -262,22 +265,27 @@ def test_mc_batch_redraws_empty_subsets():
 def test_mc_batch_is_deterministic_across_chunks():
     x = BarycentricVector((0.2, 0.3, 0.5))
     m, p_pts = 1200, 64
-    assert m * p_pts > 4 * MC_CHUNK_ROWS
+    # a three-outcome chunk holds CHUNK_BYTES // 64 break points
+    assert m * p_pts > 4 * (CHUNK_BYTES // 64)
     first = mc_batch(x, 9, m, p_pts, np.random.default_rng(13))
     again = mc_batch(x, 9, m, p_pts, np.random.default_rng(13))
     np.testing.assert_array_equal(first, again)
 
 
+# a chunk holds CHUNK_BYTES // (16 (n + 1)) break points, so its scratch,
+# about 16 n bytes a point, stays near CHUNK_BYTES at every outcome count
 @pytest.mark.parametrize(
-    "m,p_pts,n_c",
+    "n,m,p_pts,n_c,mib",
     [
-        pytest.param(400, 1000, 9, id="400-1000"),
-        pytest.param(3, 50_000, 9, id="3-50000"),
-        pytest.param(400, 1, 10_000, id="400-1-10000cells"),
+        pytest.param(3, 400, 1000, 9, 2, id="400-1000"),
+        pytest.param(3, 3, 50_000, 9, 2, id="3-50000"),
+        pytest.param(3, 400, 1, 10_000, 2, id="400-1-10000cells"),
+        *(pytest.param(n, 16, 1000, 4, 3, id=f"n{n}-16-1000") for n in (2, 3, 4, 16, 256)),
     ],
 )
-def test_mc_batch_memory_is_bounded_by_the_chunk(m, p_pts, n_c):
-    x = BarycentricVector((0.2, 0.3, 0.5))
+def test_mc_batch_memory_is_bounded_by_the_chunk(n, m, p_pts, n_c, mib):
+    w = np.arange(1.0, n + 1)
+    x = BarycentricVector(tuple(w / w.sum()))
     rng = np.random.default_rng(14)
     tracemalloc.start()
     try:
@@ -285,12 +293,12 @@ def test_mc_batch_memory_is_bounded_by_the_chunk(m, p_pts, n_c):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20, peak
+    assert peak < mib * 2**20, peak
 
 
 def test_mc_batch_at_the_bench_shape_makes_one_kernel_call_in_bounded_scratch(monkeypatch):
     # 256 densities of 64 points on 25 triangle cells, one chunk of the
-    # universal_mc benchmark: MC_CHUNK_ROWS break points, one call of the
+    # universal_mc benchmark: 16384 break points, one call of the
     # cell-sampling kernel, in at most 80 bytes of scratch per break point
     x = BarycentricVector((0.2, 0.3, 0.5))
     m, p_pts, n_c = 256, 64, 25
@@ -301,7 +309,7 @@ def test_mc_batch_at_the_bench_shape_makes_one_kernel_call_in_bounded_scratch(mo
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 80 * MC_CHUNK_ROWS, peak
+    assert peak <= 80 * 16384, peak
     sizes = []
     kernel = universal_module.sample_in_cells
 
@@ -311,7 +319,7 @@ def test_mc_batch_at_the_bench_shape_makes_one_kernel_call_in_bounded_scratch(mo
 
     monkeypatch.setattr(universal_module, "sample_in_cells", recording)
     mc_batch(x, n_c, m, p_pts, np.random.default_rng(15))
-    assert sizes == [MC_CHUNK_ROWS]
+    assert sizes == [16384]
 
 
 def _enumerated_subset_average(fractions, n_cells):

@@ -205,7 +205,13 @@ def cell_fraction_in_regions(x: np.ndarray, n_outcomes: int, n_cells: int) -> np
         inside = np.clip(np.minimum(b, x1) - a, 0.0, None)
         f1 = inside * _power_sum(t_a, t_b, m) / ((b - a) * _power_sum(1.0 - a, 1.0 - b, m))
     rest = xv[1:] / (1.0 - x1) if x1 < 1.0 else np.zeros(m)
-    return np.vstack([f1, (1.0 - f1) * rest[:, None]])
+    # rows 2..n split the rest of each cell in proportion to x_2..x_n; they
+    # are written straight into the table, so no (n - 1, n_cells) product
+    # is held beside it
+    out = np.empty((n_outcomes, n_cells))
+    out[0] = f1
+    np.multiply(1.0 - f1, rest[:, None], out=out[1:])
+    return out
 
 
 def _power_sum(u: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:

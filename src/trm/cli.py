@@ -418,7 +418,7 @@ def _keep_freed_memory() -> None:
     """Keep the sampling blocks' freed scratch in the C heap for reuse.
 
     Each block allocates its scratch arrays and frees them before the
-    next: a 65536-trial block peaks at about 2.4 MB for utr, at any n, and
+    next: a 65536-trial block peaks at about 1.9 MB for utr, at any n, and
     3.0 MB for gtr 1d (tracemalloc).  glibc hands freed memory at the top
     of its heap back to the system once it exceeds the trim threshold, and
     whether a block's scratch ends up there depends on where small

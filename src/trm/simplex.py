@@ -101,7 +101,10 @@ MAX_BOUNDARY_RETRIES = 64
 # Scratch bytes one chunk of a chunked kernel may hold.  Each kernel sizes
 # its chunks from its own bytes per item: universal.mc_batch per break
 # point, cells' triangle clipping per cell and hilbert.oracle_deviation per
-# state.  The chunk size bounds memory only; it moves no result bit.
+# state.  Triangle clipping and the oracle give the same bits at any chunk
+# size.  universal.mc_batch does not: its chunk sets the order in which
+# subsets, cell picks and break points are drawn, so another CHUNK_BYTES
+# is another stream.
 CHUNK_BYTES = 1 << 20
 
 
@@ -207,22 +210,29 @@ class OutcomePartition:
         """(groups, n_blocks) block tallies of 1-based outcome regions.
 
         regions holds `groups` equal runs of consecutive entries, one run per
-        group (for example one sampled density or one cell each).  One
-        bincount tallies (group, outcome) pairs, and aggregate adds the
-        outcome tallies into their blocks, so no per-region block lookup is
-        made; the counts keep the bincount's integer type.  The group
-        offsets are in the smallest type that holds the largest bin,
-        groups * n, so the one-byte regions of a utr block stay one byte.
-        Raises ValueError when a region lies outside 1..n, which
-        would otherwise be tallied in a neighbouring group.
+        group (for example one sampled density or one cell each).  The
+        outcomes are tallied first, and aggregate adds them into their
+        blocks, so no per-region block lookup is made; the counts are intp.
+        One group (a utr block) is tallied one outcome at a time, by a
+        compare and count_nonzero, which allocate only a bool column: at
+        n = 4 on 65536 one-byte regions that takes a quarter of the time of
+        bincount, which first casts them to intp.  Several groups take one
+        bincount of (group, outcome) pairs, with the group offsets in the
+        smallest type that holds the largest bin, groups * n.  Raises
+        ValueError when a region lies outside 1..n, which would otherwise
+        be tallied in a neighbouring group.
         """
         n = self.n
         regions = np.asarray(regions)
         if regions.size and (regions.min() < 1 or regions.max() > n):
             raise ValueError(f"regions must lie in 1..{n}")
-        offsets = np.arange(0, groups * n, n, dtype=np.min_scalar_type(groups * n))
-        bins = np.reshape(regions, (groups, -1)) + offsets[:, None]
-        outcomes = np.bincount(bins.ravel(), minlength=groups * n + 1)[1:].reshape(groups, n)
+        if groups == 1:
+            tally = [np.count_nonzero(regions == i) for i in range(1, n + 1)]
+            outcomes = np.array([tally], dtype=np.intp)
+        else:
+            offsets = np.arange(0, groups * n, n, dtype=np.min_scalar_type(groups * n))
+            bins = np.reshape(regions, (groups, -1)) + offsets[:, None]
+            outcomes = np.bincount(bins.ravel(), minlength=groups * n + 1)[1:].reshape(groups, n)
         return self.aggregate(outcomes).astype(outcomes.dtype)
 
     def aggregate(self, v: np.ndarray) -> np.ndarray:
@@ -300,12 +310,17 @@ def _ratio_regions(
     writes into the (m,) float array out the ratios of column j, np.inf
     where a row excludes it.  The pass owns every array: the smallest ratio
     so far, its index, the runner-up, and one column that each ratio after
-    the first is written into, so no (m, n) ratio matrix is ever built.
-    The first comparison writes the runner-up, max(lo, r), straight into
-    its preallocated array, which has the bits min(inf, max(lo, r)) has;
-    only a single support column fills it with inf.  Of equal minima the
-    first column wins.  Returns 1-based indices, in the smallest integer
-    type that holds the last one, and a boolean tie mask.  A row ties when
+    the first is written into, so no (m, n) ratio matrix is ever built: a
+    pass holds three float64 columns, and with the one-byte index, step
+    and mask columns peaks at about 3.6 * 8 * m bytes at any n.  The
+    runner-up, r clamped to [lo, hi], is max(lo, min(hi, r)), which works
+    in place in hi; since lo <= hi it equals min(hi, max(lo, r)), and min
+    and max only pick an operand, so no index or tie moves.  The first
+    comparison writes max(lo, r), what the clamp gives for hi = inf,
+    straight into hi; only a single support column fills it with inf.
+    The tie test reuses lo and r.  Of equal minima the first column wins.
+    Returns 1-based indices, in the smallest integer type that holds the
+    last one, and a boolean tie mask.  A row ties when
     its two smallest ratios agree within TIE_RTOL relatively, which is the
     break-on-boundary condition; a row with one finite ratio has an
     infinite runner-up and never ties.
@@ -316,22 +331,21 @@ def _ratio_regions(
     # the smallest integer type that holds every index keeps its updates cheap
     idx = np.full(m, cols[0] + 1, dtype=np.min_scalar_type(cols[-1] + 1))
     step, first = np.empty_like(idx), np.empty(m, dtype=bool)
-    r, spare = np.empty_like(lo), np.empty_like(lo)
+    r = np.empty_like(lo)
     for k, j in enumerate(cols[1:]):
         ratio(j, r)
         np.less(r, lo, out=first)
         # first * (j + 1) is 0 or the new index, and the new index exceeds
         # every index kept so far because the columns ascend
         np.maximum(idx, np.multiply(first, idx.dtype.type(j + 1), out=step), out=idx)
-        # the runner-up is the old minimum where r beats it, else min(hi, r);
-        # before the first comparison hi would be inf, so it is max(lo, r)
+        # the runner-up is r clamped to [lo, hi]; before the first
+        # comparison hi would be inf, so it is max(lo, r)
         if k:
-            np.minimum(hi, np.maximum(lo, r, out=spare), out=hi)
-        else:
-            np.maximum(lo, r, out=hi)
+            np.minimum(hi, r, out=hi)
+        np.maximum(lo, hi if k else r, out=hi)
         np.minimum(lo, r, out=lo)
     with np.errstate(invalid="ignore"):
-        tie = np.subtract(hi, lo, out=spare) <= np.multiply(hi, TIE_RTOL, out=lo)
+        tie = np.subtract(hi, lo, out=lo) <= np.multiply(hi, TIE_RTOL, out=r)
     tie &= np.isfinite(hi)
     return idx, tie
 

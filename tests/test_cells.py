@@ -190,6 +190,22 @@ def test_fractions_columns_sum_to_one(rng):
         assert (frac >= -1e-15).all()
 
 
+def test_slab_fractions_hold_one_table(rng):
+    # the (n, n_cells) table is 32 MiB at 64 outcomes and MAX_CELLS cells;
+    # building it by stacking row 0 on an (n - 1, n_cells) product held
+    # both at once, 66.5 MiB
+    n = 64
+    x = random_interior_state(rng, n)
+    tracemalloc.start()
+    try:
+        frac = cell_fraction_in_regions(x, n, MAX_CELLS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert frac.shape == (n, MAX_CELLS)
+    assert peak < 45 * 2**20
+
+
 def test_fractions_refuse_subdivisions_without_cells():
     for n, n_c in [(4, 0), (4, MAX_CELLS + 1), (2, MAX_CELLS + 1), (3, 5), (1, 4)]:
         with pytest.raises(ValueError):
@@ -332,6 +348,7 @@ def _column_stack_slabs(n, n_cells, idx, rng):
     return np.column_stack([lam1, (1.0 - lam1)[:, None] * rest])
 
 
+@pytest.mark.stream
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 16, 256])
 def test_triangle_sampler_keeps_the_bits_of_the_vertex_tensor(k):
     idx = np.random.default_rng(k).integers(0, k * k, 5000)
@@ -363,6 +380,7 @@ def test_sample_in_cells_columns_are_contiguous(n):
     assert all(pts[:, j].flags.c_contiguous for j in range(n))
 
 
+@pytest.mark.stream
 @pytest.mark.parametrize("n", [2, 4, 5, 6])
 def test_slab_sampler_keeps_the_bits_of_the_column_stack(n):
     n_c = 7

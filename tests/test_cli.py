@@ -650,6 +650,7 @@ def test_non_finite_result_is_a_one_line_domain_error(tmp_path, monkeypatch, fmt
     assert not out.exists()
 
 
+@pytest.mark.stream
 def test_oracle_chunks_draw_the_per_state_stream(tmp_path, monkeypatch):
     """A states count spanning several chunks checks the same states as
     drawing them one at a time with two normal(size=n) calls each, and

@@ -19,6 +19,8 @@ from trm.cells import pick_cells, sample_in_cells
 from trm.gtr import Z_MAX, sample_break_point, sample_outcomes_1d
 from conftest import ServedUniforms
 
+pytestmark = pytest.mark.stream
+
 DRAW_METHODS = {"random", "normal"}
 
 

@@ -14,6 +14,8 @@ import pytest
 
 from trm import cli
 
+pytestmark = pytest.mark.stream
+
 GOLDEN = {
     "utr_blocks": (
         {"kind": "utr", "seed": 11,

@@ -187,7 +187,9 @@ def _reference_regions(num, den):
     """
     num, den = np.broadcast_arrays(np.atleast_2d(num), np.atleast_2d(den))
     ratios = np.full(num.shape, np.inf)
-    np.divide(num, den, out=ratios, where=den > 0.0)
+    # a subnormal denominator overflows its ratio to inf, as in the kernels
+    with np.errstate(over="ignore"):
+        np.divide(num, den, out=ratios, where=den > 0.0)
     two = np.sort(ratios, axis=1)[:, :2]
     lo, hi = two[:, 0], two[:, 1]
     idx = np.argmax(ratios == lo[:, None], axis=1) + 1
@@ -223,7 +225,7 @@ def _kernel_case(gen, n, zeros):
     return w, probes, gen.dirichlet(np.ones(n), 64)
 
 
-@given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 12), st.integers(0, 11), st.integers(0, 2**32 - 1))
 @settings(max_examples=120, deadline=None)
 def test_region_kernel_matches_sort_reference(n, zeros, seed):
     gen = np.random.default_rng(seed)
@@ -239,9 +241,21 @@ def test_region_kernel_matches_sort_reference(n, zeros, seed):
     np.testing.assert_array_equal(tie, ref_tie)
     np.testing.assert_array_equal(idx[~tie], ref_idx[~tie])
     assert idx.dtype == np.min_scalar_type(n)
+    # a subnormal x_j turns column j's ratios inf mid-pass, where the
+    # runner-up, and the new ratio, may be inf too; a zero in the rows'
+    # column j keeps its ratio 0
+    support = np.flatnonzero(xv > 0.0)
+    sub = xv.copy()
+    sub[gen.choice(support, min(2, support.size - 1), replace=False)] = 1e-320
+    rows[gen.random(rows.shape) < 0.2] = 0.0
+    rows[np.all(rows == 0.0, axis=1), 0] = 1.0
+    idx, tie = regions_of_batch(sub, rows)
+    ref_idx, ref_tie = _reference_regions(rows, sub)
+    np.testing.assert_array_equal(tie, ref_tie)
+    np.testing.assert_array_equal(idx[~tie], ref_idx[~tie])
 
 
-@given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 12), st.integers(0, 11), st.integers(0, 2**32 - 1))
 @settings(max_examples=120, deadline=None)
 def test_fixed_break_point_kernel_matches_sort_reference(n, zeros, seed):
     # complementary_mc's per-row denominators: each state row has its own
@@ -251,6 +265,9 @@ def test_fixed_break_point_kernel_matches_sort_reference(n, zeros, seed):
     states[gen.random(states.shape) < 0.3] = 0.0
     states[:8] = 0.0
     states[np.arange(8), gen.integers(0, n, 8)] = gen.random(8) + 0.1
+    # zero state components make ratios inf mid-pass: before the minimum,
+    # between two finite ratios, and after it, with the runner-up inf or not
+    states[8, 0] = states[9, n // 2] = states[10, -1] = states[11, 1:] = 0.0
     states[np.all(states == 0.0, axis=1), 0] = 1.0
     for ratio_rows, expect in probes:
         den = np.where(lam > 0.0, lam / ratio_rows, 0.0)
@@ -290,6 +307,7 @@ def test_scaling_rows_changes_no_region(n, zeros, seed):
             np.testing.assert_array_equal(s_idx[~tie], idx[~tie])
 
 
+@pytest.mark.stream
 @pytest.mark.parametrize("size", [0, 1, 7, 65536])
 @pytest.mark.parametrize(
     "x",
@@ -337,6 +355,7 @@ def test_exponential_regions_draw_the_eager_stream(x, size, monkeypatch):
         assert streamed.random(5).tolist() == eager.random(5).tolist()
 
 
+@pytest.mark.stream
 @pytest.mark.parametrize(
     "x", [(0.0, 0.3, 0.7), (0.2, 0.0, 0.3, 0.5), (0.1, 0.2, 0.3, 0.4, 0.0), (0.0, 0.0, 1.0, 0.0)]
 )
@@ -358,6 +377,7 @@ def test_exponential_regions_read_one_column_per_support_outcome(x):
     np.testing.assert_array_equal(tie, ref_tie)
 
 
+@pytest.mark.stream
 @pytest.mark.parametrize("x", [(0.4, 5e-324, 0.6), (0.3, 1e-320, 0.7)])
 def test_a_zero_uniform_in_a_subnormal_column_has_ratio_zero(x):
     # 1 / 5e-324 is inf, and 0 * inf would be NaN, which warns (an error
@@ -381,6 +401,7 @@ def test_a_zero_uniform_in_a_subnormal_column_has_ratio_zero(x):
     assert (capped == 0.0).all()
 
 
+@pytest.mark.stream
 def test_exponential_regions_do_not_depend_on_the_last_bit_of_log():
     # numpy's vectorised log and libm's may round a value differently in the
     # last bit; a tie needs two ratios within TIE_RTOL, which is far wider,
@@ -535,6 +556,25 @@ def test_aggregate_batches_rows_exactly(rng):
         p.aggregate(rows[..., :4])
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+@pytest.mark.parametrize("n", [2, 4, 17, 40])
+def test_one_group_count_matches_a_per_row_tally(n, dtype, rng):
+    # one group tallies each outcome by a compare, not by bincount
+    regions = rng.integers(1, n + 1, 5000).astype(dtype)
+    regions[:2] = 1, n
+    tally = np.zeros(n, dtype=np.intp)
+    for r in regions.tolist():
+        tally[r - 1] += 1
+    counts = OutcomePartition.singletons(n).count(regions)
+    assert counts.dtype == np.intp and counts.tolist() == [tally.tolist()]
+    coarse = OutcomePartition.of([range(1, n + 1, 2), range(2, n + 1, 2)])
+    assert coarse.count(regions).tolist() == [[tally[::2].sum(), tally[1::2].sum()]]
+    assert OutcomePartition.singletons(n).count(regions[:0]).tolist() == [[0] * n]
+    for bad in (0, n + 1):
+        with pytest.raises(ValueError, match=rf"1\.\.{n}"):
+            OutcomePartition.singletons(n).count(np.append(regions, bad).astype(dtype))
+
+
 def test_count_matches_a_per_row_tally(rng):
     for n in (2, 3, 5):
         for blocks in list(iter_partitions(n))[:: max(1, n - 1)]:
@@ -616,6 +656,7 @@ def _row_sum_divide(n, size, rng):
     return e / e.sum(axis=1, keepdims=True)
 
 
+@pytest.mark.stream
 @pytest.mark.parametrize("n", range(2, 8))
 def test_uniform_sampler_keeps_the_bits_of_the_row_sum_divide(n):
     # numpy adds a row of fewer than 8 terms left to right, as the

@@ -196,6 +196,7 @@ def _nonzero_subsets(m, n_cells, rng):
     return np.nonzero(bits)[1].astype(np.min_scalar_type(n_cells - 1)), bits.sum(axis=1)
 
 
+@pytest.mark.stream
 @pytest.mark.parametrize("n_cells", [1, 2, 255, 256, 257, MAX_CELLS])
 def test_subset_cells_are_the_nonzero_columns(n_cells):
     m = 7
